@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import logging
 import re
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .domain import AbstractRecord, ClassificationLabel
 from .errors import GatewayError, UnparseableLabelError, ValidationError
@@ -21,6 +22,9 @@ from .gateway import LlmGateway, render_classification_prompt, template_hash, CL
 logger = logging.getLogger(__name__)
 
 _TOKEN_RE = re.compile(r"[A-Za-z]+")
+
+T = TypeVar("T")
+R = TypeVar("R")
 
 
 @dataclass
@@ -77,6 +81,29 @@ def parse_label(raw: str) -> ClassificationLabel:
     raise UnparseableLabelError(f"completion {raw!r} contains neither Include nor Exclude")
 
 
+def map_ordered(items: Iterable[T], fn: Callable[[T], R], max_workers: int) -> Iterator[R]:
+    """``fn`` over ``items`` on a thread pool, yielding results in input order.
+
+    At most ``2 * max_workers`` calls are submitted ahead of the consumer,
+    so a long input never has all its futures queued at once. The caller's
+    thread receives every result, which keeps it the only store writer. If
+    ``fn`` raises, or the consumer stops early (an exception, Ctrl-C,
+    ``close()``), calls not yet started are cancelled.
+    """
+    window = 2 * max_workers
+    pending: deque[Future[R]] = deque()
+    pool = ThreadPoolExecutor(max_workers=max_workers)
+    try:
+        for item in items:
+            if len(pending) == window:
+                yield pending.popleft().result()
+            pending.append(pool.submit(fn, item))
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def iter_classified(
     records: Iterable[AbstractRecord],
     gateway: LlmGateway,
@@ -102,32 +129,7 @@ def iter_classified(
             prompt_hash=prompt_digest,
         )
 
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        yield from pool.map(one, records)
-
-
-def classify_corpus(
-    records: Sequence[AbstractRecord],
-    gateway: LlmGateway,
-    max_workers: int = 4,
-    sink: Callable[[ClassifiedAbstract | QuarantineEntry], None] | None = None,
-) -> tuple[list[ClassifiedAbstract], list[QuarantineEntry], dict[str, int]]:
-    """Run the whole corpus; every PMID ends up labelled or quarantined."""
-    classified: list[ClassifiedAbstract] = []
-    quarantined: list[QuarantineEntry] = []
-    for result in iter_classified(records, gateway, max_workers=max_workers):
-        if sink is not None:
-            sink(result)
-        if isinstance(result, QuarantineEntry):
-            quarantined.append(result)
-        else:
-            classified.append(result)
-    counts = {
-        "include": sum(1 for c in classified if c.label is ClassificationLabel.INCLUDE),
-        "exclude": sum(1 for c in classified if c.label is ClassificationLabel.EXCLUDE),
-        "quarantined": len(quarantined),
-    }
-    return classified, quarantined, counts
+    yield from map_ordered(records, one, max_workers)
 
 
 @dataclass(frozen=True)

@@ -272,26 +272,29 @@ def cmd_extract(config: PipelineConfig, store: RunStore, args: argparse.Namespac
     if not store.stage_done("tables_raw"):
         store.start_stage("tables_raw")
         store.repair_tail("quarantine")
-        quarantined = {
+        skip = store.processed_ids("tables_raw") | {
             q["pmid"] for q in store.iter_records("quarantine") if q["stage"] == "extract"
         }
-        done_raw = store.processed_ids("tables_raw")
+        pending = []
         for pmid in include_pmids:
-            if pmid in done_raw or pmid in quarantined:
+            if pmid in skip:
                 continue
-            record = corpus.get(pmid)
-            if record is None:
+            if pmid not in corpus:
                 logger.warning("pmid %s classified but missing from corpus", pmid)
                 continue
+            pending.append(corpus[pmid])
+
+        def extract_one(record: AbstractRecord) -> dict[str, str] | classify_mod.QuarantineEntry:
             try:
-                markdown = extract_table(record, gateway)
+                return {"pmid": record.pmid, "markdown": extract_table(record, gateway)}
             except GatewayError as exc:
-                store.append(
-                    "quarantine",
-                    classify_mod.QuarantineEntry(pmid=pmid, stage="extract", reason=f"gateway: {exc}").to_dict(),
-                )
-                continue
-            store.append("tables_raw", {"pmid": pmid, "markdown": markdown})
+                return classify_mod.QuarantineEntry(pmid=record.pmid, stage="extract", reason=f"gateway: {exc}")
+
+        for result in classify_mod.map_ordered(pending, extract_one, config.llm_concurrency):
+            if isinstance(result, classify_mod.QuarantineEntry):
+                store.append("quarantine", result.to_dict())
+            else:
+                store.append("tables_raw", result)
         store.mark_done("tables_raw")
 
     if not store.stage_done("tables_parsed"):
@@ -329,9 +332,13 @@ def cmd_normalize(config: PipelineConfig, store: RunStore, args: argparse.Namesp
     index = normalize_mod.load_index(config.dictionary_path)
     normalizer = normalize_mod.TermNormalizer(_make_gateway(config), index, max_distance=config.max_distance)
 
+    def tables():
+        return (ProfileTable.from_dict(d) for d in store.iter_records("tables_parsed"))
+
+    normalizer.prefetch(surface for table in tables() for surface in normalize_mod.table_surfaces(table))
+
     def generate():
-        for d in store.iter_records("tables_parsed"):
-            table = ProfileTable.from_dict(d)
+        for table in tables():
             for record in normalize_mod.normalize_table(table, normalizer):
                 yield record.to_dict()
 
@@ -345,16 +352,9 @@ def cmd_aggregate(config: PipelineConfig, store: RunStore, args: argparse.Namesp
     if store.stage_done("aggregates"):
         print("aggregates stage already done; skipping")
         return 0
-    records = [normalize_mod.NormalizedRecord.from_dict(d) for d in store.iter_records("normalized")]
-    usable = []
-    dropped = {"invalid_count": 0, "unmapped": 0}
-    for record in records:
-        if "invalid_count" in record.flags:
-            dropped["invalid_count"] += 1
-        elif record.marker_cui is None or record.tumour_type_cui is None:
-            dropped["unmapped"] += 1
-        else:
-            usable.append(record)
+    usable, dropped = landscape_mod.usable_records(
+        normalize_mod.NormalizedRecord.from_dict(d) for d in store.iter_records("normalized")
+    )
     if any(dropped.values()):
         logger.warning(
             "aggregate: dropped %d invalid-count and %d unmapped records",
@@ -406,8 +406,10 @@ def cmd_report(config: PipelineConfig, store: RunStore, args: argparse.Namespace
     if not (store.run_dir / "comparison_report.csv").exists():
         raise PipelineError("comparison_report.csv not found; run compare")
     aggregates = [landscape_mod.MarkerTumourAggregate.from_dict(d) for d in store.iter_records("aggregates")]
-    records = [normalize_mod.NormalizedRecord.from_dict(d) for d in store.iter_records("normalized")]
-    totals = landscape_mod.marker_totals(aggregates, records=records)
+    usable, _ = landscape_mod.usable_records(
+        normalize_mod.NormalizedRecord.from_dict(d) for d in store.iter_records("normalized")
+    )
+    totals = landscape_mod.marker_totals(aggregates, records=usable)
     out = store.run_dir / "marker_report.csv"
     with out.open("w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)

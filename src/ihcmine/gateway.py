@@ -8,6 +8,7 @@ canonically so identical requests produce byte-identical bodies.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
@@ -60,12 +61,19 @@ class EmbeddingVector:
         return cls(values=vals, dim=len(vals))
 
 
+@functools.cache
+def _load_template(path: Path) -> tuple[str, str]:
+    """(text, sha256) from one read, so the text sent always matches the hash recorded."""
+    data = path.read_bytes()
+    return data.decode("utf-8"), hashlib.sha256(data).hexdigest()
+
+
 def template_text(name: str) -> str:
-    return (_PROMPT_DIR / name).read_text(encoding="utf-8")
+    return _load_template(_PROMPT_DIR / name)[0]
 
 
 def template_hash(name: str) -> str:
-    return hashlib.sha256((_PROMPT_DIR / name).read_bytes()).hexdigest()
+    return _load_template(_PROMPT_DIR / name)[1]
 
 
 def prompt_template_hashes() -> dict[str, str]:

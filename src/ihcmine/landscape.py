@@ -126,6 +126,25 @@ class ConcordanceResult:
     category: ConcordanceCategory
 
 
+def usable_records(records: Iterable[NormalizedRecord]) -> tuple[list[NormalizedRecord], dict[str, int]]:
+    """The records aggregation sums, and the dropped counts by reason.
+
+    A record is dropped for an invalid count, or when its marker or tumour
+    type did not map to a concept. Every per-marker figure is computed over
+    the same usable records, so marker totals agree with the aggregates.
+    """
+    usable = []
+    dropped = {"invalid_count": 0, "unmapped": 0}
+    for record in records:
+        if "invalid_count" in record.flags:
+            dropped["invalid_count"] += 1
+        elif record.marker_cui is None or record.tumour_type_cui is None:
+            dropped["unmapped"] += 1
+        else:
+            usable.append(record)
+    return usable, dropped
+
+
 def aggregate(
     records: Iterable[NormalizedRecord],
     split_qualifiers: bool = False,

@@ -15,7 +15,7 @@ import threading
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -24,6 +24,8 @@ from .gateway import EmbeddingVector, LlmGateway
 from .tables import ProfileTable, split_marker_column
 
 logger = logging.getLogger(__name__)
+
+EMBED_CHUNK = 64
 
 
 class NameKind(str, Enum):
@@ -162,6 +164,25 @@ class TermNormalizer:
         self._cache: dict[str, NormalizedEntity] = {}
         self._lock = threading.Lock()
 
+    def prefetch(self, surfaces: Iterable[str]) -> None:
+        """Embed the distinct uncached surfaces in chunks of ``EMBED_CHUNK`` and cache their matches.
+
+        A chunk the gateway fails is left uncached, so ``normalize_term``
+        embeds its surfaces one at a time and only the failing ones go unmapped.
+        """
+        distinct = dict.fromkeys(surfaces)
+        with self._lock:
+            todo = [s for s in distinct if s.strip() and s not in self._cache]
+        for start in range(0, len(todo), EMBED_CHUNK):
+            chunk = todo[start : start + EMBED_CHUNK]
+            try:
+                vectors = self.gateway.embed(chunk)
+            except GatewayError as exc:
+                logger.warning("embedding %d surfaces failed, falling back to one at a time: %s", len(chunk), exc)
+                continue
+            for surface, vector in zip(chunk, vectors):
+                self._match(surface, vector, None, surface)
+
     def normalize_term(self, surface: str, semantic_type: str | None = None) -> NormalizedEntity:
         if not surface or not surface.strip():
             raise ValidationError("cannot normalize an empty surface form")
@@ -174,6 +195,11 @@ class TermNormalizer:
             vector = self.gateway.embed([surface])[0]
         except GatewayError as exc:
             raise NormalizationError(f"embedding failed for {surface!r}: {exc}") from exc
+        return self._match(surface, vector, semantic_type, cache_key)
+
+    def _match(
+        self, surface: str, vector: EmbeddingVector, semantic_type: str | None, cache_key: str
+    ) -> NormalizedEntity:
         hits = self.index.nearest(vector, k=1, semantic_type=semantic_type)
         if not hits:
             raise NormalizationError(f"no dictionary candidates for {surface!r}")
@@ -182,11 +208,6 @@ class TermNormalizer:
         with self._lock:
             self._cache[cache_key] = entity
         return entity
-
-
-def normalize_term(surface: str, gateway: LlmGateway, index: ConceptIndex) -> NormalizedEntity:
-    """One-off normalization without a shared cache."""
-    return TermNormalizer(gateway, index).normalize_term(surface)
 
 
 @dataclass
@@ -247,6 +268,19 @@ class NormalizedRecord:
             total=int(d["total"]),
             flags=list(d.get("flags", [])),
         )
+
+
+def table_surfaces(table: ProfileTable) -> Iterator[str]:
+    """The surfaces ``normalize_table`` looks up, in its lookup order (repeats included)."""
+    for row in table.rows:
+        for column_name, cell in row.cells.items():
+            if cell.is_missing:
+                continue
+            if row.tumour_type.strip():
+                yield row.tumour_type
+            if row.tumour_site:
+                yield row.tumour_site
+            yield split_marker_column(column_name).base_marker
 
 
 def normalize_table(table: ProfileTable, normalizer: TermNormalizer) -> list[NormalizedRecord]:

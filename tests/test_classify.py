@@ -1,6 +1,8 @@
-"""Label parsing, corpus classification with a stub gateway, metrics oracle."""
+"""Label parsing, corpus classification with a stub gateway, the ordered runner, metrics oracle."""
 
 import random
+import threading
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,8 +12,9 @@ from hypothesis import strategies as st
 from ihcmine.classify import (
     ClassifiedAbstract,
     QuarantineEntry,
-    classify_corpus,
     evaluate,
+    iter_classified,
+    map_ordered,
     parse_label,
 )
 from ihcmine.domain import AbstractRecord, ClassificationLabel, format_percent
@@ -67,24 +70,36 @@ class TestParseLabel:
             parse_label("I would Include this")
 
 
+def classify_all(records, gateway, max_workers=4):
+    results = list(iter_classified(records, gateway, max_workers=max_workers))
+    classified = [r for r in results if isinstance(r, ClassifiedAbstract)]
+    quarantined = [r for r in results if isinstance(r, QuarantineEntry)]
+    counts = {
+        "include": sum(1 for c in classified if c.label is INCLUDE),
+        "exclude": sum(1 for c in classified if c.label is EXCLUDE),
+        "quarantined": len(quarantined),
+    }
+    return classified, quarantined, counts
+
+
 class TestClassifyCorpus:
     def test_counts(self):
         pmids = [str(100 + i) for i in range(10)]
         outputs = {p: ("Include" if i < 6 else "Exclude") for i, p in enumerate(pmids)}
         records = [record(p) for p in pmids]
-        classified, quarantined, counts = classify_corpus(records, StubGateway(outputs))
+        classified, quarantined, counts = classify_all(records, StubGateway(outputs))
         assert counts == {"include": 6, "exclude": 4, "quarantined": 0}
         assert [c.pmid for c in classified] == pmids
         assert all(c.model_id == "stub-model" and c.prompt_hash for c in classified)
 
     def test_empty_corpus(self):
-        _, _, counts = classify_corpus([], StubGateway({}))
+        _, _, counts = classify_all([], StubGateway({}))
         assert counts == {"include": 0, "exclude": 0, "quarantined": 0}
 
     def test_unparseable_output_quarantined(self):
         records = [record("1"), record("2")]
         outputs = {"1": "Include", "2": "maybe"}
-        classified, quarantined, counts = classify_corpus(records, StubGateway(outputs))
+        classified, quarantined, counts = classify_all(records, StubGateway(outputs))
         assert counts == {"include": 1, "exclude": 0, "quarantined": 1}
         assert quarantined[0].pmid == "2"
         assert quarantined[0].raw_output == "maybe"
@@ -92,7 +107,7 @@ class TestClassifyCorpus:
     def test_gateway_failure_quarantined_with_reason(self):
         records = [record("1"), record("2")]
         outputs = {"1": "Include", "2": "Exclude"}
-        _, quarantined, counts = classify_corpus(records, StubGateway(outputs, fail_for={"2"}))
+        _, quarantined, counts = classify_all(records, StubGateway(outputs, fail_for={"2"}))
         assert counts["quarantined"] == 1
         assert "gateway" in quarantined[0].reason
 
@@ -101,6 +116,72 @@ class TestClassifyCorpus:
         assert ClassifiedAbstract.from_dict(item.to_dict()) == item
         entry = QuarantineEntry(pmid="2", stage="classify", reason="r", raw_output="maybe")
         assert QuarantineEntry.from_dict(entry.to_dict()) == entry
+
+
+class TestMapOrdered:
+    def test_input_order_kept_when_later_items_finish_first(self):
+        finished = []
+        lock = threading.Lock()
+
+        def slow_first(i):
+            time.sleep(0.02 * (5 - i))
+            with lock:
+                finished.append(i)
+            return i * 10
+
+        assert list(map_ordered(range(6), slow_first, max_workers=6)) == [0, 10, 20, 30, 40, 50]
+        assert finished[0] != 0  # the runner really did finish later items first
+
+    def test_at_most_two_windows_of_workers_submitted_before_first_result(self):
+        pulled = []
+
+        def items():
+            for i in range(100):
+                pulled.append(i)
+                yield i
+
+        results = map_ordered(items(), lambda i: i, max_workers=3)
+        assert next(results) == 0
+        assert len(pulled) <= 2 * 3 + 1  # one window, plus the item whose arrival pops the first result
+        assert list(results) == list(range(1, 100))
+
+    def test_exception_stops_submission_after_the_window(self):
+        called = []
+        lock = threading.Lock()
+        k, workers = 5, 2
+
+        def fn(i):
+            with lock:
+                called.append(i)
+            if i == k:
+                raise RuntimeError("boom")
+            return i
+
+        results = map_ordered(range(1000), fn, max_workers=workers)
+        with pytest.raises(RuntimeError, match="boom"):
+            list(results)
+        assert max(called) < k + 2 * workers
+
+    def test_closing_early_cancels_queued_work(self):
+        started = []
+        gate = threading.Event()
+
+        def fn(i):
+            started.append(i)
+            if i > 0:
+                gate.wait(5)
+            return i
+
+        # two workers, window four: after 0 is consumed, 1 and 2 are queued or block the
+        # workers until the gate opens, and 3 cannot start before then
+        results = map_ordered(range(50), fn, max_workers=2)
+        assert next(results) == 0
+        opener = threading.Timer(0.2, gate.set)
+        opener.start()
+        results.close()  # as on Ctrl-C in the consumer
+        opener.join(5)
+        assert not opener.is_alive()
+        assert 0 in started and max(started) <= 2
 
 
 def oracle_metrics(preds, golds):

@@ -9,6 +9,8 @@ import pytest
 from ihcmine.cli import main
 from ihcmine.config import build_config, load_config_file
 from ihcmine.errors import ConfigError
+from ihcmine.normalize import NormalizedRecord
+from ihcmine.store import RunStore
 
 
 def read_jsonl(path: Path) -> list[dict]:
@@ -148,6 +150,64 @@ class TestFullChain:
         classified = read_jsonl(run_dir / "classified.jsonl")
         assert victim in {c["pmid"] for c in classified}
         assert len(classified) == 50
+
+
+class TestExtract:
+    def test_concurrency_overlaps_extraction_calls_without_changing_output(self, demo_env, tmp_path):
+        serial, overlapped = tmp_path / "serial", tmp_path / "overlapped"
+        for run_dir in (serial, overlapped):
+            assert main(demo_env.fetch_args(run_dir)) == 0
+            assert main(demo_env.classify_args(run_dir)) == 0
+        assert main([*demo_env.extract_args(serial), "--concurrency", "1"]) == 0
+
+        demo_env.llm_state.max_active = 0
+        demo_env.llm_state.delay = 0.02
+        assert main([*demo_env.extract_args(overlapped), "--concurrency", "2"]) == 0
+        assert demo_env.llm_state.max_active == 2
+        for name in ("tables_raw.jsonl", "tables_parsed.jsonl"):
+            assert (overlapped / name).read_bytes() == (serial / name).read_bytes(), name
+
+
+def normalized(pmid, tumour_cui="C0000010", flags=()):
+    return NormalizedRecord(
+        pmid=pmid,
+        tumour_type="melanoma",
+        tumour_type_cui=tumour_cui,
+        tumour_type_name="melanoma" if tumour_cui else None,
+        tumour_site=None,
+        tumour_site_cui=None,
+        tumour_site_name=None,
+        marker="ER",
+        base_marker="ER",
+        marker_cui="C0000001",
+        marker_name="ER",
+        qualifier=None,
+        positives=3,
+        total=10,
+        flags=list(flags),
+    )
+
+
+class TestReport:
+    def test_marker_report_counts_only_aggregated_abstracts(self, tmp_path):
+        run_dir = tmp_path / "run"
+        store = RunStore.create(run_dir, build_config(flag_values={"run_dir": str(run_dir)}).hash())
+        records = [
+            normalized("1"),
+            normalized("2", flags=["invalid_count"]),
+            normalized("3", tumour_cui=None, flags=["unmapped_tumour_type"]),
+        ]
+        store.write_stage_atomic("normalized", (r.to_dict() for r in records))
+        store.close()
+        assert main(["aggregate", "--run-dir", str(run_dir)]) == 0
+        (run_dir / "comparison_report.csv").write_text("", encoding="utf-8")
+        assert main(["report", "--run-dir", str(run_dir)]) == 0
+
+        with (run_dir / "marker_report.csv").open() as handle:
+            rows = list(csv.DictReader(handle))
+        assert rows == [
+            {"marker": "ER", "n_abstracts": "1", "positives": "3", "cohort": "10", "positive_rate_percent": "30.0"}
+        ]
 
 
 class TestRunDirResolution:

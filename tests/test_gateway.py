@@ -1,18 +1,23 @@
 """Gateway wire behavior against a live mock endpoint, plus prompt templates."""
 
+import hashlib
 import json
+import shutil
 import threading
 
 import pytest
 
+from ihcmine import gateway
 from ihcmine.domain import AbstractRecord
 from ihcmine.errors import EmptyOutputError, GatewayError, GatewayProtocolError, ValidationError
 from ihcmine.gateway import (
     CLASSIFY_MAX_NEW_TOKENS,
     EXTRACT_MAX_NEW_TOKENS,
+    EXTRACT_TEMPLATE,
     ChatRequest,
     LlmGateway,
     render_classification_prompt,
+    prompt_template_hashes,
     render_extraction_prompt,
     template_hash,
     wire_payload,
@@ -176,3 +181,18 @@ class TestPromptTemplates:
     def test_template_hashes_stable(self):
         assert template_hash("classify_v1.txt") == template_hash("classify_v1.txt")
         assert template_hash("classify_v1.txt") != template_hash("extract_v1.txt")
+
+    def test_template_read_once_so_text_matches_recorded_hash(self, tmp_path, monkeypatch):
+        prompts = tmp_path / "prompts"
+        shutil.copytree(gateway._PROMPT_DIR, prompts)
+        monkeypatch.setattr(gateway, "_PROMPT_DIR", prompts)
+        recorded = prompt_template_hashes()["extract"]
+        first = render_extraction_prompt(record()).user_prompt
+
+        template = prompts / EXTRACT_TEMPLATE
+        template.write_text(template.read_text(encoding="utf-8") + "Edited mid-run.\n", encoding="utf-8")
+        again = render_extraction_prompt(record()).user_prompt
+        assert again == first and "Edited mid-run" not in again
+        assert template_hash(EXTRACT_TEMPLATE) == recorded
+        sent = gateway.template_text(EXTRACT_TEMPLATE).encode("utf-8")
+        assert hashlib.sha256(sent).hexdigest() == recorded

@@ -9,6 +9,7 @@ import pytest
 from ihcmine.errors import DictionaryLoadError, GatewayError, NormalizationError, ValidationError
 from ihcmine.gateway import EmbeddingVector
 from ihcmine.normalize import (
+    EMBED_CHUNK,
     Concept,
     ConceptIndex,
     NameKind,
@@ -16,6 +17,7 @@ from ihcmine.normalize import (
     TermNormalizer,
     load_index,
     normalize_table,
+    table_surfaces,
 )
 from ihcmine.tables import parse_markdown_table
 
@@ -265,3 +267,58 @@ class TestNormalizeTable:
         records = normalize_table(parse_markdown_table(text, pmid="1"), normalizer)
         assert "low_confidence_tumour_type" in records[0].flags
         assert records[0].tumour_type_cui is not None
+
+
+class TestPrefetch:
+    """Batched embedding of a stage's distinct surfaces before its tables are normalized."""
+
+    def tables(self):
+        """Five tables sharing sites and markers; 100 distinct tumour types, one all-NA row."""
+        tables = []
+        for t in range(5):
+            lines = ["| Tumor type | Tumor site | ER | PR (nuclear) |", "| --- | --- | --- | --- |"]
+            for r in range(20):
+                lines.append(f"| tumour {t}-{r} | site {r % 3} | {r}/20 | 1/{r + 1} |")
+            lines.append(f"| never looked up {t} | site 9 | NA | NA |")
+            tables.append(parse_markdown_table("\n".join(lines) + "\n", pmid=str(t)))
+        return tables
+
+    def build(self, fail_for=()):
+        names = [f"tumour {t}-{r}" for t in range(5) for r in range(20)] + ["site 0", "site 1", "site 2", "ER", "PR"]
+        index, _ = build_index(names)
+        gateway = FakeEmbedGateway(fail_for=fail_for)
+        return TermNormalizer(gateway, index), gateway
+
+    def prefetched(self, normalizer, tables):
+        normalizer.prefetch(s for table in tables for s in table_surfaces(table))
+        return [r for table in tables for r in normalize_table(table, normalizer)]
+
+    def test_distinct_surfaces_embedded_in_chunks(self):
+        tables = self.tables()
+        unique = {s for table in tables for s in table_surfaces(table)}
+        assert len(unique) == 100 + 3 + 2
+        assert "never looked up 0" not in unique and "site 9" not in unique
+        normalizer, gateway = self.build()
+        self.prefetched(normalizer, tables)
+        assert gateway.calls == math.ceil(len(unique) / EMBED_CHUNK) == 2
+
+    def test_same_records_as_one_surface_at_a_time(self):
+        tables = self.tables()
+        per_surface, per_surface_gateway = self.build()
+        expected = [r for table in tables for r in normalize_table(table, per_surface)]
+        assert per_surface_gateway.calls == 105
+        normalizer, _ = self.build()
+        assert self.prefetched(normalizer, tables) == expected
+
+    def test_failure_in_a_chunk_unmaps_only_the_failing_surface(self):
+        tables = self.tables()
+        normalizer, gateway = self.build(fail_for={"tumour 1-7"})
+        records = self.prefetched(normalizer, tables)
+        unmapped = [r for r in records if r.tumour_type_cui is None]
+        assert {r.tumour_type for r in unmapped} == {"tumour 1-7"}
+        assert all(r.flags == ["unmapped_tumour_type"] for r in unmapped)
+        assert all(r.marker_cui and r.tumour_site_cui for r in records)
+        assert all(r.tumour_type_cui for r in records if r.tumour_type != "tumour 1-7")
+        # two chunk requests; the failed chunk's 63 good surfaces once each; the failing
+        # surface once per lookup (its row has two count cells), as without prefetching
+        assert gateway.calls == 2 + (EMBED_CHUNK - 1) + 2
