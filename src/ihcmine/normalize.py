@@ -1,8 +1,11 @@
 """Concept dictionary index and embedding nearest-neighbor normalization.
 
-Search is an exact Euclidean scan (no approximation); ties break by
-ascending CUI then name so results are deterministic even with duplicated
-vectors. Dictionary format: one entry per line,
+Search is exact Euclidean (no approximation), batched: one matrix product
+against precomputed squared row norms scores a batch of queries, and every
+row within a rounding bound of a query's k-th best score is re-ranked with
+the per-row distance, so results equal a linear scan's bit for bit. Ties
+break by ascending CUI then name so results are deterministic even with
+duplicated vectors. Dictionary format: one entry per line,
 ``cui<TAB>name<TAB>kind<TAB>v1,v2,...`` with an optional fifth
 semantic-type column.
 """
@@ -10,8 +13,6 @@ semantic-type column.
 from __future__ import annotations
 
 import logging
-import math
-import threading
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -26,6 +27,7 @@ from .tables import ProfileTable, split_marker_column
 logger = logging.getLogger(__name__)
 
 EMBED_CHUNK = 64
+_EPS = float(np.finfo(np.float64).eps)
 
 
 class NameKind(str, Enum):
@@ -39,7 +41,7 @@ class Concept:
     cui: str
     name: str
     kind: NameKind
-    vector: EmbeddingVector
+    vector: EmbeddingVector | None = None
     semantic_type: str | None = None
 
     def __post_init__(self) -> None:
@@ -56,19 +58,34 @@ class NormalizedEntity:
 
 
 class ConceptIndex:
-    """Immutable after load; safe for concurrent readers."""
+    """Immutable after load; safe for concurrent readers.
 
-    def __init__(self, concepts: Sequence[Concept]):
+    Row i of the float64 matrix is concept i's vector. ``matrix`` defaults
+    to stacking each concept's ``vector``; ``load_index`` passes the matrix
+    it parsed and builds its concepts without vectors.
+    """
+
+    def __init__(self, concepts: Sequence[Concept], matrix: np.ndarray | None = None):
         if not concepts:
             raise DictionaryLoadError("empty dictionary")
-        dims = {c.vector.dim for c in concepts}
-        if len(dims) > 1:
-            raise DictionaryLoadError(f"mixed vector dimensions in dictionary: {sorted(dims)}")
         self.concepts = list(concepts)
-        self.dim = dims.pop()
-        self._matrix = np.array([c.vector.values for c in self.concepts], dtype=np.float64)
+        if matrix is None:
+            dims = {c.vector.dim for c in self.concepts}
+            if len(dims) > 1:
+                raise DictionaryLoadError(f"mixed vector dimensions in dictionary: {sorted(dims)}")
+            matrix = np.array([c.vector.values for c in self.concepts], dtype=np.float64)
+        self._matrix = matrix
+        self.dim = matrix.shape[1]
+        with np.errstate(over="ignore"):  # an overflowed norm disables the search's cut
+            self._sq_norms = (matrix * matrix).sum(axis=1)
+        self._max_sq_norm = self._sq_norms.max()
         self._cuis = np.array([c.cui for c in self.concepts])
         self._names = np.array([c.name for c in self.concepts])
+        type_rows: dict[str, list[int]] = {}
+        for i, c in enumerate(self.concepts):
+            if c.semantic_type is not None:
+                type_rows.setdefault(c.semantic_type, []).append(i)
+        self._type_rows = {t: np.array(rows) for t, rows in type_rows.items()}
 
     def __len__(self) -> int:
         return len(self.concepts)
@@ -80,24 +97,63 @@ class ConceptIndex:
         semantic_type: str | None = None,
     ) -> list[tuple[Concept, float]]:
         """Exact top-k by Euclidean distance, ascending; ties by (cui, name)."""
+        return self.nearest_many([query], k, semantic_type)[0]
+
+    def nearest_many(
+        self,
+        queries: Sequence[EmbeddingVector],
+        k: int,
+        semantic_type: str | None = None,
+    ) -> list[list[tuple[Concept, float]]]:
+        """``nearest`` for each query, all scored with one matrix product.
+
+        The caller bounds the batch: the scores take len(queries) x len(self)
+        float64s.
+        """
         if k < 1:
             raise ValidationError(f"k must be >= 1, got {k}")
-        if query.dim != self.dim:
-            raise ValidationError(f"query dim {query.dim} != index dim {self.dim}")
-        q = np.asarray(query.values, dtype=np.float64)
-        distances = np.sqrt(((self._matrix - q) ** 2).sum(axis=1))
-        if semantic_type is not None:
-            mask = np.array([c.semantic_type == semantic_type for c in self.concepts])
-            candidate_idx = np.flatnonzero(mask)
+        for query in queries:
+            if query.dim != self.dim:
+                raise ValidationError(f"query dim {query.dim} != index dim {self.dim}")
+        if semantic_type is None:
+            rows = None
+        elif semantic_type in self._type_rows:
+            rows = self._type_rows[semantic_type]
         else:
-            candidate_idx = np.arange(len(self.concepts))
-        if candidate_idx.size == 0:
+            return [[] for _ in queries]
+        if not queries:
             return []
-        order = np.lexsort(
-            (self._names[candidate_idx], self._cuis[candidate_idx], distances[candidate_idx])
-        )
-        chosen = candidate_idx[order[: min(k, candidate_idx.size)]]
-        return [(self.concepts[i], float(distances[i])) for i in chosen]
+        block = np.array([q.values for q in queries], dtype=np.float64)
+        # The cut keeps every row that can reach the exact top k.  Let
+        # u = eps/2, S = |q|^2 + max|m|^2 and T = |q - m|^2.  A float sum of
+        # n terms is within n*u*sum|terms| of the real sum in any order, with
+        # or without FMA, so G and the re-rank's float sum s of squared
+        # differences each lie within (dim + 2)*eps*S of T, to first order,
+        # and |G - s| <= e := 4*(dim + 4)*eps*S with a margin above 2.  The
+        # k rows with the smallest G have s <= g_k + e.  A top-k row has s at
+        # most the k-th smallest s, times (1 + 2*eps) when sqrt rounds the
+        # two distances equal, so its G <= g_k + 2e.  When 4S overflows no
+        # bound holds, the slack is infinite and every row is kept; a NaN G
+        # is never cut.
+        with np.errstate(over="ignore", invalid="ignore"):
+            q_sq = (block * block).sum(axis=1)
+            gram = q_sq[:, None] + self._sq_norms - 2.0 * (block @ self._matrix.T)
+            # 2e, with 4S formed first so that its overflow gives an infinite slack
+            slack = 2.0 * (self.dim + 4) * _EPS * (4.0 * (q_sq + self._max_sq_norm))
+        if rows is not None:
+            gram = gram[:, rows]
+        k = min(k, gram.shape[1])
+        g_k = np.partition(gram, k - 1, axis=1)[:, k - 1]
+        keep = ~(gram > (g_k + slack)[:, None])
+        results = []
+        for q, kept in zip(block, keep):
+            cand = np.flatnonzero(kept)
+            if rows is not None:
+                cand = rows[cand]
+            distances = np.sqrt(((self._matrix[cand] - q) ** 2).sum(axis=1))
+            order = np.lexsort((self._names[cand], self._cuis[cand], distances))[:k]
+            results.append([(self.concepts[i], float(d)) for i, d in zip(cand[order], distances[order])])
+        return results
 
 
 def load_index(path: str | Path) -> ConceptIndex:
@@ -106,6 +162,7 @@ def load_index(path: str | Path) -> ConceptIndex:
     if not path.exists():
         raise DictionaryLoadError(f"dictionary file not found: {path}")
     concepts: list[Concept] = []
+    vectors: list[np.ndarray] = []
     seen: set[tuple[str, str]] = set()
     dim: int | None = None
     with path.open(encoding="utf-8") as handle:
@@ -123,29 +180,29 @@ def load_index(path: str | Path) -> ConceptIndex:
             except ValueError:
                 raise DictionaryLoadError(f"{path}:{lineno}: unknown name kind {kind_raw!r}") from None
             try:
-                values = tuple(float(v) for v in vector_raw.split(","))
+                # numpy parses each str with float(), so the bits match a float() parse
+                vector = np.array(vector_raw.split(","), dtype=np.float64)
             except ValueError:
                 raise DictionaryLoadError(f"{path}:{lineno}: unparseable vector") from None
-            if not values or not all(math.isfinite(v) for v in values):
+            if not np.isfinite(vector).all():
                 raise DictionaryLoadError(f"{path}:{lineno}: empty or non-finite vector")
             if dim is None:
-                dim = len(values)
-            elif len(values) != dim:
+                dim = vector.size
+            elif vector.size != dim:
                 raise DictionaryLoadError(
-                    f"{path}:{lineno}: vector dim {len(values)} != expected {dim}"
+                    f"{path}:{lineno}: vector dim {vector.size} != expected {dim}"
                 )
             if (cui, name) in seen:
                 raise DictionaryLoadError(f"{path}:{lineno}: duplicate (cui, name) pair ({cui}, {name})")
             seen.add((cui, name))
             try:
-                concepts.append(
-                    Concept(cui=cui, name=name, kind=kind, vector=EmbeddingVector.of(values), semantic_type=semantic_type)
-                )
+                concepts.append(Concept(cui=cui, name=name, kind=kind, semantic_type=semantic_type))
             except ValidationError as exc:
                 raise DictionaryLoadError(f"{path}:{lineno}: {exc}") from None
+            vectors.append(vector)
     if not concepts:
         raise DictionaryLoadError("empty dictionary")
-    index = ConceptIndex(concepts)
+    index = ConceptIndex(concepts, np.vstack(vectors))
     logger.info("loaded %d dictionary entries (dim=%d) from %s", len(index), index.dim, path)
     return index
 
@@ -153,8 +210,8 @@ def load_index(path: str | Path) -> ConceptIndex:
 class TermNormalizer:
     """Embeds surfaces through the gateway and maps them to nearest concepts.
 
-    Results are cached by surface string; the cache is a synchronized
-    single-writer map so concurrent normalize calls stay safe.
+    Results are cached by surface string. Not thread-safe: the normalize
+    stage calls it from one thread.
     """
 
     def __init__(self, gateway: LlmGateway, index: ConceptIndex, max_distance: float | None = None):
@@ -162,17 +219,15 @@ class TermNormalizer:
         self.index = index
         self.max_distance = max_distance
         self._cache: dict[str, NormalizedEntity] = {}
-        self._lock = threading.Lock()
 
     def prefetch(self, surfaces: Iterable[str]) -> None:
         """Embed the distinct uncached surfaces in chunks of ``EMBED_CHUNK`` and cache their matches.
 
-        A chunk the gateway fails is left uncached, so ``normalize_term``
+        Each embedded chunk is searched with one ``nearest_many`` call. A
+        chunk the gateway fails is left uncached, so ``normalize_term``
         embeds its surfaces one at a time and only the failing ones go unmapped.
         """
-        distinct = dict.fromkeys(surfaces)
-        with self._lock:
-            todo = [s for s in distinct if s.strip() and s not in self._cache]
+        todo = [s for s in dict.fromkeys(surfaces) if s.strip() and s not in self._cache]
         for start in range(0, len(todo), EMBED_CHUNK):
             chunk = todo[start : start + EMBED_CHUNK]
             try:
@@ -180,33 +235,28 @@ class TermNormalizer:
             except GatewayError as exc:
                 logger.warning("embedding %d surfaces failed, falling back to one at a time: %s", len(chunk), exc)
                 continue
-            for surface, vector in zip(chunk, vectors):
-                self._match(surface, vector, None, surface)
+            for surface, hits in zip(chunk, self.index.nearest_many(vectors, k=1)):
+                self._remember(surface, hits, surface)
 
     def normalize_term(self, surface: str, semantic_type: str | None = None) -> NormalizedEntity:
         if not surface or not surface.strip():
             raise ValidationError("cannot normalize an empty surface form")
         cache_key = surface if semantic_type is None else f"{semantic_type}\x00{surface}"
-        with self._lock:
-            cached = self._cache.get(cache_key)
+        cached = self._cache.get(cache_key)
         if cached is not None:
             return cached
         try:
             vector = self.gateway.embed([surface])[0]
         except GatewayError as exc:
             raise NormalizationError(f"embedding failed for {surface!r}: {exc}") from exc
-        return self._match(surface, vector, semantic_type, cache_key)
+        return self._remember(surface, self.index.nearest(vector, k=1, semantic_type=semantic_type), cache_key)
 
-    def _match(
-        self, surface: str, vector: EmbeddingVector, semantic_type: str | None, cache_key: str
-    ) -> NormalizedEntity:
-        hits = self.index.nearest(vector, k=1, semantic_type=semantic_type)
+    def _remember(self, surface: str, hits: list[tuple[Concept, float]], cache_key: str) -> NormalizedEntity:
         if not hits:
             raise NormalizationError(f"no dictionary candidates for {surface!r}")
         concept, distance = hits[0]
         entity = NormalizedEntity(surface=surface, cui=concept.cui, matched_name=concept.name, distance=distance)
-        with self._lock:
-            self._cache[cache_key] = entity
+        self._cache[cache_key] = entity
         return entity
 
 

@@ -44,10 +44,6 @@ class CorpusStats:
     def to_dict(self) -> dict[str, Any]:
         return {"per_marker_counts": dict(self.per_marker_counts), "total_unique": self.total_unique}
 
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "CorpusStats":
-        return cls(per_marker_counts=dict(d["per_marker_counts"]), total_unique=int(d["total_unique"]))
-
 
 def build_query(marker: str) -> MarkerQuery:
     """Deterministic search term: the marker name, a space, then immunohisto*."""

@@ -372,10 +372,3 @@ class RunLock:
             self.path.unlink()
         except FileNotFoundError:
             pass
-
-    def __enter__(self) -> "RunLock":
-        self.acquire()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.release()

@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ihcmine.errors import DictionaryLoadError, GatewayError, NormalizationError, ValidationError
 from ihcmine.gateway import EmbeddingVector
@@ -95,6 +97,51 @@ class TestLoadIndex:
         with pytest.raises(DictionaryLoadError, match="duplicate"):
             load_index(path)
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("C0000002\tnaevus\tcanonical\t0.0,abc", "unparseable vector"),
+            ("C0000002\tnaevus\tcanonical\tnan,0.0", "empty or non-finite vector"),
+            ("C0000002\tnaevus\tcanonical\t0.0,inf", "empty or non-finite vector"),
+            ("C0000002\tnaevus\tcanonical\t1e400,0.0", "empty or non-finite vector"),
+            ("C0000002\tnaevus\tcanonical\t", "unparseable vector"),
+            ("C0000002\tnaevus\tcanonical\t0.0,0.0,", "unparseable vector"),
+            ("C0000002\tnaevus\tcanonical", "expected 4 or 5 tab-separated fields"),
+            ("X0000002\tnaevus\tcanonical\t0.0,0.0", "CUI must be"),
+        ],
+    )
+    def test_bad_line_reports_its_number(self, tmp_path, line, message):
+        path = self.write(tmp_path, ["C0000001\tmelanoma\tcanonical\t0.0,0.0", line])
+        with pytest.raises(DictionaryLoadError, match=f":2: {message}"):
+            load_index(path)
+
+    def test_line_numbers_count_blank_lines(self, tmp_path):
+        path = self.write(
+            tmp_path, ["C0000001\tmelanoma\tcanonical\t0.0,0.0", "", "   ", "C0000002\tnaevus\tcanonical\t0.0,x"]
+        )
+        with pytest.raises(DictionaryLoadError, match=":4: unparseable vector"):
+            load_index(path)
+
+    def test_matrix_equals_float_parse_bit_for_bit(self, tmp_path):
+        rows = [
+            ["0.1", "-0.0", "1e-310", "2.2250738585072014e-308"],
+            ["0.30000000000000004", "123456789.123456789", "+1.5e+2", "-3E-5"],
+            [" 7.25", "1.7976931348623157e308", "5e-324", "0.9999999999999999"],
+        ]
+        path = self.write(
+            tmp_path, [f"C000000{i}\tname {i}\tcanonical\t{','.join(row)}" for i, row in enumerate(rows, start=1)]
+        )
+        expected = np.array([[float(v) for v in row] for row in rows], dtype=np.float64)
+        assert load_index(path)._matrix.tobytes() == expected.tobytes()
+
+    def test_crlf_file_loads(self, tmp_path):
+        path = tmp_path / "dict.tsv"
+        path.write_bytes(b"C0000001\tmelanoma\tcanonical\t0.0,0.0\ttumour\r\nC0000002\tER\tcanonical\t1.0,1.0\tmarker\r\n")
+        index = load_index(path)
+        assert len(index) == 2
+        hit, distance = index.nearest(EmbeddingVector.of([1.0, 1.0]), 1, semantic_type="tumour")[0]
+        assert (hit.name, hit.semantic_type, distance) == ("melanoma", "tumour", math.sqrt(2.0))
+
     def test_semantic_type_column(self, tmp_path):
         path = self.write(
             tmp_path,
@@ -176,6 +223,50 @@ class TestNearest:
             )[:10]
             hits = index.nearest(query, 10)
             assert [(d, c.cui, c.name) for c, d in hits] == scanned
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_batched_search_matches_linear_scan_oracle(self, data):
+        """Duplicates, ulp-apart rows and large common offsets, every k, with and without a type filter."""
+        dim = data.draw(st.integers(1, 16), label="dim")
+        # 1e3 and 1e6 make the GEMM expansion cancel badly; 1e155 overflows its norms
+        offset = data.draw(st.sampled_from([0.0, 1e3, -1e3, 1e6, 1e155]), label="offset")
+        coords = st.lists(st.floats(-4, 4), min_size=dim, max_size=dim)
+        bases = [np.array(v) + offset for v in data.draw(st.lists(coords, min_size=1, max_size=5), label="bases")]
+        concepts = []
+        for i in range(data.draw(st.integers(1, 14), label="n")):
+            vector = data.draw(st.sampled_from(bases)).copy()
+            j = data.draw(st.integers(0, dim - 1))
+            for _ in range(data.draw(st.integers(0, 2))):
+                vector[j] = np.nextafter(vector[j], data.draw(st.sampled_from([-np.inf, np.inf])))
+            cui = f"C{data.draw(st.integers(1, 3)):07d}"
+            semantic_type = data.draw(st.sampled_from([None, "tumour", "marker"]))
+            concepts.append(concept(cui, f"name {(7 * i) % 15}", vector, semantic_type=semantic_type))
+        index = ConceptIndex(concepts)
+        queries = [EmbeddingVector.of(v) for v in bases]
+        queries += [EmbeddingVector.of(np.array(v) + offset) for v in data.draw(st.lists(coords, max_size=3))]
+
+        def oracle(query, k, semantic_type):
+            q = np.asarray(query.values, dtype=np.float64)
+            scanned = sorted(
+                (float(np.sqrt(((np.asarray(c.vector.values, dtype=np.float64) - q) ** 2).sum())), c.cui, c.name)
+                for c in concepts
+                if semantic_type is None or c.semantic_type == semantic_type
+            )
+            return [(d.hex(), cui, name) for d, cui, name in scanned[:k]]
+
+        def bits(hits):
+            return [(d.hex(), c.cui, c.name) for c, d in hits]
+
+        for k in range(1, len(concepts) + 2):
+            for semantic_type in (None, "tumour", "marker"):
+                batched = index.nearest_many(queries, k, semantic_type)
+                assert len(batched) == len(queries)
+                for query, hits in zip(queries, batched):
+                    assert bits(hits) == bits(index.nearest(query, k, semantic_type))
+                    assert bits(hits) == oracle(query, k, semantic_type)
+            assert index.nearest_many(queries, k, "unknown") == [[] for _ in queries]
 
 
 class TestTermNormalizer:
