@@ -13,7 +13,7 @@ from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .domain import AbstractRecord, ClassificationLabel
 from .errors import GatewayError, UnparseableLabelError, ValidationError
@@ -35,25 +35,6 @@ class ClassifiedAbstract:
     model_id: str
     prompt_hash: str
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "pmid": self.pmid,
-            "label": self.label.value,
-            "raw_output": self.raw_output,
-            "model_id": self.model_id,
-            "prompt_hash": self.prompt_hash,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "ClassifiedAbstract":
-        return cls(
-            pmid=d["pmid"],
-            label=ClassificationLabel(d["label"]),
-            raw_output=d["raw_output"],
-            model_id=d["model_id"],
-            prompt_hash=d["prompt_hash"],
-        )
-
 
 @dataclass
 class QuarantineEntry:
@@ -61,13 +42,6 @@ class QuarantineEntry:
     stage: str
     reason: str
     raw_output: str = ""
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"pmid": self.pmid, "stage": self.stage, "reason": self.reason, "raw_output": self.raw_output}
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "QuarantineEntry":
-        return cls(pmid=d["pmid"], stage=d["stage"], reason=d["reason"], raw_output=d.get("raw_output", ""))
 
 
 def parse_label(raw: str) -> ClassificationLabel:

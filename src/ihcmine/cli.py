@@ -9,24 +9,27 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import logging
 import sys
 import time
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from . import classify as classify_mod
 from . import landscape as landscape_mod
 from . import normalize as normalize_mod
 from . import table_eval
+from .codec import decode, encode
 from .config import PipelineConfig, build_config
 from .domain import AbstractRecord, ClassificationLabel, format_percent, round_percent
 from .errors import GatewayError, PipelineError, TableNotFoundError, ValidationError
 from .gateway import LlmGateway, prompt_template_hashes
 from .pubmed import EntrezClient, build_query, dedup_merge
-from .store import RunLock, RunStore
+from .store import RunLock, RunStore, iter_jsonl
 from .tables import ProfileTable, extract_table, parse_markdown_table
 
 logger = logging.getLogger(__name__)
@@ -215,10 +218,8 @@ def cmd_fetch(config: PipelineConfig, store: RunStore, args: argparse.Namespace)
             records = []
         batches.append((marker, records))
     corpus, stats = dedup_merge(batches)
-    _write_json(store.run_dir / "corpus_stats.json", stats.to_dict())
-    count = store.write_stage_atomic(
-        "corpus", (record.to_dict() for record in corpus), note=f"skipped_no_abstract={total_skipped}"
-    )
+    _write_json(store.run_dir / "corpus_stats.json", encode(stats))
+    count = store.write_stage_atomic("corpus", map(encode, corpus), note=f"skipped_no_abstract={total_skipped}")
     print(f"fetched {count} unique abstracts across {len(markers)} markers")
     return 0
 
@@ -227,7 +228,7 @@ def cmd_classify(config: PipelineConfig, store: RunStore, args: argparse.Namespa
     _require_stage(store, "corpus", "fetch")
     retry = getattr(args, "retry_quarantined", False)
     store.repair_tail("quarantine")
-    quarantined_entries = [classify_mod.QuarantineEntry.from_dict(d) for d in store.iter_records("quarantine")]
+    quarantined_entries = [decode(classify_mod.QuarantineEntry, d) for d in store.iter_records("quarantine")]
     retryable = [q for q in quarantined_entries if q.stage == "classify"]
     if store.stage_done("classified"):
         if not (retry and retryable):
@@ -238,20 +239,16 @@ def cmd_classify(config: PipelineConfig, store: RunStore, args: argparse.Namespa
 
     if retry:
         keep = [q for q in quarantined_entries if q.stage != "classify"]
-        store.write_aux_atomic("quarantine", (q.to_dict() for q in keep))
+        store.write_aux_atomic("quarantine", map(encode, keep))
         quarantined_entries = keep
     processed = store.processed_ids("classified") | {
         q.pmid for q in quarantined_entries if q.stage == "classify"
     }
-    pending = [
-        AbstractRecord.from_dict(d)
-        for d in store.iter_records("corpus")
-        if d["pmid"] not in processed
-    ]
+    pending = [decode(AbstractRecord, d) for d in store.iter_records("corpus") if d["pmid"] not in processed]
     gateway = _make_gateway(config)
     for result in classify_mod.iter_classified(pending, gateway, max_workers=config.llm_concurrency):
         stage = "quarantine" if isinstance(result, classify_mod.QuarantineEntry) else "classified"
-        store.append(stage, result.to_dict())
+        store.append(stage, encode(result))
     counts = {"include": 0, "exclude": 0, "quarantined": 0}
     for record in store.iter_records("classified"):
         counts["include" if record["label"] == "Include" else "exclude"] += 1
@@ -263,7 +260,7 @@ def cmd_classify(config: PipelineConfig, store: RunStore, args: argparse.Namespa
 
 def cmd_extract(config: PipelineConfig, store: RunStore, args: argparse.Namespace) -> int:
     _require_stage(store, "classified", "classify")
-    corpus = {d["pmid"]: AbstractRecord.from_dict(d) for d in store.iter_records("corpus")}
+    corpus = {d["pmid"]: decode(AbstractRecord, d) for d in store.iter_records("corpus")}
     include_pmids = [
         d["pmid"] for d in store.iter_records("classified") if d["label"] == ClassificationLabel.INCLUDE.value
     ]
@@ -292,7 +289,7 @@ def cmd_extract(config: PipelineConfig, store: RunStore, args: argparse.Namespac
 
         for result in classify_mod.map_ordered(pending, extract_one, config.llm_concurrency):
             if isinstance(result, classify_mod.QuarantineEntry):
-                store.append("quarantine", result.to_dict())
+                store.append("quarantine", encode(result))
             else:
                 store.append("tables_raw", result)
         store.mark_done("tables_raw")
@@ -302,18 +299,16 @@ def cmd_extract(config: PipelineConfig, store: RunStore, args: argparse.Namespac
         done_parsed = store.processed_ids("tables_parsed") | {
             q["pmid"] for q in store.iter_records("quarantine") if q["stage"] == "parse"
         }
-        for raw in store.read_records("tables_raw"):
+        for raw in store.iter_records("tables_raw"):
             if raw["pmid"] in done_parsed:
                 continue
             try:
                 table = parse_markdown_table(raw["markdown"], pmid=raw["pmid"])
             except TableNotFoundError as exc:
-                store.append(
-                    "quarantine",
-                    classify_mod.QuarantineEntry(
-                        pmid=raw["pmid"], stage="parse", reason=str(exc), raw_output=raw["markdown"]
-                    ).to_dict(),
+                quarantined = classify_mod.QuarantineEntry(
+                    pmid=raw["pmid"], stage="parse", reason=str(exc), raw_output=raw["markdown"]
                 )
+                store.append("quarantine", encode(quarantined))
                 continue
             store.append("tables_parsed", table.to_dict())
         store.mark_done("tables_parsed")
@@ -337,12 +332,8 @@ def cmd_normalize(config: PipelineConfig, store: RunStore, args: argparse.Namesp
 
     normalizer.prefetch(surface for table in tables() for surface in normalize_mod.table_surfaces(table))
 
-    def generate():
-        for table in tables():
-            for record in normalize_mod.normalize_table(table, normalizer):
-                yield record.to_dict()
-
-    count = store.write_stage_atomic("normalized", generate())
+    records = (record for table in tables() for record in normalize_mod.normalize_table(table, normalizer))
+    count = store.write_stage_atomic("normalized", map(encode, records))
     print(f"normalized {count} marker-cell records against {len(index)} dictionary entries")
     return 0
 
@@ -353,7 +344,7 @@ def cmd_aggregate(config: PipelineConfig, store: RunStore, args: argparse.Namesp
         print("aggregates stage already done; skipping")
         return 0
     usable, dropped = landscape_mod.usable_records(
-        normalize_mod.NormalizedRecord.from_dict(d) for d in store.iter_records("normalized")
+        decode(normalize_mod.NormalizedRecord, d) for d in store.iter_records("normalized")
     )
     if any(dropped.values()):
         logger.warning(
@@ -363,7 +354,7 @@ def cmd_aggregate(config: PipelineConfig, store: RunStore, args: argparse.Namesp
         )
     aggregates = landscape_mod.aggregate(usable, split_qualifiers=config.split_qualifiers)
     count = store.write_stage_atomic(
-        "aggregates", (a.to_dict() for a in aggregates), note=json.dumps(dropped, sort_keys=True)
+        "aggregates", map(encode, aggregates), note=json.dumps(dropped, sort_keys=True)
     )
     print(f"aggregated into {count} (marker, tumour) pairs")
     return 0
@@ -375,7 +366,7 @@ def cmd_compare(config: PipelineConfig, store: RunStore, args: argparse.Namespac
     if not reference_path.exists():
         raise PipelineError(f"reference file not found: {reference_path}")
     references = landscape_mod.load_reference_csv(reference_path)
-    aggregates = [landscape_mod.MarkerTumourAggregate.from_dict(d) for d in store.iter_records("aggregates")]
+    aggregates = [decode(landscape_mod.MarkerTumourAggregate, d) for d in store.iter_records("aggregates")]
     markers: dict[str, str] = {}
     for agg in aggregates:
         markers.setdefault(agg.marker_cui, agg.marker_name)
@@ -405,9 +396,9 @@ def cmd_report(config: PipelineConfig, store: RunStore, args: argparse.Namespace
     _require_stage(store, "aggregates", "aggregate")
     if not (store.run_dir / "comparison_report.csv").exists():
         raise PipelineError("comparison_report.csv not found; run compare")
-    aggregates = [landscape_mod.MarkerTumourAggregate.from_dict(d) for d in store.iter_records("aggregates")]
+    aggregates = [decode(landscape_mod.MarkerTumourAggregate, d) for d in store.iter_records("aggregates")]
     usable, _ = landscape_mod.usable_records(
-        normalize_mod.NormalizedRecord.from_dict(d) for d in store.iter_records("normalized")
+        decode(normalize_mod.NormalizedRecord, d) for d in store.iter_records("normalized")
     )
     totals = landscape_mod.marker_totals(aggregates, records=usable)
     out = store.run_dir / "marker_report.csv"
@@ -420,28 +411,44 @@ def cmd_report(config: PipelineConfig, store: RunStore, args: argparse.Namespace
     return 0
 
 
-def cmd_eval_classify(config: PipelineConfig, store: RunStore, args: argparse.Namespace) -> int:
+@dataclass
+class _LabelLine:
+    """What eval-classify reads from a gold or prediction line; other keys are ignored."""
+
+    pmid: str
+    label: ClassificationLabel
+
+
+def _read_by_pmid(path: Path, decode_record: Callable[[Any], Any]) -> dict[str, Any]:
+    """Decoded records of an evaluation input file, by PMID; a bad record names the file."""
+    try:
+        return {record.pmid: record for record in map(decode_record, iter_jsonl(path))}
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
+
+
+def _gold_and_pred(
+    args: argparse.Namespace, store: RunStore, stage: str, producer: str, decode_record: Callable[[Any], Any], what: str
+) -> tuple[dict[str, Any], dict[str, Any]]:
+    """Gold and predicted records by PMID; every gold PMID must have a prediction."""
     gold_path = Path(args.gold)
     if not gold_path.exists():
         raise PipelineError(f"gold file not found: {gold_path}")
-    pred_path = Path(args.pred) if args.pred else store.path("classified")
+    pred_path = Path(args.pred) if args.pred else store.path(stage)
     if not pred_path.exists():
-        raise PipelineError(f"{pred_path.name} not found; run classify")
-    golds = {}
-    for line in gold_path.read_text(encoding="utf-8").splitlines():
-        if line.strip():
-            d = json.loads(line)
-            golds[d["pmid"]] = ClassificationLabel(d["label"])
-    preds = {}
-    for line in pred_path.read_text(encoding="utf-8").splitlines():
-        if line.strip():
-            d = json.loads(line)
-            preds[d["pmid"]] = ClassificationLabel(d["label"])
+        raise PipelineError(f"{pred_path.name} not found; run {producer}")
+    golds, preds = _read_by_pmid(gold_path, decode_record), _read_by_pmid(pred_path, decode_record)
     missing = sorted(set(golds) - set(preds))
     if missing:
-        raise ValidationError(f"{len(missing)} gold PMIDs have no prediction (first: {missing[:5]})")
+        raise ValidationError(f"{len(missing)} gold PMIDs have no {what} (first: {missing[:5]})")
+    return golds, preds
+
+
+def cmd_eval_classify(config: PipelineConfig, store: RunStore, args: argparse.Namespace) -> int:
+    labels = functools.partial(decode, _LabelLine)
+    golds, preds = _gold_and_pred(args, store, "classified", "classify", labels, "prediction")
     ordered = sorted(golds)
-    metrics = classify_mod.evaluate([preds[p] for p in ordered], [golds[p] for p in ordered])
+    metrics = classify_mod.evaluate([preds[p].label for p in ordered], [golds[p].label for p in ordered])
     payload = {
         "n": metrics.n,
         "tp": metrics.tp,
@@ -462,34 +469,11 @@ def cmd_eval_classify(config: PipelineConfig, store: RunStore, args: argparse.Na
 
 
 def cmd_eval_tables(config: PipelineConfig, store: RunStore, args: argparse.Namespace) -> int:
-    gold_path = Path(args.gold)
-    if not gold_path.exists():
-        raise PipelineError(f"gold file not found: {gold_path}")
-    pred_path = Path(args.pred) if args.pred else store.path("tables_parsed")
-    if not pred_path.exists():
-        raise PipelineError(f"{pred_path.name} not found; run extract")
+    golds, preds = _gold_and_pred(args, store, "tables_parsed", "extract", ProfileTable.from_dict, "predicted table")
 
-    def load_tables(path: Path) -> dict[str, ProfileTable]:
-        tables = {}
-        for line in path.read_text(encoding="utf-8").splitlines():
-            if line.strip():
-                table = ProfileTable.from_dict(json.loads(line))
-                tables[table.pmid] = table
-        return tables
-
-    golds = load_tables(gold_path)
-    preds = load_tables(pred_path)
-    missing = sorted(set(golds) - set(preds))
-    if missing:
-        raise ValidationError(f"{len(missing)} gold PMIDs have no predicted table (first: {missing[:5]})")
-
-    texts: dict[str, str] = {}
     abstracts_path = Path(args.abstracts) if args.abstracts else store.path("corpus")
-    if abstracts_path.exists():
-        for line in abstracts_path.read_text(encoding="utf-8").splitlines():
-            if line.strip():
-                d = json.loads(line)
-                texts[d["pmid"]] = d["abstract_text"]
+    abstracts = _read_by_pmid(abstracts_path, functools.partial(decode, AbstractRecord))
+    texts = {pmid: record.abstract_text for pmid, record in abstracts.items()}
 
     pairs = [(golds[p], preds[p]) for p in sorted(golds)]
     summary = table_eval.evaluate_set(

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Any
 
 from .errors import InvalidCountError, ValidationError
 
@@ -85,13 +84,6 @@ class RateStat:
             return None
         return Fraction(100 * self.positives, self.total)
 
-    def to_dict(self) -> dict[str, Any]:
-        return {"positives": self.positives, "total": self.total}
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "RateStat":
-        return cls(positives=int(d["positives"]), total=int(d["total"]))
-
 
 def compute_rate(positives: int, total: int) -> RateStat:
     """Exact rate from a validated count; total must be >= 1."""
@@ -135,22 +127,3 @@ class AbstractRecord:
             raise ValidationError(f"pmid must be a non-empty digit string, got {self.pmid!r}")
         if not self.source_markers:
             raise ValidationError(f"record {self.pmid}: source_markers must be non-empty")
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "pmid": self.pmid,
-            "title": self.title,
-            "abstract_text": self.abstract_text,
-            "source_markers": sorted(self.source_markers),
-            "retrieved_at": self.retrieved_at,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "AbstractRecord":
-        return cls(
-            pmid=d["pmid"],
-            title=d["title"],
-            abstract_text=d["abstract_text"],
-            source_markers=set(d["source_markers"]),
-            retrieved_at=d.get("retrieved_at", ""),
-        )

@@ -56,33 +56,6 @@ class MarkerTumourAggregate:
     rate: RateStat
     qualifier: str | None = None  # set only under split-qualifiers mode
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "marker_cui": self.marker_cui,
-            "marker_name": self.marker_name,
-            "tumour_cui": self.tumour_cui,
-            "tumour_name": self.tumour_name,
-            "n_abstracts": self.n_abstracts,
-            "positives": self.positives,
-            "total": self.total,
-            "rate": self.rate.to_dict(),
-            "qualifier": self.qualifier,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "MarkerTumourAggregate":
-        return cls(
-            marker_cui=d["marker_cui"],
-            marker_name=d["marker_name"],
-            tumour_cui=d["tumour_cui"],
-            tumour_name=d["tumour_name"],
-            n_abstracts=int(d["n_abstracts"]),
-            positives=int(d["positives"]),
-            total=int(d["total"]),
-            rate=RateStat.from_dict(d["rate"]),
-            qualifier=d.get("qualifier"),
-        )
-
 
 @dataclass(frozen=True)
 class ReferenceEntry:

@@ -16,7 +16,7 @@ import logging
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -279,45 +279,6 @@ class NormalizedRecord:
     positives: int
     total: int
     flags: list[str] = field(default_factory=list)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "pmid": self.pmid,
-            "tumour_type": self.tumour_type,
-            "tumour_type_cui": self.tumour_type_cui,
-            "tumour_type_name": self.tumour_type_name,
-            "tumour_site": self.tumour_site,
-            "tumour_site_cui": self.tumour_site_cui,
-            "tumour_site_name": self.tumour_site_name,
-            "marker": self.marker,
-            "base_marker": self.base_marker,
-            "marker_cui": self.marker_cui,
-            "marker_name": self.marker_name,
-            "qualifier": self.qualifier,
-            "positives": self.positives,
-            "total": self.total,
-            "flags": list(self.flags),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "NormalizedRecord":
-        return cls(
-            pmid=d["pmid"],
-            tumour_type=d["tumour_type"],
-            tumour_type_cui=d["tumour_type_cui"],
-            tumour_type_name=d["tumour_type_name"],
-            tumour_site=d["tumour_site"],
-            tumour_site_cui=d["tumour_site_cui"],
-            tumour_site_name=d["tumour_site_name"],
-            marker=d["marker"],
-            base_marker=d["base_marker"],
-            marker_cui=d["marker_cui"],
-            marker_name=d["marker_name"],
-            qualifier=d["qualifier"],
-            positives=int(d["positives"]),
-            total=int(d["total"]),
-            flags=list(d.get("flags", [])),
-        )
 
 
 def table_surfaces(table: ProfileTable) -> Iterator[str]:

@@ -41,9 +41,6 @@ class CorpusStats:
     per_marker_counts: dict[str, int] = field(default_factory=dict)
     total_unique: int = 0
 
-    def to_dict(self) -> dict[str, Any]:
-        return {"per_marker_counts": dict(self.per_marker_counts), "total_unique": self.total_unique}
-
 
 def build_query(marker: str) -> MarkerQuery:
     """Deterministic search term: the marker name, a space, then immunohisto*."""

@@ -3,9 +3,13 @@
 Each stage owns one JSONL file under the run directory. Record-wise stages
 append and flush per record so a killed run loses at most a partial
 trailing line, which is truncated away on reopen; whole-output stages
-(fetch, normalize, aggregate) commit via temp-file rename. A stage marked
-done rejects further appends and a differing config hash refuses to reuse
-the directory, so results never silently mix configurations.
+(fetch, normalize, aggregate), auxiliary rewrites and the manifest commit
+via one temp-file + fsync + rename writer. A stage marked done rejects
+further appends and a differing config hash refuses to reuse the
+directory, so results never silently mix configurations.
+
+``iter_jsonl`` is the one JSONL reader, for stage files and for the
+evaluation commands' gold and prediction files alike.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
+from .codec import decode, encode
 from .errors import StageStateError, StoreError
 
 logger = logging.getLogger(__name__)
@@ -40,61 +45,61 @@ class StageInfo:
     finished_at: str | None = None
     note: str | None = None
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "status": self.status,
-            "count": self.count,
-            "started_at": self.started_at,
-            "finished_at": self.finished_at,
-            "note": self.note,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "StageInfo":
-        return cls(
-            status=d.get("status", "pending"),
-            count=d.get("count"),
-            started_at=d.get("started_at"),
-            finished_at=d.get("finished_at"),
-            note=d.get("note"),
-        )
-
 
 @dataclass
 class RunManifest:
     run_id: str
     config_hash: str
     prompt_template_hashes: dict[str, str] = field(default_factory=dict)
-    stages: dict[str, StageInfo] = field(default_factory=lambda: {s: StageInfo() for s in STAGES})
-    created_at: str = field(default_factory=_utc_now)
+    stages: dict[str, StageInfo] = field(default_factory=dict)
+    created_at: str = ""
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "run_id": self.run_id,
-            "config_hash": self.config_hash,
-            "prompt_template_hashes": dict(self.prompt_template_hashes),
-            "stages": {name: info.to_dict() for name, info in self.stages.items()},
-            "created_at": self.created_at,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "RunManifest":
-        stages = {name: StageInfo.from_dict(info) for name, info in d.get("stages", {}).items()}
+    def __post_init__(self) -> None:
+        # a manifest written before a stage existed still opens, with that stage pending
         for name in STAGES:
-            stages.setdefault(name, StageInfo())
-        return cls(
-            run_id=d["run_id"],
-            config_hash=d["config_hash"],
-            prompt_template_hashes=dict(d.get("prompt_template_hashes", {})),
-            stages=stages,
-            created_at=d.get("created_at", ""),
-        )
+            self.stages.setdefault(name, StageInfo())
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
+def _jsonl_line(record: dict[str, Any]) -> str:
+    return json.dumps(record, ensure_ascii=False) + "\n"
+
+
+def _write_atomic(path: Path, chunks: Iterable[str]) -> int:
+    """Write ``chunks`` to ``path`` via temp file, fsync and rename; returns the chunk count."""
+    tmp = path.with_name(path.name + ".partial")
+    count = 0
+    with tmp.open("w", encoding="utf-8") as handle:
+        for chunk in chunks:
+            handle.write(chunk)
+            count += 1
+        handle.flush()
+        os.fsync(handle.fileno())
     os.replace(tmp, path)
+    return count
+
+
+def iter_jsonl(path: str | Path) -> Iterator[Any]:
+    """Records of a JSONL file; an absent file yields nothing and blank lines are skipped.
+
+    A corrupt last line (a write cut short by a crash) is ignored with a
+    warning; a corrupt line anywhere else raises ``StoreError`` naming ``path:line``.
+    """
+    path = Path(path)
+    if not path.exists():
+        return
+    with path.open(encoding="utf-8") as handle:
+        lines = handle.readlines()
+    for idx, line in enumerate(lines):
+        stripped = line.rstrip("\n")
+        if not stripped:
+            continue
+        try:
+            yield json.loads(stripped)
+        except ValueError as exc:
+            if idx == len(lines) - 1:
+                logger.warning("ignoring corrupt trailing line in %s", path)
+                return
+            raise StoreError(f"{path}:{idx + 1}: corrupt record mid-file") from exc
 
 
 class RunStore:
@@ -124,6 +129,7 @@ class RunStore:
             run_id=run_id or run_dir.name,
             config_hash=config_hash,
             prompt_template_hashes=prompt_template_hashes or {},
+            created_at=_utc_now(),
         )
         store = cls(run_dir, manifest)
         store.save_manifest()
@@ -135,7 +141,7 @@ class RunStore:
         manifest_path = run_dir / _MANIFEST_NAME
         if not manifest_path.exists():
             raise StoreError(f"no manifest in {run_dir}")
-        manifest = RunManifest.from_dict(json.loads(manifest_path.read_text(encoding="utf-8")))
+        manifest = decode(RunManifest, json.loads(manifest_path.read_text(encoding="utf-8")))
         return cls(run_dir, manifest)
 
     @classmethod
@@ -168,7 +174,7 @@ class RunStore:
         self.close()
 
     def save_manifest(self) -> None:
-        _atomic_write_text(self.run_dir / _MANIFEST_NAME, json.dumps(self.manifest.to_dict(), indent=2))
+        _write_atomic(self.run_dir / _MANIFEST_NAME, [json.dumps(encode(self.manifest), indent=2)])
 
     # -- paths ---------------------------------------------------------------
 
@@ -242,7 +248,7 @@ class RunStore:
             handle = self.path(stage).open("a", encoding="utf-8")
             self._handles[stage] = handle
         try:
-            handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+            handle.write(_jsonl_line(record))
             handle.flush()
         except OSError as exc:
             raise StoreError(f"write to {self.path(stage)} failed: {exc}") from exc
@@ -251,9 +257,12 @@ class RunStore:
         handle = self._handles.pop(stage, None)
         if handle is not None:
             handle.close()
+        self._finish(stage, sum(1 for _ in self.iter_records(stage)), note)
+
+    def _finish(self, stage: str, count: int, note: str | None) -> None:
         info = self.stage_info(stage)
         info.status = "done"
-        info.count = sum(1 for _ in self.iter_records(stage))
+        info.count = count
         info.finished_at = _utc_now()
         if note:
             info.note = note
@@ -263,28 +272,9 @@ class RunStore:
 
     def write_stage_atomic(self, stage: str, records: Iterable[dict[str, Any]], note: str | None = None) -> int:
         """Write a complete stage output via temp file + rename."""
-        info = self.stage_info(stage)
-        if info.status == "done":
-            raise StageStateError(f"stage {stage!r} is already done")
-        info.status = "running"
-        info.started_at = info.started_at or _utc_now()
-        self.save_manifest()
-        path = self.path(stage)
-        tmp = path.with_suffix(".jsonl.partial")
-        count = 0
-        with tmp.open("w", encoding="utf-8") as handle:
-            for record in records:
-                handle.write(json.dumps(record, ensure_ascii=False) + "\n")
-                count += 1
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-        info.status = "done"
-        info.count = count
-        info.finished_at = _utc_now()
-        if note:
-            info.note = note
-        self.save_manifest()
+        self.start_stage(stage)
+        count = _write_atomic(self.path(stage), map(_jsonl_line, records))
+        self._finish(stage, count, note)
         return count
 
     def write_aux_atomic(self, name: str, records: Iterable[dict[str, Any]]) -> int:
@@ -292,38 +282,12 @@ class RunStore:
         handle = self._handles.pop(name, None)
         if handle is not None:
             handle.close()
-        path = self.path(name)
-        tmp = path.with_suffix(".jsonl.partial")
-        count = 0
-        with tmp.open("w", encoding="utf-8") as out:
-            for record in records:
-                out.write(json.dumps(record, ensure_ascii=False) + "\n")
-                count += 1
-        os.replace(tmp, path)
-        return count
+        return _write_atomic(self.path(name), map(_jsonl_line, records))
 
     # -- reads ---------------------------------------------------------------
 
     def iter_records(self, stage: str) -> Iterator[dict[str, Any]]:
-        path = self.path(stage)
-        if not path.exists():
-            return
-        with path.open(encoding="utf-8") as handle:
-            lines = handle.readlines()
-        for idx, line in enumerate(lines):
-            stripped = line.rstrip("\n")
-            if not stripped:
-                continue
-            try:
-                yield json.loads(stripped)
-            except ValueError as exc:
-                if idx == len(lines) - 1:
-                    logger.warning("ignoring corrupt trailing line in %s", path)
-                    return
-                raise StoreError(f"{path}:{idx + 1}: corrupt record mid-file") from exc
-
-    def read_records(self, stage: str) -> list[dict[str, Any]]:
-        return list(self.iter_records(stage))
+        return iter_jsonl(self.path(stage))
 
     def processed_ids(self, stage: str, id_field: str = "pmid") -> set[str]:
         """PMIDs already emitted for a stage; an absent file is an empty set."""

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 from .domain import MISSING, CellValue, PositivityCount
-from .errors import TableNotFoundError
+from .errors import TableNotFoundError, ValidationError
 
 if TYPE_CHECKING:
     from .domain import AbstractRecord
@@ -74,23 +74,27 @@ class ProfileTable:
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "ProfileTable":
-        rows = []
-        for r in d["rows"]:
-            site = r["tumour_site"]
-            cells = {name: parse_cell(text)[0] for name, text in r["cells"].items()}
-            rows.append(
-                ProfileRow(
-                    tumour_type=r["tumour_type"],
-                    tumour_site=None if _is_na(site) else site,
-                    cells=cells,
+        """Inverse of ``to_dict``; a record of the wrong shape raises ``ValidationError``."""
+        try:
+            rows = []
+            for r in d["rows"]:
+                site = r["tumour_site"]
+                cells = {name: parse_cell(text)[0] for name, text in r["cells"].items()}
+                rows.append(
+                    ProfileRow(
+                        tumour_type=r["tumour_type"],
+                        tumour_site=None if _is_na(site) else site,
+                        cells=cells,
+                    )
                 )
+            return cls(
+                pmid=d["pmid"],
+                header=list(d["header"]),
+                rows=rows,
+                violations=list(d.get("violations", [])),
             )
-        return cls(
-            pmid=d["pmid"],
-            header=list(d["header"]),
-            rows=rows,
-            violations=list(d.get("violations", [])),
-        )
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ValidationError(f"malformed profile table record ({type(exc).__name__}: {exc})") from None
 
 
 def _is_na(text: str) -> bool:

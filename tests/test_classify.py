@@ -17,6 +17,7 @@ from ihcmine.classify import (
     map_ordered,
     parse_label,
 )
+from ihcmine.codec import decode, encode
 from ihcmine.domain import AbstractRecord, ClassificationLabel, format_percent
 from ihcmine.errors import GatewayError, UnparseableLabelError, ValidationError
 
@@ -113,9 +114,9 @@ class TestClassifyCorpus:
 
     def test_serialization_round_trip(self):
         item = ClassifiedAbstract(pmid="1", label=INCLUDE, raw_output="Include", model_id="m", prompt_hash="h")
-        assert ClassifiedAbstract.from_dict(item.to_dict()) == item
+        assert decode(ClassifiedAbstract, encode(item)) == item
         entry = QuarantineEntry(pmid="2", stage="classify", reason="r", raw_output="maybe")
-        assert QuarantineEntry.from_dict(entry.to_dict()) == entry
+        assert decode(QuarantineEntry, encode(entry)) == entry
 
 
 class TestMapOrdered:

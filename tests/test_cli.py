@@ -2,11 +2,15 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from ihcmine.cli import main
+from ihcmine.codec import encode
 from ihcmine.config import build_config, load_config_file
 from ihcmine.errors import ConfigError
 from ihcmine.normalize import NormalizedRecord
@@ -151,6 +155,33 @@ class TestFullChain:
         assert victim in {c["pmid"] for c in classified}
         assert len(classified) == 50
 
+    def test_quarantine_rewrite_is_fsynced_before_rename(self, demo_env, tmp_path, monkeypatch):
+        run_dir = tmp_path / "run"
+        victim = "8000001"
+        original_fn = demo_env.llm_state.classify_fn
+        demo_env.llm_state.classify_fn = lambda content: "maybe" if victim in content else original_fn(content)
+        assert main(demo_env.fetch_args(run_dir)) == 0
+        assert main(demo_env.classify_args(run_dir)) == 0
+        demo_env.llm_state.classify_fn = original_fn
+
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            events.append(("fsync", os.fstat(fd).st_ino))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            events.append(("replace", os.stat(src).st_ino, Path(dst).name))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        assert main([*demo_env.classify_args(run_dir), "--retry-quarantined"]) == 0
+
+        (rename,) = [e for e in events if e[0] == "replace" and e[2] == "quarantine.jsonl"]
+        assert ("fsync", rename[1]) in events[: events.index(rename)]
+
 
 class TestExtract:
     def test_concurrency_overlaps_extraction_calls_without_changing_output(self, demo_env, tmp_path):
@@ -197,7 +228,7 @@ class TestReport:
             normalized("2", flags=["invalid_count"]),
             normalized("3", tumour_cui=None, flags=["unmapped_tumour_type"]),
         ]
-        store.write_stage_atomic("normalized", (r.to_dict() for r in records))
+        store.write_stage_atomic("normalized", map(encode, records))
         store.close()
         assert main(["aggregate", "--run-dir", str(run_dir)]) == 0
         (run_dir / "comparison_report.csv").write_text("", encoding="utf-8")
@@ -341,3 +372,38 @@ class TestEvalCommands:
         report = json.loads((run_dir / "eval_report.json").read_text())
         assert report["histogram"]["Correct"] == 1
         assert report["scores"][0]["exact"] is True
+
+    @pytest.mark.parametrize(
+        "command, gold_lines, message",
+        [
+            ("eval-classify", ['{"pmid": "1", "label": "Include"}', '{"pmid": "2", "lab', '{"pmid": "3", "label": "Exclude"}'],
+             ":2: corrupt record mid-file"),
+            ("eval-classify", ['{"pmid": "1", "label": "Include"}', '{"pmid": "2", "label": "Maybe"}'],
+             "'Maybe' is not a valid ClassificationLabel"),
+            ("eval-classify", ['{"pmid": "1", "label": "Include"}', '{"label": "Exclude"}'],
+             "missing required key 'pmid'"),
+            ("eval-tables", ['{"pmid": "1", "header": [], "rows": []}', '{"pm', '{"pmid": "3", "header": [], "rows": []}'],
+             ":2: corrupt record mid-file"),
+            ("eval-tables", ['{"header": ["Tumor type", "Tumor site"], "rows": []}'],
+             "KeyError: 'pmid'"),
+        ],
+        ids=["classify-corrupt-mid-file", "classify-unknown-label", "classify-missing-pmid",
+             "tables-corrupt-mid-file", "tables-missing-pmid"],
+    )
+    def test_malformed_gold_is_a_stage_failure(self, tmp_path, capsys, command, gold_lines, message):
+        gold = tmp_path / "gold.jsonl"
+        gold.write_text("".join(line + "\n" for line in gold_lines), encoding="utf-8")
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text("", encoding="utf-8")
+        assert main([command, "--run-dir", str(tmp_path / "r"), "--gold", str(gold), "--pred", str(preds)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+
+def test_benchmark_tracer_hooks_resolve():
+    """perfbench/tracer.py patches ihcmine names by getattr; a rename breaks ``--trace 1``."""
+    root = Path(__file__).parent.parent
+    code = "import sys; sys.path.insert(0, 'perfbench'); import tracer; tracer.install(tracer.Tracer(stage='x'))"
+    env = {**os.environ, "PYTHONPATH": "src"}
+    result = subprocess.run([sys.executable, "-c", code], cwd=root, env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr

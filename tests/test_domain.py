@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ihcmine.codec import decode, encode
 from ihcmine.domain import (
     MISSING,
     AbstractRecord,
@@ -117,12 +118,12 @@ class TestSerialization:
             source_markers={"S100", "CD34"},
             retrieved_at="2024-05-01T12:00:00+00:00",
         )
-        reloaded = AbstractRecord.from_dict(json.loads(json.dumps(record.to_dict())))
+        reloaded = decode(AbstractRecord, json.loads(json.dumps(encode(record))))
         assert reloaded == record
 
     def test_rate_stat_round_trip(self):
         rate = RateStat(53442, 111423)
-        assert RateStat.from_dict(json.loads(json.dumps(rate.to_dict()))) == rate
+        assert decode(RateStat, json.loads(json.dumps(encode(rate)))) == rate
 
     def test_label_values(self):
         assert {label.value for label in ClassificationLabel} == {"Include", "Exclude"}

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ihcmine.codec import decode, encode
 from ihcmine.domain import RateStat, compute_rate, round_percent
 from ihcmine.errors import ReferenceFileError, ValidationError
 from ihcmine.landscape import (
@@ -97,7 +98,7 @@ class TestAggregate:
 
     def test_serialization_round_trip(self):
         (agg,) = aggregate([norm_record("1", "ER", "melanoma", 5, 10)])
-        assert MarkerTumourAggregate.from_dict(agg.to_dict()) == agg
+        assert decode(MarkerTumourAggregate, encode(agg)) == agg
 
 
 class TestMarkerTotals:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ihcmine.codec import decode, encode
 from ihcmine.errors import DictionaryLoadError, GatewayError, NormalizationError, ValidationError
 from ihcmine.gateway import EmbeddingVector
 from ihcmine.normalize import (
@@ -342,7 +343,7 @@ class TestNormalizeTable:
         normalizer, _ = self.build()
         table = parse_markdown_table(self.GOLD, pmid="21691200")
         for record in normalize_table(table, normalizer):
-            assert NormalizedRecord.from_dict(record.to_dict()) == record
+            assert decode(NormalizedRecord, encode(record)) == record
 
     def test_invalid_count_flagged(self):
         normalizer, _ = self.build()

@@ -18,13 +18,13 @@ class TestAppend:
     def test_append_then_read(self, store):
         store.start_stage("classified")
         store.append("classified", {"pmid": "1", "label": "Include"})
-        assert store.read_records("classified") == [{"pmid": "1", "label": "Include"}]
+        assert list(store.iter_records("classified")) == [{"pmid": "1", "label": "Include"}]
 
     def test_order_preserved(self, store):
         store.start_stage("classified")
         store.append("classified", {"pmid": "1"})
         store.append("classified", {"pmid": "2"})
-        assert [r["pmid"] for r in store.read_records("classified")] == ["1", "2"]
+        assert [r["pmid"] for r in store.iter_records("classified")] == ["1", "2"]
 
     def test_append_after_done_rejected(self, store):
         store.start_stage("classified")
