@@ -21,11 +21,10 @@ from typing import Any, Callable
 
 from . import classify as classify_mod
 from . import landscape as landscape_mod
-from . import normalize as normalize_mod
 from . import table_eval
 from .codec import decode, encode
 from .config import PipelineConfig, build_config
-from .domain import AbstractRecord, ClassificationLabel, format_percent, round_percent
+from .domain import AbstractRecord, ClassificationLabel, NormalizedRecord, format_percent, round_percent
 from .errors import GatewayError, PipelineError, TableNotFoundError, ValidationError
 from .gateway import LlmGateway, prompt_template_hashes
 from .pubmed import EntrezClient, build_query, dedup_merge
@@ -139,8 +138,7 @@ def _resolve_run_dir(config: PipelineConfig) -> Path:
     if root.exists():
         candidates = sorted(d for d in root.iterdir() if (d / "manifest.json").exists())
         for candidate in reversed(candidates):
-            manifest = json.loads((candidate / "manifest.json").read_text(encoding="utf-8"))
-            if manifest.get("config_hash") == config_hash:
+            if RunStore.open(candidate).manifest.config_hash == config_hash:
                 return candidate
     return root / f"run-{time.strftime('%Y%m%d-%H%M%S')}-{config_hash[:6]}"
 
@@ -324,6 +322,8 @@ def cmd_normalize(config: PipelineConfig, store: RunStore, args: argparse.Namesp
         return 0
     if not config.dictionary_path:
         raise PipelineError("normalize needs --dictionary (concept dictionary TSV)")
+    from . import normalize as normalize_mod  # numpy: loaded only by the stage that searches vectors
+
     index = normalize_mod.load_index(config.dictionary_path)
     normalizer = normalize_mod.TermNormalizer(_make_gateway(config), index, max_distance=config.max_distance)
 
@@ -344,7 +344,7 @@ def cmd_aggregate(config: PipelineConfig, store: RunStore, args: argparse.Namesp
         print("aggregates stage already done; skipping")
         return 0
     usable, dropped = landscape_mod.usable_records(
-        decode(normalize_mod.NormalizedRecord, d) for d in store.iter_records("normalized")
+        decode(NormalizedRecord, d) for d in store.iter_records("normalized")
     )
     if any(dropped.values()):
         logger.warning(
@@ -398,7 +398,7 @@ def cmd_report(config: PipelineConfig, store: RunStore, args: argparse.Namespace
         raise PipelineError("comparison_report.csv not found; run compare")
     aggregates = [decode(landscape_mod.MarkerTumourAggregate, d) for d in store.iter_records("aggregates")]
     usable, _ = landscape_mod.usable_records(
-        decode(normalize_mod.NormalizedRecord, d) for d in store.iter_records("normalized")
+        decode(NormalizedRecord, d) for d in store.iter_records("normalized")
     )
     totals = landscape_mod.marker_totals(aggregates, records=usable)
     out = store.run_dir / "marker_report.csv"

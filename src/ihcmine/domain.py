@@ -127,3 +127,24 @@ class AbstractRecord:
             raise ValidationError(f"pmid must be a non-empty digit string, got {self.pmid!r}")
         if not self.source_markers:
             raise ValidationError(f"record {self.pmid}: source_markers must be non-empty")
+
+
+@dataclass
+class NormalizedRecord:
+    """One (row, marker cell) of a profile table with its concept mappings."""
+
+    pmid: str
+    tumour_type: str
+    tumour_type_cui: str | None
+    tumour_type_name: str | None
+    tumour_site: str | None
+    tumour_site_cui: str | None
+    tumour_site_name: str | None
+    marker: str
+    base_marker: str
+    marker_cui: str | None
+    marker_name: str | None
+    qualifier: str | None
+    positives: int
+    total: int
+    flags: list[str] = field(default_factory=list)

@@ -18,8 +18,6 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-import requests
-
 from .domain import AbstractRecord
 from .errors import EmptyOutputError, GatewayError, GatewayProtocolError, ValidationError
 
@@ -139,6 +137,8 @@ class LlmGateway:
         backoff_base: float = 1.0,
         timeout: float = 60.0,
     ) -> None:
+        import requests  # imported where used, so stages that call no endpoint never load it
+
         self.llm_base_url = llm_base_url.rstrip("/")
         self.model_id = model_id
         self.emb_base_url = (emb_base_url or llm_base_url).rstrip("/")
@@ -157,6 +157,8 @@ class LlmGateway:
         return headers
 
     def _post(self, url: str, body: bytes) -> dict:
+        import requests
+
         last_error: Exception | None = None
         for attempt in range(self.retries):
             if attempt > 0:

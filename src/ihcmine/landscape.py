@@ -15,9 +15,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
-from .domain import RateStat, round_percent
+from .domain import NormalizedRecord, RateStat, round_percent
 from .errors import ReferenceFileError, ValidationError
-from .normalize import NormalizedRecord
 
 logger = logging.getLogger(__name__)
 

@@ -13,13 +13,14 @@ semantic-type column.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .domain import NormalizedRecord
 from .errors import DictionaryLoadError, GatewayError, NormalizationError, ValidationError
 from .gateway import EmbeddingVector, LlmGateway
 from .tables import ProfileTable, split_marker_column
@@ -258,27 +259,6 @@ class TermNormalizer:
         entity = NormalizedEntity(surface=surface, cui=concept.cui, matched_name=concept.name, distance=distance)
         self._cache[cache_key] = entity
         return entity
-
-
-@dataclass
-class NormalizedRecord:
-    """One (row, marker cell) of a profile table with its concept mappings."""
-
-    pmid: str
-    tumour_type: str
-    tumour_type_cui: str | None
-    tumour_type_name: str | None
-    tumour_site: str | None
-    tumour_site_cui: str | None
-    tumour_site_name: str | None
-    marker: str
-    base_marker: str
-    marker_cui: str | None
-    marker_name: str | None
-    qualifier: str | None
-    positives: int
-    total: int
-    flags: list[str] = field(default_factory=list)
 
 
 def table_surfaces(table: ProfileTable) -> Iterator[str]:

@@ -15,8 +15,6 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
-import requests
-
 from .domain import AbstractRecord
 from .errors import EntrezParseError, IngestError, ValidationError
 
@@ -83,6 +81,8 @@ class EntrezClient:
         backoff_base: float = 1.0,
         timeout: float = 60.0,
     ) -> None:
+        import requests  # imported where used, so stages that call no endpoint never load it
+
         if not 1 <= batch_size <= 500:
             raise ValidationError(f"batch_size must be in [1, 500], got {batch_size}")
         self.base_url = base_url.rstrip("/")
@@ -99,6 +99,8 @@ class EntrezClient:
         self._session = requests.Session()
 
     def _get(self, endpoint: str, params: dict[str, Any], context: str) -> str:
+        import requests
+
         if self.api_key:
             params = {**params, "api_key": self.api_key}
         url = f"{self.base_url}/{endpoint}"

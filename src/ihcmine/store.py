@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Any, Iterable, Iterator
 
 from .codec import decode, encode
-from .errors import StageStateError, StoreError
+from .errors import StageStateError, StoreError, ValidationError
 
 logger = logging.getLogger(__name__)
 
@@ -81,21 +81,20 @@ def _write_atomic(path: Path, chunks: Iterable[str]) -> int:
 def iter_jsonl(path: str | Path) -> Iterator[Any]:
     """Records of a JSONL file; an absent file yields nothing and blank lines are skipped.
 
-    A corrupt last line (a write cut short by a crash) is ignored with a
-    warning; a corrupt line anywhere else raises ``StoreError`` naming ``path:line``.
+    Lines are decoded one at a time, so invalid UTF-8 counts as corruption of
+    its line. A corrupt last line (a write cut short by a crash) is ignored with
+    a warning; a corrupt line anywhere else raises ``StoreError`` naming ``path:line``.
     """
     path = Path(path)
     if not path.exists():
         return
-    with path.open(encoding="utf-8") as handle:
-        lines = handle.readlines()
+    lines = path.read_bytes().splitlines()  # the line breaks of text mode: \n, \r\n and \r
     for idx, line in enumerate(lines):
-        stripped = line.rstrip("\n")
-        if not stripped:
+        if not line:
             continue
         try:
-            yield json.loads(stripped)
-        except ValueError as exc:
+            yield json.loads(line.decode("utf-8"))
+        except ValueError as exc:  # UnicodeDecodeError is a ValueError
             if idx == len(lines) - 1:
                 logger.warning("ignoring corrupt trailing line in %s", path)
                 return
@@ -141,7 +140,10 @@ class RunStore:
         manifest_path = run_dir / _MANIFEST_NAME
         if not manifest_path.exists():
             raise StoreError(f"no manifest in {run_dir}")
-        manifest = decode(RunManifest, json.loads(manifest_path.read_text(encoding="utf-8")))
+        try:
+            manifest = decode(RunManifest, json.loads(manifest_path.read_text(encoding="utf-8")))
+        except (ValueError, ValidationError) as exc:  # ValueError: bad JSON or UTF-8
+            raise StoreError(f"{manifest_path}: unreadable manifest: {exc}") from exc
         return cls(run_dir, manifest)
 
     @classmethod

@@ -259,6 +259,16 @@ class TestRunDirResolution:
         assert main([*fetch, "--runs-root", str(runs_root), "--cap", "25"]) == 0
         assert len(list(runs_root.iterdir())) == 2
 
+    def test_truncated_manifest_is_a_stage_failure(self, tmp_path, capsys):
+        runs_root = tmp_path / "runs"
+        (runs_root / "run-a").mkdir(parents=True)
+        (runs_root / "run-a" / "manifest.json").write_text('{"run_id": ', encoding="utf-8")
+        gold = tmp_path / "gold.jsonl"
+        gold.write_text('{"pmid": "1", "label": "Include"}\n', encoding="utf-8")
+        assert main(["eval-classify", "--runs-root", str(runs_root), "--gold", str(gold), "--pred", str(gold)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(Path("run-a") / "manifest.json") in err
+
 
 class TestConfigFile:
     def test_values_loaded_and_flags_win(self, tmp_path):
@@ -372,6 +382,21 @@ class TestEvalCommands:
         report = json.loads((run_dir / "eval_report.json").read_text())
         assert report["histogram"]["Correct"] == 1
         assert report["scores"][0]["exact"] is True
+
+    def test_invalid_utf8_mid_file_is_a_stage_failure(self, tmp_path, capsys):
+        gold = tmp_path / "gold.jsonl"
+        gold.write_bytes(b'{"pmid": "1", "label": "Include"}\n\xff\xfe\n{"pmid": "3", "label": "Exclude"}\n')
+        assert main(["eval-classify", "--run-dir", str(tmp_path / "r"), "--gold", str(gold), "--pred", str(gold)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "gold.jsonl:2: corrupt record mid-file" in err
+
+    def test_last_line_cut_inside_a_multibyte_character_is_ignored(self, tmp_path):
+        gold = tmp_path / "gold.jsonl"
+        cut = '{"pmid": "3", "label": "Exclude", "note": "caf'.encode("utf-8") + "é".encode("utf-8")[:1]
+        gold.write_bytes(b'{"pmid": "1", "label": "Include"}\n{"pmid": "2", "label": "Exclude"}\n' + cut)
+        run_dir = tmp_path / "r"
+        assert main(["eval-classify", "--run-dir", str(run_dir), "--gold", str(gold), "--pred", str(gold)]) == 0
+        assert json.loads((run_dir / "metrics.json").read_text())["n"] == 2
 
     @pytest.mark.parametrize(
         "command, gold_lines, message",

@@ -71,6 +71,22 @@ class TestProcessedIds:
         with pytest.raises(StoreError):
             store.processed_ids("classified")
 
+    def test_invalid_utf8_mid_file_raises_naming_the_line(self, store):
+        path = store.path("classified")
+        path.write_bytes(b'{"pmid": "1"}\n\xff\xfe\n{"pmid": "3"}\n')
+        with pytest.raises(StoreError, match=r"classified\.jsonl:2: corrupt record mid-file"):
+            store.processed_ids("classified")
+
+    def test_last_line_cut_inside_a_multibyte_character_ignored(self, store):
+        path = store.path("classified")
+        path.write_bytes('{"pmid": "1"}\n{"pmid": "2", "note": "caf'.encode("utf-8") + "é".encode("utf-8")[:1])
+        assert store.processed_ids("classified") == {"1"}
+
+    def test_crlf_and_cr_line_breaks_read_as_before(self, store):
+        path = store.path("classified")
+        path.write_bytes(b'{"pmid": "1"}\r\n{"pmid": "2"}\r{"pmid": "3"}\n')
+        assert store.processed_ids("classified") == {"1", "2", "3"}
+
 
 class TestRecovery:
     def test_start_stage_truncates_partial_tail(self, store):
@@ -118,6 +134,14 @@ class TestManifest:
     def test_open_missing_manifest(self, tmp_path):
         with pytest.raises(StoreError):
             RunStore.open(tmp_path / "nope")
+
+    @pytest.mark.parametrize("text", ['{"run_id": ', "[]", '{"run_id": "r"}'], ids=["truncated", "not-an-object", "no-hash"])
+    def test_unreadable_manifest_names_its_path(self, tmp_path, text):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        (run_dir / "manifest.json").write_text(text, encoding="utf-8")
+        with pytest.raises(StoreError, match=r"run[/\\]manifest\.json: unreadable manifest"):
+            RunStore.open(run_dir)
 
 
 class TestRunLock:
