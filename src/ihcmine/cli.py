@@ -165,7 +165,6 @@ def _make_gateway(config: PipelineConfig) -> LlmGateway:
         emb_base_url=config.emb_base_url,
         emb_model_id=config.emb_model,
         api_key=config.llm_api_key,
-        max_in_flight=config.llm_concurrency,
         retries=config.retries,
         backoff_base=config.backoff_base,
         timeout=config.timeout,
@@ -203,18 +202,21 @@ def cmd_fetch(config: PipelineConfig, store: RunStore, args: argparse.Namespace)
     )
     batches = []
     total_skipped = 0
-    for marker in markers:
-        query = build_query(marker)
-        pmids = client.search_pmids(query, cap=config.cap)
-        logger.info("marker %s: %d PMIDs", marker, len(pmids))
-        if pmids:
-            records, skipped = client.fetch_abstracts(pmids, marker)
-            total_skipped += len(skipped)
-            if skipped:
-                logger.info("marker %s: %d PMIDs had no abstract", marker, len(skipped))
-        else:
-            records = []
-        batches.append((marker, records))
+    try:
+        for marker in markers:
+            query = build_query(marker)
+            pmids = client.search_pmids(query, cap=config.cap)
+            logger.info("marker %s: %d PMIDs", marker, len(pmids))
+            if pmids:
+                records, skipped = client.fetch_abstracts(pmids, marker)
+                total_skipped += len(skipped)
+                if skipped:
+                    logger.info("marker %s: %d PMIDs had no abstract", marker, len(skipped))
+            else:
+                records = []
+            batches.append((marker, records))
+    finally:
+        client.close()
     corpus, stats = dedup_merge(batches)
     _write_json(store.run_dir / "corpus_stats.json", encode(stats))
     count = store.write_stage_atomic("corpus", map(encode, corpus), note=f"skipped_no_abstract={total_skipped}")
@@ -244,9 +246,12 @@ def cmd_classify(config: PipelineConfig, store: RunStore, args: argparse.Namespa
     }
     pending = [decode(AbstractRecord, d) for d in store.iter_records("corpus") if d["pmid"] not in processed]
     gateway = _make_gateway(config)
-    for result in classify_mod.iter_classified(pending, gateway, max_workers=config.llm_concurrency):
-        stage = "quarantine" if isinstance(result, classify_mod.QuarantineEntry) else "classified"
-        store.append(stage, encode(result))
+    try:
+        for result in classify_mod.iter_classified(pending, gateway, max_workers=config.llm_concurrency):
+            stage = "quarantine" if isinstance(result, classify_mod.QuarantineEntry) else "classified"
+            store.append(stage, encode(result))
+    finally:
+        gateway.close()
     counts = {"include": 0, "exclude": 0, "quarantined": 0}
     for record in store.iter_records("classified"):
         counts["include" if record["label"] == "Include" else "exclude"] += 1
@@ -262,7 +267,6 @@ def cmd_extract(config: PipelineConfig, store: RunStore, args: argparse.Namespac
     include_pmids = [
         d["pmid"] for d in store.iter_records("classified") if d["label"] == ClassificationLabel.INCLUDE.value
     ]
-    gateway = _make_gateway(config)
 
     if not store.stage_done("tables_raw"):
         store.start_stage("tables_raw")
@@ -278,6 +282,7 @@ def cmd_extract(config: PipelineConfig, store: RunStore, args: argparse.Namespac
                 logger.warning("pmid %s classified but missing from corpus", pmid)
                 continue
             pending.append(corpus[pmid])
+        gateway = _make_gateway(config)
 
         def extract_one(record: AbstractRecord) -> dict[str, str] | classify_mod.QuarantineEntry:
             try:
@@ -285,11 +290,14 @@ def cmd_extract(config: PipelineConfig, store: RunStore, args: argparse.Namespac
             except GatewayError as exc:
                 return classify_mod.QuarantineEntry(pmid=record.pmid, stage="extract", reason=f"gateway: {exc}")
 
-        for result in classify_mod.map_ordered(pending, extract_one, config.llm_concurrency):
-            if isinstance(result, classify_mod.QuarantineEntry):
-                store.append("quarantine", encode(result))
-            else:
-                store.append("tables_raw", result)
+        try:
+            for result in classify_mod.map_ordered(pending, extract_one, config.llm_concurrency):
+                if isinstance(result, classify_mod.QuarantineEntry):
+                    store.append("quarantine", encode(result))
+                else:
+                    store.append("tables_raw", result)
+        finally:
+            gateway.close()
         store.mark_done("tables_raw")
 
     if not store.stage_done("tables_parsed"):
@@ -325,15 +333,18 @@ def cmd_normalize(config: PipelineConfig, store: RunStore, args: argparse.Namesp
     from . import normalize as normalize_mod  # numpy: loaded only by the stage that searches vectors
 
     index = normalize_mod.load_index(config.dictionary_path)
-    normalizer = normalize_mod.TermNormalizer(_make_gateway(config), index, max_distance=config.max_distance)
+    gateway = _make_gateway(config)
+    normalizer = normalize_mod.TermNormalizer(gateway, index, max_distance=config.max_distance)
 
     def tables():
         return (ProfileTable.from_dict(d) for d in store.iter_records("tables_parsed"))
 
-    normalizer.prefetch(surface for table in tables() for surface in normalize_mod.table_surfaces(table))
-
-    records = (record for table in tables() for record in normalize_mod.normalize_table(table, normalizer))
-    count = store.write_stage_atomic("normalized", map(encode, records))
+    try:
+        normalizer.prefetch(surface for table in tables() for surface in normalize_mod.table_surfaces(table))
+        records = (record for table in tables() for record in normalize_mod.normalize_table(table, normalizer))
+        count = store.write_stage_atomic("normalized", map(encode, records))
+    finally:
+        gateway.close()
     print(f"normalized {count} marker-cell records against {len(index)} dictionary entries")
     return 0
 

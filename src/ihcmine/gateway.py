@@ -11,17 +11,13 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-import logging
 import math
-import threading
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
 from .domain import AbstractRecord
 from .errors import EmptyOutputError, GatewayError, GatewayProtocolError, ValidationError
-
-logger = logging.getLogger(__name__)
+from .transport import RETRYABLE_STATUS, HttpTransport, TransportError
 
 CLASSIFY_TEMPLATE = "classify_v1.txt"
 EXTRACT_TEMPLATE = "extract_v1.txt"
@@ -30,7 +26,6 @@ EXTRACT_MAX_NEW_TOKENS = 1024
 SYSTEM_PROMPT = "You are a careful biomedical text mining assistant."
 
 _PROMPT_DIR = Path(__file__).parent / "prompts"
-_RETRYABLE_STATUS = {429, 500, 502, 503, 504}
 
 
 @dataclass(frozen=True)
@@ -119,10 +114,11 @@ def wire_payload(request: ChatRequest) -> bytes:
 
 
 class LlmGateway:
-    """Thread-safe client with a bounded in-flight request pool.
+    """Thread-safe chat and embeddings client.
 
-    Callers may invoke chat()/embed() from many threads; at most
-    ``max_in_flight`` requests are outstanding at any time.
+    Callers may invoke chat()/embed() from many threads; each thread keeps
+    its own keep-alive connection, and the caller's pool bounds how many
+    requests are in flight.
     """
 
     def __init__(
@@ -132,57 +128,37 @@ class LlmGateway:
         emb_base_url: str | None = None,
         emb_model_id: str | None = None,
         api_key: str | None = None,
-        max_in_flight: int = 4,
         retries: int = 3,
         backoff_base: float = 1.0,
         timeout: float = 60.0,
     ) -> None:
-        import requests  # imported where used, so stages that call no endpoint never load it
-
         self.llm_base_url = llm_base_url.rstrip("/")
         self.model_id = model_id
         self.emb_base_url = (emb_base_url or llm_base_url).rstrip("/")
         self.emb_model_id = emb_model_id or model_id
-        self.api_key = api_key
-        self.retries = retries
-        self.backoff_base = backoff_base
-        self.timeout = timeout
-        self._semaphore = threading.BoundedSemaphore(max_in_flight)
-        self._session = requests.Session()
+        self._headers = {"Content-Type": "application/json"}
+        if api_key:
+            self._headers["Authorization"] = f"Bearer {api_key}"
+        self._http = HttpTransport(retries, backoff_base, timeout)
 
-    def _headers(self) -> dict[str, str]:
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        return headers
+    def close(self) -> None:
+        """Closes the connections of every thread that used this gateway."""
+        self._http.close()
 
     def _post(self, url: str, body: bytes) -> dict:
-        import requests
-
-        last_error: Exception | None = None
-        for attempt in range(self.retries):
-            if attempt > 0:
-                time.sleep(self.backoff_base * (2 ** (attempt - 1)))
-            try:
-                with self._semaphore:
-                    response = self._session.post(
-                        url, data=body, headers=self._headers(), timeout=self.timeout
-                    )
-            except requests.RequestException as exc:
-                last_error = exc
-                logger.warning("request to %s failed (attempt %d): %s", url, attempt + 1, exc)
-                continue
-            if response.status_code in _RETRYABLE_STATUS:
-                last_error = GatewayError(f"HTTP {response.status_code} from {url}")
-                logger.warning("HTTP %d from %s (attempt %d)", response.status_code, url, attempt + 1)
-                continue
-            if response.status_code != 200:
-                raise GatewayError(f"HTTP {response.status_code} from {url}: {response.text[:200]}")
-            try:
-                return response.json()
-            except ValueError as exc:
-                raise GatewayProtocolError(f"non-JSON response from {url}") from exc
-        raise GatewayError(f"request to {url} failed after {self.retries} attempts: {last_error}")
+        failed = f"request to {url} failed after {self._http.retries} attempts"
+        try:
+            status, data = self._http.request("POST", url, body, self._headers)
+        except TransportError as exc:
+            raise GatewayError(f"{failed}: {exc}") from exc
+        if status in RETRYABLE_STATUS:
+            raise GatewayError(f"{failed}: HTTP {status} from {url}")
+        if status != 200:
+            raise GatewayError(f"HTTP {status} from {url}: {data.decode('utf-8', 'replace')[:200]}")
+        try:
+            return json.loads(data)
+        except ValueError as exc:
+            raise GatewayProtocolError(f"non-JSON response from {url}") from exc
 
     def chat(self, request: ChatRequest) -> str:
         """Returns the first completion's text, trimmed of trailing whitespace only."""

@@ -1,9 +1,9 @@
 """Entrez e-utils client: per-marker search, batched abstract fetch, dedup.
 
 Requests are throttled globally per client (NCBI policy: 3/s without an
-API key, 10/s with one) and retried with exponential backoff on transport
-errors and 429/5xx. PMIDs without an abstract body are skipped, not
-errors.
+API key, 10/s with one); every attempt, retries included, waits its turn.
+``transport`` retries transport errors and 429/5xx. PMIDs without an
+abstract body are skipped, not errors.
 """
 
 from __future__ import annotations
@@ -14,9 +14,11 @@ import time
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
+from urllib.parse import urlencode
 
 from .domain import AbstractRecord
 from .errors import EntrezParseError, IngestError, ValidationError
+from .transport import RETRYABLE_STATUS, HttpTransport, TransportError
 
 logger = logging.getLogger(__name__)
 
@@ -25,7 +27,6 @@ QUERY_SUFFIX = "immunohisto*"
 MAX_CAP = 9999
 RPS_WITHOUT_KEY = 3.0
 RPS_WITH_KEY = 10.0
-_RETRYABLE_STATUS = {429, 500, 502, 503, 504}
 
 
 @dataclass(frozen=True)
@@ -81,8 +82,6 @@ class EntrezClient:
         backoff_base: float = 1.0,
         timeout: float = 60.0,
     ) -> None:
-        import requests  # imported where used, so stages that call no endpoint never load it
-
         if not 1 <= batch_size <= 500:
             raise ValidationError(f"batch_size must be in [1, 500], got {batch_size}")
         self.base_url = base_url.rstrip("/")
@@ -93,36 +92,26 @@ class EntrezClient:
         self.limiter = RateLimiter(rate)
         self.page_size = page_size
         self.batch_size = batch_size
-        self.retries = retries
-        self.backoff_base = backoff_base
-        self.timeout = timeout
-        self._session = requests.Session()
+        self._http = HttpTransport(retries, backoff_base, timeout)
 
-    def _get(self, endpoint: str, params: dict[str, Any], context: str) -> str:
-        import requests
+    def close(self) -> None:
+        """Closes the connections of every thread that used this client."""
+        self._http.close()
 
+    def _get(self, endpoint: str, params: dict[str, Any], context: str) -> bytes:
         if self.api_key:
             params = {**params, "api_key": self.api_key}
-        url = f"{self.base_url}/{endpoint}"
-        last_error: Exception | None = None
-        for attempt in range(self.retries):
-            if attempt > 0:
-                time.sleep(self.backoff_base * (2 ** (attempt - 1)))
-            self.limiter.acquire()
-            try:
-                response = self._session.get(url, params=params, timeout=self.timeout)
-            except requests.RequestException as exc:
-                last_error = exc
-                logger.warning("%s failed (%s, attempt %d): %s", endpoint, context, attempt + 1, exc)
-                continue
-            if response.status_code in _RETRYABLE_STATUS:
-                last_error = IngestError(f"HTTP {response.status_code}")
-                logger.warning("%s HTTP %d (%s, attempt %d)", endpoint, response.status_code, context, attempt + 1)
-                continue
-            if response.status_code != 200:
-                raise IngestError(f"{endpoint} HTTP {response.status_code} ({context})")
-            return response.text
-        raise IngestError(f"{endpoint} failed after {self.retries} attempts ({context}): {last_error}")
+        url = f"{self.base_url}/{endpoint}?{urlencode(params)}"
+        failed = f"{endpoint} failed after {self._http.retries} attempts ({context})"
+        try:
+            status, body = self._http.request("GET", url, pace=self.limiter.acquire)
+        except TransportError as exc:
+            raise IngestError(f"{failed}: {exc}") from exc
+        if status in RETRYABLE_STATUS:
+            raise IngestError(f"{failed}: HTTP {status}")
+        if status != 200:
+            raise IngestError(f"{endpoint} HTTP {status} ({context})")
+        return body
 
     def search_pmids(self, query: MarkerQuery, cap: int = MAX_CAP) -> list[str]:
         """Unique PMIDs for a marker query, service order, paginated, capped."""

@@ -33,24 +33,74 @@ def fake_embedding(text: str, dim: int = 8) -> list[float]:
     return [int.from_bytes(digest[4 * i : 4 * i + 4], "big") / 2**32 for i in range(dim)]
 
 
+# -- shared server behaviour ------------------------------------------------------
+
+
+@dataclass
+class ServerState:
+    """What both mocks share: connection handling and 429 throttling.
+
+    By default a mock speaks HTTP/1.0 and closes each connection after one
+    answer. ``keep_alive`` makes it speak HTTP/1.1 and keep connections
+    open; ``drop_idle`` then closes each one after an answer without saying
+    so, as a server's idle timeout would. ``connections`` counts accepted
+    connections. ``throttle_next`` answers that many requests with 429 and
+    a ``Retry-After: <retry_after>`` header.
+    """
+
+    keep_alive: bool = False
+    drop_idle: bool = False
+    connections: int = 0
+    throttle_next: int = 0
+    retry_after: str = "0"
+    _lock: threading.Lock = field(default_factory=threading.Lock)
+
+
+class _MockHandler(BaseHTTPRequestHandler):
+    def setup(self) -> None:
+        super().setup()
+        state: ServerState = self.server.state
+        with state._lock:
+            state.connections += 1
+        if state.keep_alive:
+            self.protocol_version = "HTTP/1.1"
+
+    def handle_one_request(self) -> None:
+        super().handle_one_request()
+        if self.server.state.drop_idle:
+            self.close_connection = True
+
+    def log_message(self, *args) -> None:
+        pass
+
+    def _throttled(self) -> bool:
+        """Answers 429 with Retry-After if the state asks for it; True if it did."""
+        state: ServerState = self.server.state
+        with state._lock:
+            if state.throttle_next <= 0:
+                return False
+            state.throttle_next -= 1
+        self.send_response(429)
+        self.send_header("Retry-After", state.retry_after)
+        self.send_header("Content-Length", "0")
+        self.end_headers()
+        return True
+
+
 # -- Entrez -------------------------------------------------------------------
 
 
 @dataclass
-class EntrezState:
+class EntrezState(ServerState):
     markers: dict[str, list[str]] = field(default_factory=dict)
     articles: dict[str, tuple[str, str | None]] = field(default_factory=dict)
     explicit_pages: dict[str, list[list[str]]] = field(default_factory=dict)
     fail_next: int = 0
     requests: list[tuple[float, str, str]] = field(default_factory=list)
     _page_calls: dict[str, int] = field(default_factory=dict)
-    _lock: threading.Lock = field(default_factory=threading.Lock)
 
 
-class _EntrezHandler(BaseHTTPRequestHandler):
-    def log_message(self, *args) -> None:
-        pass
-
+class _EntrezHandler(_MockHandler):
     def _send(self, body: str, status: int = 200, content_type: str = "text/xml") -> None:
         data = body.encode("utf-8")
         self.send_response(status)
@@ -64,6 +114,9 @@ class _EntrezHandler(BaseHTTPRequestHandler):
         parsed = urlparse(self.path)
         with state._lock:
             state.requests.append((time.monotonic(), parsed.path, parsed.query))
+        if self._throttled():
+            return
+        with state._lock:
             if state.fail_next > 0:
                 state.fail_next -= 1
                 self._send("boom", status=500)
@@ -135,7 +188,7 @@ def default_extract(content: str) -> str:
 
 
 @dataclass
-class LlmState:
+class LlmState(ServerState):
     classify_fn: object = default_classify
     extract_fn: object = default_extract
     emb_dim: int = 8
@@ -146,13 +199,9 @@ class LlmState:
     requests: list[dict] = field(default_factory=list)
     active: int = 0
     max_active: int = 0
-    _lock: threading.Lock = field(default_factory=threading.Lock)
 
 
-class _LlmHandler(BaseHTTPRequestHandler):
-    def log_message(self, *args) -> None:
-        pass
-
+class _LlmHandler(_MockHandler):
     def _send_json(self, payload: dict, status: int = 200) -> None:
         data = json.dumps(payload).encode("utf-8")
         self.send_response(status)
@@ -167,6 +216,9 @@ class _LlmHandler(BaseHTTPRequestHandler):
         body = json.loads(self.rfile.read(length).decode("utf-8"))
         with state._lock:
             state.requests.append({"path": self.path, "body": body, "ts": time.monotonic()})
+        if self._throttled():
+            return
+        with state._lock:
             if state.fail_next > 0:
                 state.fail_next -= 1
                 self._send_json({"error": "boom"}, status=500)

@@ -3,11 +3,11 @@
 import hashlib
 import json
 import shutil
-import threading
 
 import pytest
 
 from ihcmine import gateway
+from ihcmine.classify import iter_classified
 from ihcmine.domain import AbstractRecord
 from ihcmine.errors import EmptyOutputError, GatewayError, GatewayProtocolError, ValidationError
 from ihcmine.gateway import (
@@ -89,17 +89,16 @@ class TestChat:
         assert state.requests[-1]["body"]["max_tokens"] == 4
 
     def test_bounded_concurrency(self, llm):
+        """In-flight calls are bounded by the caller's pool, here classify's max_workers."""
         state, url = llm
         state.delay = 0.05
-        gateway = LlmGateway(url, model_id="m", max_in_flight=2, backoff_base=0.01)
-        threads = [
-            threading.Thread(target=gateway.chat, args=(chat_request(f"Answer with exactly one word: {i}"),))
+        gateway = LlmGateway(url, model_id="m", backoff_base=0.01)
+        records = [
+            AbstractRecord(pmid=str(i), title="t", abstract_text=f"abstract {i}", source_markers={"ER"})
             for i in range(8)
         ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        results = list(iter_classified(records, gateway, max_workers=2))
+        assert len(results) == len(state.requests) == 8
         assert state.max_active <= 2
 
 

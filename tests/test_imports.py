@@ -2,9 +2,9 @@
 
 Each stage runs as its own ``python -m ihcmine <stage>`` process, so what
 ``ihcmine.cli`` imports is paid on every stage start. numpy belongs to
-normalize alone and requests to the stages that call an endpoint. Each check
-runs in a fresh interpreter, so modules that pytest or other tests imported
-do not count.
+normalize alone. requests belongs to no stage: every endpoint is called
+through ``ihcmine.transport`` on ``http.client``. Each check runs in a fresh
+interpreter, so modules that pytest or other tests imported do not count.
 """
 
 import json
@@ -86,3 +86,10 @@ def test_stages_that_call_no_endpoint_load_neither(tmp_path):
     code = f"from ihcmine.cli import main\nfor argv in {commands!r}:\n    assert main(argv) == 0, argv"
     assert heavy_modules_after(code) == []
     assert (run_dir / "marker_report.csv").exists() and (run_dir / "eval_report.json").exists()
+
+
+def test_stages_that_call_endpoints_never_load_requests(demo_env, tmp_path):
+    commands = demo_env.all_stage_args(tmp_path / "run")[:4]
+    assert [argv[0] for argv in commands] == ["fetch", "classify", "extract", "normalize"]
+    code = f"from ihcmine.cli import main\nfor argv in {commands!r}:\n    assert main(argv) == 0, argv"
+    assert heavy_modules_after(code) == ["numpy"]

@@ -1,6 +1,7 @@
 """Entrez client behavior against a mock server: caps, pagination, dedup, throttling."""
 
 import random
+import socket
 import time
 from urllib.parse import parse_qs, unquote
 
@@ -104,6 +105,17 @@ class TestSearchPmids:
             with pytest.raises(IngestError, match="marker=ER"):
                 client.search_pmids(build_query("ER"))
 
+    def test_api_key_never_logged_or_raised(self, caplog):
+        with socket.socket() as sock:  # a port nothing listens on: bound, then released
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        client = EntrezClient(base_url=f"http://127.0.0.1:{port}", api_key="SECRETKEY123", retries=2, backoff_base=0.01)
+        with pytest.raises(IngestError) as raised:
+            client.search_pmids(build_query("ER"))
+        assert sum(r.levelname == "WARNING" for r in caplog.records) == 2
+        assert "SECRETKEY123" not in caplog.text + str(raised.value)
+        assert "failed after 2 attempts (marker=ER retstart=0): ConnectionRefusedError" in str(raised.value)
+
     def test_cap_bounds_validated(self):
         client = EntrezClient(base_url="http://localhost:1", requests_per_second=100.0)
         with pytest.raises(ValidationError):
@@ -123,6 +135,15 @@ class TestFetchAbstracts:
         assert records[0].title == "A title"
         assert records[0].abstract_text == "An abstract body"
         assert records[0].source_markers == {"ER"}
+
+    def test_non_ascii_text_decoded_as_utf8(self):
+        # the mock, like many servers, sends text/xml with no charset parameter
+        state = EntrezState(articles={"11": ("Ki-67 in Müller glia", "β-catenin was positive in 3/5 cases.")})
+        with run_entrez(state) as url:
+            client = EntrezClient(base_url=url, **FAST)
+            records, _ = client.fetch_abstracts(["11"], marker="ER")
+        assert records[0].title == "Ki-67 in Müller glia"
+        assert records[0].abstract_text == "β-catenin was positive in 3/5 cases."
 
     def test_missing_abstract_goes_to_skip_list(self):
         state = EntrezState(articles={"11": ("t", "body"), "12": ("no abstract", None)})
