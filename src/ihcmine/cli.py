@@ -1,8 +1,8 @@
 """Pipeline orchestration: one subcommand per stage.
 
 Exit codes: 0 success, 1 usage error, 2 stage failure. Each stage reads
-the previous stage's output from the run directory and writes its own;
-a missing upstream file fails with the subcommand that produces it.
+the previous stage's output from the run directory and writes its own; an
+upstream stage that is missing, unfinished or stale fails with its producer.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import hashlib
 import json
 import logging
 import sys
@@ -17,7 +18,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from . import classify as classify_mod
 from . import landscape as landscape_mod
@@ -26,9 +27,9 @@ from .codec import decode, encode
 from .config import PipelineConfig, build_config
 from .domain import AbstractRecord, ClassificationLabel, NormalizedRecord, format_percent, round_percent
 from .errors import GatewayError, PipelineError, TableNotFoundError, ValidationError
-from .gateway import LlmGateway, prompt_template_hashes
+from .gateway import CLASSIFY_TEMPLATE, EXTRACT_TEMPLATE, LlmGateway, template_hash
 from .pubmed import EntrezClient, build_query, dedup_merge
-from .store import RunLock, RunStore, iter_jsonl
+from .store import RunLock, RunStore, StageInfo, iter_jsonl
 from .tables import ProfileTable, extract_table, parse_markdown_table
 
 logger = logging.getLogger(__name__)
@@ -130,32 +131,103 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
     return build_config(flag_values=flag_values, config_path=args.config)
 
 
-def _resolve_run_dir(config: PipelineConfig) -> Path:
+class _Stage(NamedTuple):  # what a stage's output is built from, besides its upstream's output
+    producer: str  # the command that writes it
+    upstream: str | None
+    settings: tuple[str, ...] = ()  # config fields, recorded as str(value)
+    files: tuple[str, ...] = ()  # config fields naming files, recorded by content hash
+    template: str | None = None  # prompt template, recorded by content hash
+    rerun: bool = False  # re-run on changed inputs: whole output, nothing record-wise downstream
+
+
+_STAGES = {
+    "corpus": _Stage("fetch", None, ("cap",), ("markers_path",)),
+    "classified": _Stage("classify", "corpus", ("llm_model",), template=CLASSIFY_TEMPLATE),
+    "tables_raw": _Stage("extract", "classified", ("llm_model",), template=EXTRACT_TEMPLATE),
+    "tables_parsed": _Stage("extract", "tables_raw"),
+    "normalized": _Stage("normalize", "tables_parsed", ("emb_model", "max_distance"), ("dictionary_path",), rerun=True),
+    "aggregates": _Stage("aggregate", "normalized", ("split_qualifiers",), rerun=True),
+}
+
+
+def _file_sha256(name: str, path: str | None) -> str:
+    if path is None:
+        raise PipelineError(f"{name} is not set")
+    digest = hashlib.sha256()
+    try:
+        with open(path, "rb") as handle:
+            for block in iter(functools.partial(handle.read, 1 << 20), b""):
+                digest.update(block)
+    except OSError as exc:
+        raise PipelineError(f"{name}: cannot read {path}: {exc.strerror}") from None
+    return digest.hexdigest()
+
+
+def _inputs(stage: str, config: PipelineConfig, store: RunStore | None) -> dict[str, str]:
+    """The inputs ``stage`` would be built from now: settings, file hashes, upstream fingerprint."""
+    spec = _STAGES[stage]
+    inputs = {name: str(getattr(config, name)) for name in spec.settings}
+    inputs.update((name, _file_sha256(name, getattr(config, name))) for name in spec.files)
+    if spec.template:
+        inputs["prompt_template"] = template_hash(spec.template)
+    if spec.upstream:
+        inputs[spec.upstream] = store.stage_info(spec.upstream).fingerprint()
+    return inputs
+
+
+def _resolve_run_dir(command: str, config: PipelineConfig) -> Path:
+    """--run-dir, else under --runs-root: fetch's run with the same corpus inputs, or the newest run."""
     if config.run_dir:
         return Path(config.run_dir)
     root = Path(config.runs_root)
-    config_hash = config.hash()
-    if root.exists():
-        candidates = sorted(d for d in root.iterdir() if (d / "manifest.json").exists())
-        for candidate in reversed(candidates):
-            if RunStore.open(candidate).manifest.config_hash == config_hash:
-                return candidate
-    return root / f"run-{time.strftime('%Y%m%d-%H%M%S')}-{config_hash[:6]}"
+    runs = sorted(manifest.parent for manifest in root.glob("*/manifest.json"))
+    if command != "fetch":
+        if not runs:
+            raise PipelineError(f"no run under {root}; run fetch")
+        return runs[-1]
+    fingerprint = StageInfo(inputs=_inputs("corpus", config, None)).fingerprint()
+    for run in reversed(runs):
+        if RunStore.open(run).manifest.stages["corpus"].fingerprint() == fingerprint:
+            return run
+    return root / f"run-{time.strftime('%Y%m%d-%H%M%S')}-{fingerprint[:6]}"
 
 
-def _check_prompt_hashes(store: RunStore) -> None:
-    recorded = store.manifest.prompt_template_hashes
-    current = prompt_template_hashes()
-    if recorded and recorded != current:
-        raise PipelineError(
-            "prompt templates changed since this run was created; results would not be "
-            "attributable to one prompt version. Use a new run directory."
-        )
+def _require_stage(store: RunStore, stage: str) -> Path:
+    """Path of a stage's output that may be read: done, and built from its upstream's current output."""
+    spec, info, path = _STAGES[stage], store.stage_info(stage), store.path(stage)
+    if not path.exists():
+        raise PipelineError(f"{stage}.jsonl not found; run {spec.producer}")
+    if info.status != "done":
+        raise PipelineError(f"{stage} is not done; run {spec.producer}")
+    if spec.upstream and info.inputs and info.inputs.get(spec.upstream) != store.stage_info(spec.upstream).fingerprint():
+        raise PipelineError(f"{stage} was built from an earlier {spec.upstream}; run {spec.producer}")
+    return path
 
 
-def _require_stage(store: RunStore, stage: str, producer: str) -> None:
-    if not store.path(stage).exists():
-        raise PipelineError(f"{stage}.jsonl not found; run {producer}")
+def _gate(command: str, config: PipelineConfig, store: RunStore) -> bool:
+    """Checks the stages ``command`` writes against their recorded inputs; True when all are done and current.
+
+    A done stage recorded without inputs counts as current. Changed inputs restart a ``rerun``
+    stage and are refused for any other, whose records cannot be mixed with records of other inputs.
+    """
+    outputs = [stage for stage, spec in _STAGES.items() if spec.producer == command]
+    if outputs and _STAGES[outputs[0]].upstream:
+        _require_stage(store, _STAGES[outputs[0]].upstream)
+    current = bool(outputs)
+    for stage in outputs:
+        info, inputs = store.stage_info(stage), _inputs(stage, config, store)
+        if info.inputs is None or info.status == "pending":
+            if info.status != "done":
+                info.inputs, current = inputs, False
+            continue
+        changed = sorted(k for k in info.inputs.keys() | inputs.keys() if info.inputs.get(k) != inputs.get(k))
+        if changed and not _STAGES[stage].rerun:
+            raise PipelineError(f"{stage} was built from other inputs ({', '.join(changed)})")
+        if changed:
+            logger.info("%s: inputs changed (%s); re-running", stage, ", ".join(changed))
+            store.manifest.stages[stage] = StageInfo(inputs=inputs)
+        current = current and not changed and info.status == "done"
+    return current
 
 
 def _make_gateway(config: PipelineConfig) -> LlmGateway:
@@ -179,12 +251,7 @@ def _write_json(path: Path, payload: dict[str, Any]) -> None:
 
 
 def cmd_fetch(config: PipelineConfig, store: RunStore, args: argparse.Namespace) -> int:
-    if store.stage_done("corpus"):
-        print("corpus stage already done; skipping")
-        return 0
     markers_file = Path(config.markers_path)
-    if not markers_file.exists():
-        raise PipelineError(f"markers file not found: {markers_file}")
     markers = [line.strip() for line in markers_file.read_text(encoding="utf-8").splitlines()]
     markers = [m for m in markers if m and not m.startswith("#")]
     if not markers:
@@ -225,19 +292,16 @@ def cmd_fetch(config: PipelineConfig, store: RunStore, args: argparse.Namespace)
 
 
 def cmd_classify(config: PipelineConfig, store: RunStore, args: argparse.Namespace) -> int:
-    _require_stage(store, "corpus", "fetch")
-    retry = getattr(args, "retry_quarantined", False)
     store.repair_tail("quarantine")
     quarantined_entries = [decode(classify_mod.QuarantineEntry, d) for d in store.iter_records("quarantine")]
-    retryable = [q for q in quarantined_entries if q.stage == "classify"]
-    if store.stage_done("classified"):
-        if not (retry and retryable):
-            print("classified stage already done; skipping")
+    if store.stage_done("classified"):  # only --retry-quarantined gets past the gate to a done stage
+        if not any(q.stage == "classify" for q in quarantined_entries):
+            print("no quarantined classify records to retry")
             return 0
-        store.reopen_stage("classified", note="retry-quarantined")
+        store.reopen_stage("classified")
     store.start_stage("classified")
 
-    if retry:
+    if args.retry_quarantined:
         keep = [q for q in quarantined_entries if q.stage != "classify"]
         store.write_aux_atomic("quarantine", map(encode, keep))
         quarantined_entries = keep
@@ -262,7 +326,6 @@ def cmd_classify(config: PipelineConfig, store: RunStore, args: argparse.Namespa
 
 
 def cmd_extract(config: PipelineConfig, store: RunStore, args: argparse.Namespace) -> int:
-    _require_stage(store, "classified", "classify")
     corpus = {d["pmid"]: decode(AbstractRecord, d) for d in store.iter_records("corpus")}
     include_pmids = [
         d["pmid"] for d in store.iter_records("classified") if d["label"] == ClassificationLabel.INCLUDE.value
@@ -324,12 +387,6 @@ def cmd_extract(config: PipelineConfig, store: RunStore, args: argparse.Namespac
 
 
 def cmd_normalize(config: PipelineConfig, store: RunStore, args: argparse.Namespace) -> int:
-    _require_stage(store, "tables_parsed", "extract")
-    if store.stage_done("normalized"):
-        print("normalized stage already done; skipping")
-        return 0
-    if not config.dictionary_path:
-        raise PipelineError("normalize needs --dictionary (concept dictionary TSV)")
     from . import normalize as normalize_mod  # numpy: loaded only by the stage that searches vectors
 
     index = normalize_mod.load_index(config.dictionary_path)
@@ -350,10 +407,6 @@ def cmd_normalize(config: PipelineConfig, store: RunStore, args: argparse.Namesp
 
 
 def cmd_aggregate(config: PipelineConfig, store: RunStore, args: argparse.Namespace) -> int:
-    _require_stage(store, "normalized", "normalize")
-    if store.stage_done("aggregates"):
-        print("aggregates stage already done; skipping")
-        return 0
     usable, dropped = landscape_mod.usable_records(
         decode(NormalizedRecord, d) for d in store.iter_records("normalized")
     )
@@ -372,7 +425,7 @@ def cmd_aggregate(config: PipelineConfig, store: RunStore, args: argparse.Namesp
 
 
 def cmd_compare(config: PipelineConfig, store: RunStore, args: argparse.Namespace) -> int:
-    _require_stage(store, "aggregates", "aggregate")
+    _require_stage(store, "aggregates")
     reference_path = Path(config.reference_path)
     if not reference_path.exists():
         raise PipelineError(f"reference file not found: {reference_path}")
@@ -404,7 +457,7 @@ def cmd_compare(config: PipelineConfig, store: RunStore, args: argparse.Namespac
 
 
 def cmd_report(config: PipelineConfig, store: RunStore, args: argparse.Namespace) -> int:
-    _require_stage(store, "aggregates", "aggregate")
+    _require_stage(store, "aggregates")  # current aggregates imply a done normalized they were built from
     if not (store.run_dir / "comparison_report.csv").exists():
         raise PipelineError("comparison_report.csv not found; run compare")
     aggregates = [decode(landscape_mod.MarkerTumourAggregate, d) for d in store.iter_records("aggregates")]
@@ -439,15 +492,15 @@ def _read_by_pmid(path: Path, decode_record: Callable[[Any], Any]) -> dict[str, 
 
 
 def _gold_and_pred(
-    args: argparse.Namespace, store: RunStore, stage: str, producer: str, decode_record: Callable[[Any], Any], what: str
+    args: argparse.Namespace, store: RunStore, stage: str, decode_record: Callable[[Any], Any], what: str
 ) -> tuple[dict[str, Any], dict[str, Any]]:
     """Gold and predicted records by PMID; every gold PMID must have a prediction."""
     gold_path = Path(args.gold)
     if not gold_path.exists():
         raise PipelineError(f"gold file not found: {gold_path}")
-    pred_path = Path(args.pred) if args.pred else store.path(stage)
+    pred_path = Path(args.pred) if args.pred else _require_stage(store, stage)
     if not pred_path.exists():
-        raise PipelineError(f"{pred_path.name} not found; run {producer}")
+        raise PipelineError(f"prediction file not found: {pred_path}")
     golds, preds = _read_by_pmid(gold_path, decode_record), _read_by_pmid(pred_path, decode_record)
     missing = sorted(set(golds) - set(preds))
     if missing:
@@ -457,7 +510,7 @@ def _gold_and_pred(
 
 def cmd_eval_classify(config: PipelineConfig, store: RunStore, args: argparse.Namespace) -> int:
     labels = functools.partial(decode, _LabelLine)
-    golds, preds = _gold_and_pred(args, store, "classified", "classify", labels, "prediction")
+    golds, preds = _gold_and_pred(args, store, "classified", labels, "prediction")
     ordered = sorted(golds)
     metrics = classify_mod.evaluate([preds[p].label for p in ordered], [golds[p].label for p in ordered])
     payload = {
@@ -480,9 +533,9 @@ def cmd_eval_classify(config: PipelineConfig, store: RunStore, args: argparse.Na
 
 
 def cmd_eval_tables(config: PipelineConfig, store: RunStore, args: argparse.Namespace) -> int:
-    golds, preds = _gold_and_pred(args, store, "tables_parsed", "extract", ProfileTable.from_dict, "predicted table")
+    golds, preds = _gold_and_pred(args, store, "tables_parsed", ProfileTable.from_dict, "predicted table")
 
-    abstracts_path = Path(args.abstracts) if args.abstracts else store.path("corpus")
+    abstracts_path = Path(args.abstracts) if args.abstracts else _require_stage(store, "corpus")
     abstracts = _read_by_pmid(abstracts_path, functools.partial(decode, AbstractRecord))
     texts = {pmid: record.abstract_text for pmid, record in abstracts.items()}
 
@@ -528,14 +581,14 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         config = _config_from_args(args)
-        run_dir = _resolve_run_dir(config)
+        run_dir = _resolve_run_dir(args.command, config)
         lock = RunLock(run_dir)
         lock.acquire()
         try:
-            store = RunStore.open_or_create(run_dir, config.hash(), prompt_template_hashes())
-            if args.command in ("classify", "extract"):
-                _check_prompt_hashes(store)
-            with store:
+            with RunStore.open_or_create(run_dir) as store:
+                if _gate(args.command, config, store) and not getattr(args, "retry_quarantined", False):
+                    print(f"{args.command}: output already done; skipping")
+                    return 0
                 return _COMMANDS[args.command](config, store, args)
         finally:
             lock.release()

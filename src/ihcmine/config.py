@@ -7,10 +7,8 @@ built-in defaults. The config file is flat ``key = value`` lines with
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -25,23 +23,6 @@ ENV_VARS = {
     "emb_base_url": "EMB_BASE_URL",
     "emb_model": "EMB_MODEL",
 }
-
-# Shared settings that identify a run's results; changing any forces a new run
-# directory. Transport details (endpoints, keys, rate limits) and per-stage
-# input paths are invocation arguments, not run identity.
-_HASHED_FIELDS = (
-    "cap",
-    "llm_model",
-    "emb_model",
-    "split_qualifiers",
-    "wrong_f1_threshold",
-    "row_similarity_threshold",
-    "positive_concordant_min",
-    "negative_concordant_max",
-    "near_band_points",
-    "top_k_tumours",
-)
-
 
 @dataclass
 class PipelineConfig:
@@ -98,12 +79,6 @@ class PipelineConfig:
             raise ConfigError(f"top_k_tumours must be >= 1, got {self.top_k_tumours}")
         if self.requests_per_second is not None and self.requests_per_second <= 0:
             raise ConfigError("requests_per_second must be positive")
-
-    def hash(self) -> str:
-        everything = asdict(self)
-        payload = {name: everything[name] for name in _HASHED_FIELDS}
-        digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode("utf-8"))
-        return digest.hexdigest()[:12]
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(PipelineConfig)}

@@ -69,10 +69,6 @@ def template_hash(name: str) -> str:
     return _load_template(_PROMPT_DIR / name)[1]
 
 
-def prompt_template_hashes() -> dict[str, str]:
-    return {"classify": template_hash(CLASSIFY_TEMPLATE), "extract": template_hash(EXTRACT_TEMPLATE)}
-
-
 def _render(template: str, record: AbstractRecord) -> str:
     return template.replace("{{TITLE}}", record.title).replace("{{ABSTRACT}}", record.abstract_text)
 

@@ -179,13 +179,12 @@ class MarkerTotals:
 
 def marker_totals(
     aggregates: Sequence[MarkerTumourAggregate],
-    records: Iterable[NormalizedRecord] | None = None,
+    records: Iterable[NormalizedRecord],
 ) -> list[MarkerTotals]:
     """Per-marker totals, sorted by abstract count descending.
 
-    Distinct abstract counts need the normalized records (one abstract can
-    report several tumours); without them the per-pair counts are summed,
-    which over-counts such abstracts.
+    Abstracts are counted as distinct PMIDs among the normalized records that
+    were aggregated, since one abstract can report several tumours.
     """
     per_marker: dict[str, MarkerTotals] = {}
     abstract_sets: dict[str, set[str]] = {}
@@ -196,13 +195,11 @@ def marker_totals(
         )
         entry.positives += agg.positives
         entry.total += agg.total
-        entry.n_abstracts += agg.n_abstracts
-    if records is not None:
-        for record in records:
-            abstract_sets.setdefault(record.marker_cui, set()).add(record.pmid)
-        for cui, pmids in abstract_sets.items():
-            if cui in per_marker:
-                per_marker[cui].n_abstracts = len(pmids)
+    for record in records:
+        abstract_sets.setdefault(record.marker_cui, set()).add(record.pmid)
+    for cui, pmids in abstract_sets.items():
+        if cui in per_marker:
+            per_marker[cui].n_abstracts = len(pmids)
     return sorted(per_marker.values(), key=lambda t: (-t.n_abstracts, t.marker_name))
 
 

@@ -5,8 +5,10 @@ append and flush per record so a killed run loses at most a partial
 trailing line, which is truncated away on reopen; whole-output stages
 (fetch, normalize, aggregate), auxiliary rewrites and the manifest commit
 via one temp-file + fsync + rename writer. A stage marked done rejects
-further appends and a differing config hash refuses to reuse the
-directory, so results never silently mix configurations.
+further appends. Each stage's manifest entry records the inputs it was
+built from: its own settings, the content hashes of its input files and
+its upstream stage's fingerprint. The CLI checks them before it reuses,
+re-runs or reads a stage.
 
 ``iter_jsonl`` is the one JSONL reader, for stage files and for the
 evaluation commands' gold and prediction files alike.
@@ -14,6 +16,7 @@ evaluation commands' gold and prediction files alike.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import os
@@ -44,13 +47,16 @@ class StageInfo:
     started_at: str | None = None
     finished_at: str | None = None
     note: str | None = None
+    inputs: dict[str, str] | None = None  # None: recorded before stages kept their inputs
+
+    def fingerprint(self) -> str:
+        """sha256 of the recorded inputs; a downstream stage records it as its upstream input."""
+        return hashlib.sha256(json.dumps(self.inputs, sort_keys=True).encode("utf-8")).hexdigest()
 
 
 @dataclass
 class RunManifest:
     run_id: str
-    config_hash: str
-    prompt_template_hashes: dict[str, str] = field(default_factory=dict)
     stages: dict[str, StageInfo] = field(default_factory=dict)
     created_at: str = ""
 
@@ -112,24 +118,13 @@ class RunStore:
     # -- lifecycle -----------------------------------------------------------
 
     @classmethod
-    def create(
-        cls,
-        run_dir: str | Path,
-        config_hash: str,
-        prompt_template_hashes: dict[str, str] | None = None,
-        run_id: str | None = None,
-    ) -> "RunStore":
+    def create(cls, run_dir: str | Path) -> "RunStore":
         run_dir = Path(run_dir)
         run_dir.mkdir(parents=True, exist_ok=True)
         manifest_path = run_dir / _MANIFEST_NAME
         if manifest_path.exists():
             raise StoreError(f"run directory {run_dir} already has a manifest")
-        manifest = RunManifest(
-            run_id=run_id or run_dir.name,
-            config_hash=config_hash,
-            prompt_template_hashes=prompt_template_hashes or {},
-            created_at=_utc_now(),
-        )
+        manifest = RunManifest(run_id=run_dir.name, created_at=_utc_now())
         store = cls(run_dir, manifest)
         store.save_manifest()
         return store
@@ -147,22 +142,10 @@ class RunStore:
         return cls(run_dir, manifest)
 
     @classmethod
-    def open_or_create(
-        cls,
-        run_dir: str | Path,
-        config_hash: str,
-        prompt_template_hashes: dict[str, str] | None = None,
-    ) -> "RunStore":
-        manifest_path = Path(run_dir) / _MANIFEST_NAME
-        if manifest_path.exists():
-            store = cls.open(run_dir)
-            if store.manifest.config_hash != config_hash:
-                raise StoreError(
-                    f"run directory {run_dir} was created with a different configuration "
-                    f"(hash {store.manifest.config_hash} != {config_hash}); use a new run directory"
-                )
-            return store
-        return cls.create(run_dir, config_hash, prompt_template_hashes)
+    def open_or_create(cls, run_dir: str | Path) -> "RunStore":
+        if (Path(run_dir) / _MANIFEST_NAME).exists():
+            return cls.open(run_dir)
+        return cls.create(run_dir)
 
     def close(self) -> None:
         for handle in self._handles.values():
@@ -220,7 +203,7 @@ class RunStore:
 
     # -- record-wise stages ----------------------------------------------------
 
-    def start_stage(self, stage: str, note: str | None = None) -> None:
+    def start_stage(self, stage: str) -> None:
         info = self.stage_info(stage)
         if info.status == "done":
             raise StageStateError(f"stage {stage!r} is already done")
@@ -228,17 +211,13 @@ class RunStore:
         info.status = "running"
         if info.started_at is None:
             info.started_at = _utc_now()
-        if note:
-            info.note = note
         self.save_manifest()
 
-    def reopen_stage(self, stage: str, note: str | None = None) -> None:
+    def reopen_stage(self, stage: str) -> None:
         """Deliberate done -> running transition (e.g. retrying quarantined records)."""
         info = self.stage_info(stage)
         info.status = "running"
         info.finished_at = None
-        if note:
-            info.note = note
         self.save_manifest()
 
     def append(self, stage: str, record: dict[str, Any]) -> None:
@@ -291,9 +270,9 @@ class RunStore:
     def iter_records(self, stage: str) -> Iterator[dict[str, Any]]:
         return iter_jsonl(self.path(stage))
 
-    def processed_ids(self, stage: str, id_field: str = "pmid") -> set[str]:
+    def processed_ids(self, stage: str) -> set[str]:
         """PMIDs already emitted for a stage; an absent file is an empty set."""
-        return {record[id_field] for record in self.iter_records(stage) if id_field in record}
+        return {record["pmid"] for record in self.iter_records(stage) if "pmid" in record}
 
 
 class RunLock:

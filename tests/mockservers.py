@@ -257,7 +257,7 @@ def run_server(handler_cls, state):
     server = ThreadingHTTPServer(("127.0.0.1", 0), handler_cls)
     server.state = state
     server.daemon_threads = True
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.02}, daemon=True)
     thread.start()
     try:
         yield f"http://127.0.0.1:{server.server_address[1]}"

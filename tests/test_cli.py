@@ -126,7 +126,8 @@ class TestFullChain:
         before = (run_dir / "classified.jsonl").read_text()
         fixed = dict(read_jsonl(run_dir / "classified.jsonl")[0])
         fixed.update({"pmid": victim, "label": "Exclude", "raw_output": "Exclude (manual)"})
-        (run_dir / "classified.jsonl").open("a").write(json.dumps(fixed) + "\n")
+        with (run_dir / "classified.jsonl").open("a") as handle:
+            handle.write(json.dumps(fixed) + "\n")
 
         demo_env.llm_state.classify_fn = original_fn
         calls_before = len(demo_env.llm_state.requests)
@@ -222,7 +223,7 @@ def normalized(pmid, tumour_cui="C0000010", flags=()):
 class TestReport:
     def test_marker_report_counts_only_aggregated_abstracts(self, tmp_path):
         run_dir = tmp_path / "run"
-        store = RunStore.create(run_dir, build_config(flag_values={"run_dir": str(run_dir)}).hash())
+        store = RunStore.create(run_dir)
         records = [
             normalized("1"),
             normalized("2", flags=["invalid_count"]),
@@ -241,6 +242,137 @@ class TestReport:
         ]
 
 
+def finish_run(demo_env, run_dir: Path) -> None:
+    for args in demo_env.all_stage_args(run_dir):
+        assert main(args) == 0, args
+
+
+def stage_info(run_dir: Path, stage: str) -> dict:
+    return json.loads((run_dir / "manifest.json").read_text())["stages"][stage]
+
+
+def set_status(run_dir: Path, stage: str, status: str) -> None:
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    manifest["stages"][stage]["status"] = status
+    (run_dir / "manifest.json").write_text(json.dumps(manifest))
+
+
+class TestProvenance:
+    """Each stage records the inputs it was built from; the gate reuses, re-runs or refuses."""
+
+    def test_compare_thresholds_need_no_new_run(self, demo_env, tmp_path):
+        run_dir = tmp_path / "run"
+        finish_run(demo_env, run_dir)
+        assert main([*demo_env.compare_args(run_dir), "--top-k", "3"]) == 0
+        assert main([*demo_env.compare_args(run_dir), "--near-band", "10"]) == 0
+
+    def test_aggregate_reruns_when_its_setting_changes(self, demo_env, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        finish_run(demo_env, run_dir)
+        capsys.readouterr()
+        assert main([*demo_env.aggregate_args(run_dir), "--split-qualifiers"]) == 0
+        assert "aggregated into" in capsys.readouterr().out
+        assert stage_info(run_dir, "aggregates")["inputs"]["split_qualifiers"] == "True"
+        assert main(demo_env.compare_args(run_dir)) == 0
+
+    def test_normalize_reruns_on_another_dictionary_and_compare_sees_it(self, demo_env, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        finish_run(demo_env, run_dir)
+        other = tmp_path / "other.tsv"
+        other.write_text(demo_env.dictionary_file.read_text().replace("\tER\t", "\tESR1\t"), encoding="utf-8")
+        normalize = [a if a != str(demo_env.dictionary_file) else str(other) for a in demo_env.normalize_args(run_dir)]
+        capsys.readouterr()
+        assert main(normalize) == 0
+        assert "normalized" in capsys.readouterr().out
+        assert "ESR1" in {r["marker_name"] for r in read_jsonl(run_dir / "normalized.jsonl")}
+
+        # the aggregates were built from the old normalized output
+        assert main(demo_env.compare_args(run_dir)) == 2
+        assert "aggregates was built from an earlier normalized; run aggregate" in capsys.readouterr().err
+        assert main(demo_env.aggregate_args(run_dir)) == 0
+        assert main(demo_env.compare_args(run_dir)) == 0
+        with (run_dir / "comparison_report.csv").open() as handle:
+            assert "ESR1" in {row["marker"] for row in csv.DictReader(handle)}
+
+    def test_normalize_reruns_on_another_max_distance(self, demo_env, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        finish_run(demo_env, run_dir)
+        before = stage_info(run_dir, "normalized")
+        capsys.readouterr()
+        assert main([*demo_env.normalize_args(run_dir), "--max-dist", "1e-4"]) == 0
+        assert "skipping" not in capsys.readouterr().out
+        after = stage_info(run_dir, "normalized")
+        assert before["inputs"]["max_distance"] == "None" and after["inputs"]["max_distance"] == "0.0001"
+        assert after["inputs"]["dictionary_path"] == before["inputs"]["dictionary_path"]
+
+    def test_fetch_refuses_another_markers_file(self, demo_env, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        finish_run(demo_env, run_dir)
+        other = tmp_path / "other_markers.txt"
+        other.write_text("ER\nPR\n", encoding="utf-8")
+        fetch = [a if a != str(demo_env.markers_file) else str(other) for a in demo_env.fetch_args(run_dir)]
+        requests_before = len(demo_env.entrez_state.requests)
+        assert main(fetch) == 2
+        assert "error: corpus was built from other inputs (markers_path)" in capsys.readouterr().err
+        assert len(demo_env.entrez_state.requests) == requests_before
+
+    def test_classify_refuses_another_model(self, demo_env, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        finish_run(demo_env, run_dir)
+        assert main([*demo_env.classify_args(run_dir), "--llm-model", "other"]) == 2
+        assert "error: classified was built from other inputs (llm_model)" in capsys.readouterr().err
+
+    def test_same_inputs_skip_every_stage(self, demo_env, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        finish_run(demo_env, run_dir)
+        capsys.readouterr()
+        for args in demo_env.all_stage_args(run_dir)[:5]:
+            assert main(args) == 0
+            assert "already done; skipping" in capsys.readouterr().out, args[0]
+
+    def test_extract_refuses_an_interrupted_classify(self, demo_env, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        assert main(demo_env.fetch_args(run_dir)) == 0
+        assert main(demo_env.classify_args(run_dir)) == 0
+        lines = (run_dir / "classified.jsonl").read_text().splitlines(keepends=True)
+        (run_dir / "classified.jsonl").write_text("".join(lines[:20]))
+        set_status(run_dir, "classified", "running")
+        assert main(demo_env.extract_args(run_dir)) == 2
+        assert "classified is not done; run classify" in capsys.readouterr().err
+        assert stage_info(run_dir, "tables_raw")["status"] == "pending"
+
+        # once classify has finished, every Include abstract gets a table
+        assert main(demo_env.classify_args(run_dir)) == 0
+        assert main(demo_env.extract_args(run_dir)) == 0
+        include = {c["pmid"] for c in read_jsonl(run_dir / "classified.jsonl") if c["label"] == "Include"}
+        assert {t["pmid"] for t in read_jsonl(run_dir / "tables_raw.jsonl")} == include
+
+    def test_normalize_refuses_an_interrupted_extract(self, demo_env, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        for args in demo_env.all_stage_args(run_dir)[:3]:
+            assert main(args) == 0
+        set_status(run_dir, "tables_parsed", "running")
+        assert main(demo_env.normalize_args(run_dir)) == 2
+        assert "tables_parsed is not done; run extract" in capsys.readouterr().err
+        assert not (run_dir / "normalized.jsonl").exists()
+
+    def test_manifest_without_inputs_counts_as_current(self, demo_env, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        finish_run(demo_env, run_dir)
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        manifest["config_hash"] = "abc123"
+        manifest["prompt_template_hashes"] = {"classify": "h1", "extract": "h2"}
+        for info in manifest["stages"].values():
+            del info["inputs"]
+        (run_dir / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        for args in demo_env.all_stage_args(run_dir)[:5]:
+            assert main(args) == 0
+            assert "already done; skipping" in capsys.readouterr().out, args[0]
+        assert main(demo_env.compare_args(run_dir)) == 0
+        assert main(demo_env.report_args(run_dir)) == 0
+
+
 class TestRunDirResolution:
     def test_same_config_reuses_directory_new_config_forces_new_one(self, demo_env, tmp_path):
         runs_root = tmp_path / "runs"
@@ -249,15 +381,19 @@ class TestRunDirResolution:
         dirs = sorted(runs_root.iterdir())
         assert len(dirs) == 1
 
-        # same hashed config: classify lands in the same run directory
+        # every command but fetch uses the newest run
         classify = [a for a in demo_env.classify_args(tmp_path / "ignored") if a != "--run-dir" and a != str(tmp_path / "ignored")]
         assert main([*classify, "--runs-root", str(runs_root)]) == 0
         assert sorted(runs_root.iterdir()) == dirs
         assert (dirs[0] / "classified.jsonl").exists()
 
-        # changing a results-affecting setting forces a fresh directory
+        # fetch with other corpus inputs creates a new run
         assert main([*fetch, "--runs-root", str(runs_root), "--cap", "25"]) == 0
         assert len(list(runs_root.iterdir())) == 2
+
+    def test_commands_after_fetch_need_a_run(self, tmp_path, capsys):
+        assert main(["aggregate", "--runs-root", str(tmp_path / "runs")]) == 2
+        assert "no run under" in capsys.readouterr().err
 
     def test_truncated_manifest_is_a_stage_failure(self, tmp_path, capsys):
         runs_root = tmp_path / "runs"

@@ -121,17 +121,14 @@ class TestGoldenFormat:
         )
 
     def test_manifest_text(self, tmp_path):
-        store = RunStore.create(
-            tmp_path / "run", config_hash="abc123", prompt_template_hashes={"classify": "h1", "extract": "h2"}
-        )
+        store = RunStore.create(tmp_path / "run")
+        store.stage_info("corpus").inputs = {"cap": "9999", "markers_path": "ab12"}
         store.write_stage_atomic("corpus", [{"pmid": "1"}], note="skipped_no_abstract=0")
         text = (tmp_path / "run" / "manifest.json").read_text(encoding="utf-8")
         text = re.sub(r'"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\+00:00"', '"T"', text)
-        pending = {"status": "pending", "count": None, "started_at": None, "finished_at": None, "note": None}
+        pending = {"status": "pending", "count": None, "started_at": None, "finished_at": None, "note": None, "inputs": None}
         expected = {
             "run_id": "run",
-            "config_hash": "abc123",
-            "prompt_template_hashes": {"classify": "h1", "extract": "h2"},
             "stages": {
                 "corpus": {
                     "status": "done",
@@ -139,6 +136,7 @@ class TestGoldenFormat:
                     "started_at": "T",
                     "finished_at": "T",
                     "note": "skipped_no_abstract=0",
+                    "inputs": {"cap": "9999", "markers_path": "ab12"},
                 },
                 **{name: pending for name in STAGES[1:]},
             },
@@ -154,9 +152,7 @@ ROUND_TRIP = [
     StageInfo(status="done", count=4, started_at="a", finished_at="b", note='{"include": 4}'),
     RunManifest(
         run_id="r",
-        config_hash="h",
-        prompt_template_hashes={"classify": "x"},
-        stages={"corpus": StageInfo(status="running", started_at="a")},
+        stages={"corpus": StageInfo(status="running", started_at="a", inputs={"cap": "5", "max_distance": "None"})},
         created_at="c",
     ),
     CLASSIFIED,
@@ -183,7 +179,7 @@ class TestDecode:
         assert decode(RateStat, {"positives": "3", "total": 10}) == RateStat(3, 10)
 
     def test_manifest_missing_a_stage_opens_with_it_pending(self, tmp_path):
-        store = RunStore.create(tmp_path / "run", config_hash="abc")
+        store = RunStore.create(tmp_path / "run")
         store.write_stage_atomic("corpus", [{"pmid": "1"}])
         path = tmp_path / "run" / "manifest.json"
         old = json.loads(path.read_text(encoding="utf-8"))

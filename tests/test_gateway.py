@@ -17,7 +17,6 @@ from ihcmine.gateway import (
     ChatRequest,
     LlmGateway,
     render_classification_prompt,
-    prompt_template_hashes,
     render_extraction_prompt,
     template_hash,
     wire_payload,
@@ -185,7 +184,7 @@ class TestPromptTemplates:
         prompts = tmp_path / "prompts"
         shutil.copytree(gateway._PROMPT_DIR, prompts)
         monkeypatch.setattr(gateway, "_PROMPT_DIR", prompts)
-        recorded = prompt_template_hashes()["extract"]
+        recorded = template_hash(EXTRACT_TEMPLATE)
         first = render_extraction_prompt(record()).user_prompt
 
         template = prompts / EXTRACT_TEMPLATE

@@ -15,6 +15,7 @@ from pathlib import Path
 
 from ihcmine.codec import encode
 from ihcmine.domain import NormalizedRecord
+from ihcmine.store import RunStore
 from ihcmine.tables import parse_markdown_table
 
 ROOT = Path(__file__).parent.parent
@@ -42,7 +43,6 @@ def test_normalize_loads_numpy_but_not_requests():
 
 def test_stages_that_call_no_endpoint_load_neither(tmp_path):
     run_dir = tmp_path / "run"
-    run_dir.mkdir()
     record = NormalizedRecord(
         pmid="1",
         tumour_type="melanoma",
@@ -59,7 +59,8 @@ def test_stages_that_call_no_endpoint_load_neither(tmp_path):
         positives=3,
         total=10,
     )
-    (run_dir / "normalized.jsonl").write_text(json.dumps(encode(record)) + "\n", encoding="utf-8")
+    with RunStore.create(run_dir) as store:
+        store.write_stage_atomic("normalized", [encode(record)])
     reference = tmp_path / "reference.csv"
     reference.write_text("marker,tumour,kind,low,high\nER,melanoma,range,10,90\n", encoding="utf-8")
     table = parse_markdown_table((FIXTURES / "gold.md").read_text(), pmid="21691200")

@@ -11,7 +11,8 @@ from ihcmine.store import RunLock, RunStore
 
 @pytest.fixture
 def store(tmp_path):
-    return RunStore.create(tmp_path / "run1", config_hash="abc123", prompt_template_hashes={"classify": "x"})
+    with RunStore.create(tmp_path / "run1") as store:
+        yield store
 
 
 class TestAppend:
@@ -120,22 +121,17 @@ class TestAtomicStage:
 class TestManifest:
     def test_open_or_create_round_trip(self, tmp_path):
         run_dir = tmp_path / "run"
-        first = RunStore.create(run_dir, config_hash="abc", prompt_template_hashes={"classify": "h"})
-        again = RunStore.open_or_create(run_dir, config_hash="abc")
+        first = RunStore.create(run_dir)
+        first.write_stage_atomic("corpus", [{"pmid": "1"}])
+        again = RunStore.open_or_create(run_dir)
         assert again.manifest.run_id == first.manifest.run_id
-        assert again.manifest.prompt_template_hashes == {"classify": "h"}
-
-    def test_config_hash_mismatch_refused(self, tmp_path):
-        run_dir = tmp_path / "run"
-        RunStore.create(run_dir, config_hash="abc")
-        with pytest.raises(StoreError, match="different configuration"):
-            RunStore.open_or_create(run_dir, config_hash="def")
+        assert again.manifest.stages["corpus"] == first.manifest.stages["corpus"]
 
     def test_open_missing_manifest(self, tmp_path):
         with pytest.raises(StoreError):
             RunStore.open(tmp_path / "nope")
 
-    @pytest.mark.parametrize("text", ['{"run_id": ', "[]", '{"run_id": "r"}'], ids=["truncated", "not-an-object", "no-hash"])
+    @pytest.mark.parametrize("text", ['{"run_id": ', "[]", '{"stages": {}}'], ids=["truncated", "not-an-object", "no-run-id"])
     def test_unreadable_manifest_names_its_path(self, tmp_path, text):
         run_dir = tmp_path / "run"
         run_dir.mkdir()
