@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .domain import AbstractRecord, ClassificationLabel
 from .errors import GatewayError, UnparseableLabelError, ValidationError
-from .gateway import LlmGateway, render_classification_prompt, template_hash, CLASSIFY_TEMPLATE
+from .gateway import CLASSIFY_TEMPLATE, LlmGateway, render_prompt, template_hash
 
 logger = logging.getLogger(__name__)
 
@@ -88,7 +88,7 @@ def iter_classified(
 
     def one(record: AbstractRecord) -> ClassifiedAbstract | QuarantineEntry:
         try:
-            raw = gateway.chat(render_classification_prompt(record, model_id=gateway.model_id))
+            raw = gateway.chat(render_prompt(CLASSIFY_TEMPLATE, record, gateway.model_id))
         except GatewayError as exc:
             return QuarantineEntry(pmid=record.pmid, stage="classify", reason=f"gateway: {exc}")
         try:

@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from . import classify as classify_mod
 from . import landscape as landscape_mod
@@ -291,29 +291,47 @@ def cmd_fetch(config: PipelineConfig, store: RunStore, args: argparse.Namespace)
     return 0
 
 
-def cmd_classify(config: PipelineConfig, store: RunStore, args: argparse.Namespace) -> int:
-    store.repair_tail("quarantine")
-    quarantined_entries = [decode(classify_mod.QuarantineEntry, d) for d in store.iter_records("quarantine")]
-    if store.stage_done("classified"):  # only --retry-quarantined gets past the gate to a done stage
-        if not any(q.stage == "classify" for q in quarantined_entries):
-            print("no quarantined classify records to retry")
-            return 0
-        store.reopen_stage("classified")
-    store.start_stage("classified")
+def _record_stage(
+    store: RunStore, stage: str, tag: str, records: Iterable[dict[str, Any]], results: Callable[[Iterator], Iterable]
+) -> None:
+    """Runs a record-wise stage from where an earlier run of it stopped.
 
+    ``results`` maps the upstream records not yet written, in order, to one result each:
+    a ``QuarantineEntry`` tagged ``tag``, or the stage's record as a dict or a dataclass.
+    A PMID written to the stage file or quarantined under ``tag`` is skipped; a partial
+    last line of the stage file or of ``quarantine.jsonl`` is dropped first.
+    """
+    store.start_stage(stage)
+    store.repair_tail("quarantine")
+    skip = store.processed_ids(stage) | {q["pmid"] for q in store.iter_records("quarantine") if q["stage"] == tag}
+    for result in results(record for record in records if record["pmid"] not in skip):
+        target = "quarantine" if isinstance(result, classify_mod.QuarantineEntry) else stage
+        store.append(target, result if isinstance(result, dict) else encode(result))
+
+
+def cmd_classify(config: PipelineConfig, store: RunStore, args: argparse.Namespace) -> int:
     if args.retry_quarantined:
-        keep = [q for q in quarantined_entries if q.stage != "classify"]
+        # extract never re-reads classified, so an abstract relabelled Include now would get no table
+        status = store.stage_info("tables_raw").status
+        if status != "pending":
+            raise PipelineError(f"tables_raw is {status}; quarantined classify records must be retried before extract")
+        entries = [decode(classify_mod.QuarantineEntry, d) for d in store.iter_records("quarantine")]
+        keep = [q for q in entries if q.stage != "classify"]
+        if store.stage_done("classified"):  # only --retry-quarantined gets past the gate to a done stage
+            if len(keep) == len(entries):
+                print("no quarantined classify records to retry")
+                return 0
+            store.reopen_stage("classified")
         store.write_aux_atomic("quarantine", map(encode, keep))
-        quarantined_entries = keep
-    processed = store.processed_ids("classified") | {
-        q.pmid for q in quarantined_entries if q.stage == "classify"
-    }
-    pending = [decode(AbstractRecord, d) for d in store.iter_records("corpus") if d["pmid"] not in processed]
+
     gateway = _make_gateway(config)
+
+    def classified(pending: Iterator[dict[str, Any]]) -> Iterator[Any]:
+        records = (decode(AbstractRecord, d) for d in pending)
+        return classify_mod.iter_classified(records, gateway, max_workers=config.llm_concurrency)
+
     try:
-        for result in classify_mod.iter_classified(pending, gateway, max_workers=config.llm_concurrency):
-            stage = "quarantine" if isinstance(result, classify_mod.QuarantineEntry) else "classified"
-            store.append(stage, encode(result))
+        _record_stage(store, "classified", "classify", store.iter_records("corpus"), classified)
     finally:
         gateway.close()
     counts = {"include": 0, "exclude": 0, "quarantined": 0}
@@ -326,60 +344,44 @@ def cmd_classify(config: PipelineConfig, store: RunStore, args: argparse.Namespa
 
 
 def cmd_extract(config: PipelineConfig, store: RunStore, args: argparse.Namespace) -> int:
-    corpus = {d["pmid"]: decode(AbstractRecord, d) for d in store.iter_records("corpus")}
+    corpus = {d["pmid"]: d for d in store.iter_records("corpus")}
     include_pmids = [
         d["pmid"] for d in store.iter_records("classified") if d["label"] == ClassificationLabel.INCLUDE.value
     ]
 
     if not store.stage_done("tables_raw"):
-        store.start_stage("tables_raw")
-        store.repair_tail("quarantine")
-        skip = store.processed_ids("tables_raw") | {
-            q["pmid"] for q in store.iter_records("quarantine") if q["stage"] == "extract"
-        }
-        pending = []
         for pmid in include_pmids:
-            if pmid in skip:
-                continue
             if pmid not in corpus:
                 logger.warning("pmid %s classified but missing from corpus", pmid)
-                continue
-            pending.append(corpus[pmid])
         gateway = _make_gateway(config)
 
-        def extract_one(record: AbstractRecord) -> dict[str, str] | classify_mod.QuarantineEntry:
+        def extract_one(d: dict[str, Any]) -> dict[str, str] | classify_mod.QuarantineEntry:
+            record = decode(AbstractRecord, d)
             try:
                 return {"pmid": record.pmid, "markdown": extract_table(record, gateway)}
             except GatewayError as exc:
                 return classify_mod.QuarantineEntry(pmid=record.pmid, stage="extract", reason=f"gateway: {exc}")
 
+        includes = (corpus[pmid] for pmid in include_pmids if pmid in corpus)
+        extracted = functools.partial(classify_mod.map_ordered, fn=extract_one, max_workers=config.llm_concurrency)
         try:
-            for result in classify_mod.map_ordered(pending, extract_one, config.llm_concurrency):
-                if isinstance(result, classify_mod.QuarantineEntry):
-                    store.append("quarantine", encode(result))
-                else:
-                    store.append("tables_raw", result)
+            _record_stage(store, "tables_raw", "extract", includes, extracted)
         finally:
             gateway.close()
         store.mark_done("tables_raw")
 
     if not store.stage_done("tables_parsed"):
-        store.start_stage("tables_parsed")
-        done_parsed = store.processed_ids("tables_parsed") | {
-            q["pmid"] for q in store.iter_records("quarantine") if q["stage"] == "parse"
-        }
-        for raw in store.iter_records("tables_raw"):
-            if raw["pmid"] in done_parsed:
-                continue
+
+        def parse_one(raw: dict[str, Any]) -> dict[str, Any] | classify_mod.QuarantineEntry:
             try:
-                table = parse_markdown_table(raw["markdown"], pmid=raw["pmid"])
+                return parse_markdown_table(raw["markdown"], pmid=raw["pmid"]).to_dict()
             except TableNotFoundError as exc:
-                quarantined = classify_mod.QuarantineEntry(
+                return classify_mod.QuarantineEntry(
                     pmid=raw["pmid"], stage="parse", reason=str(exc), raw_output=raw["markdown"]
                 )
-                store.append("quarantine", encode(quarantined))
-                continue
-            store.append("tables_parsed", table.to_dict())
+
+        raw_tables = store.iter_records("tables_raw")
+        _record_stage(store, "tables_parsed", "parse", raw_tables, functools.partial(map, parse_one))
         store.mark_done("tables_parsed")
     parsed = store.stage_info("tables_parsed").count or 0
     print(f"extracted {parsed} profile tables from {len(include_pmids)} Include abstracts")

@@ -21,8 +21,7 @@ from .transport import RETRYABLE_STATUS, HttpTransport, TransportError
 
 CLASSIFY_TEMPLATE = "classify_v1.txt"
 EXTRACT_TEMPLATE = "extract_v1.txt"
-CLASSIFY_MAX_NEW_TOKENS = 4
-EXTRACT_MAX_NEW_TOKENS = 1024
+MAX_NEW_TOKENS = {CLASSIFY_TEMPLATE: 4, EXTRACT_TEMPLATE: 1024}  # a one-word label; a whole table
 SYSTEM_PROMPT = "You are a careful biomedical text mining assistant."
 
 _PROMPT_DIR = Path(__file__).parent / "prompts"
@@ -73,25 +72,15 @@ def _render(template: str, record: AbstractRecord) -> str:
     return template.replace("{{TITLE}}", record.title).replace("{{ABSTRACT}}", record.abstract_text)
 
 
-def render_classification_prompt(record: AbstractRecord, model_id: str = "default") -> ChatRequest:
+def render_prompt(template: str, record: AbstractRecord, model_id: str = "default") -> ChatRequest:
+    """The chat request for ``record`` under prompt ``template``, a key of ``MAX_NEW_TOKENS``."""
     if not record.abstract_text:
         raise ValidationError(f"record {record.pmid} has no abstract text")
     return ChatRequest(
         model_id=model_id,
         system_prompt=SYSTEM_PROMPT,
-        user_prompt=_render(template_text(CLASSIFY_TEMPLATE), record),
-        max_new_tokens=CLASSIFY_MAX_NEW_TOKENS,
-    )
-
-
-def render_extraction_prompt(record: AbstractRecord, model_id: str = "default") -> ChatRequest:
-    if not record.abstract_text:
-        raise ValidationError(f"record {record.pmid} has no abstract text")
-    return ChatRequest(
-        model_id=model_id,
-        system_prompt=SYSTEM_PROMPT,
-        user_prompt=_render(template_text(EXTRACT_TEMPLATE), record),
-        max_new_tokens=EXTRACT_MAX_NEW_TOKENS,
+        user_prompt=_render(template_text(template), record),
+        max_new_tokens=MAX_NEW_TOKENS[template],
     )
 
 

@@ -251,9 +251,8 @@ def render_markdown(table: ProfileTable) -> str:
     return "\n".join(out)
 
 
-def extract_table(record: "AbstractRecord", gateway: "LlmGateway", model_id: str | None = None) -> str:
+def extract_table(record: "AbstractRecord", gateway: "LlmGateway") -> str:
     """One extraction call; returns the completion verbatim for auditing."""
-    from .gateway import render_extraction_prompt
+    from .gateway import EXTRACT_TEMPLATE, render_prompt
 
-    request = render_extraction_prompt(record, model_id=model_id or gateway.model_id)
-    return gateway.chat(request)
+    return gateway.chat(render_prompt(EXTRACT_TEMPLATE, record, gateway.model_id))

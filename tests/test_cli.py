@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -156,6 +157,22 @@ class TestFullChain:
         assert victim in {c["pmid"] for c in classified}
         assert len(classified) == 50
 
+    def test_retry_quarantined_after_extract_is_refused(self, demo_env, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        victim = "8000001"
+        original_fn = demo_env.llm_state.classify_fn
+        demo_env.llm_state.classify_fn = lambda content: "maybe" if victim in content else original_fn(content)
+        for args in demo_env.all_stage_args(run_dir)[:3]:
+            assert main(args) == 0
+        demo_env.llm_state.classify_fn = original_fn
+        names = ("classified.jsonl", "quarantine.jsonl", "manifest.json")
+        before = {name: (run_dir / name).read_bytes() for name in names}
+
+        # extract never re-reads classified, so a record relabelled Include now would get no table
+        assert main([*demo_env.classify_args(run_dir), "--retry-quarantined"]) == 2
+        assert "must be retried before extract" in capsys.readouterr().err
+        assert {name: (run_dir / name).read_bytes() for name in names} == before
+
     def test_quarantine_rewrite_is_fsynced_before_rename(self, demo_env, tmp_path, monkeypatch):
         run_dir = tmp_path / "run"
         victim = "8000001"
@@ -255,6 +272,80 @@ def set_status(run_dir: Path, stage: str, status: str) -> None:
     manifest = json.loads((run_dir / "manifest.json").read_text())
     manifest["stages"][stage]["status"] = status
     (run_dir / "manifest.json").write_text(json.dumps(manifest))
+
+
+QUARANTINED = {  # tag -> Include abstracts of the demo corpus the mock LLM fails under it
+    "classify": ("8000001", "8000031"),
+    "extract": ("8000002", "8000032"),
+    "parse": ("8000004", "8000034"),
+}
+_TITLE_PMID = re.compile(r"\((\d+)\)")
+
+
+def quarantine_under_every_tag(llm_state) -> None:
+    """Unlabellable answers, empty completions and tableless answers for the ``QUARANTINED`` PMIDs."""
+    classify_fn, extract_fn = llm_state.classify_fn, llm_state.extract_fn
+
+    def asks_for(tag, content):
+        return any(f"({pmid})" in content for pmid in QUARANTINED[tag])
+
+    llm_state.classify_fn = lambda content: "maybe" if asks_for("classify", content) else classify_fn(content)
+    llm_state.extract_fn = lambda content: (
+        " " if asks_for("extract", content) else "no table here" if asks_for("parse", content) else extract_fn(content)
+    )
+
+
+def cut_inside_line(path: Path, index: int) -> None:
+    """Keeps the lines before ``index`` and the first half of line ``index``, as a kill mid-write leaves it."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(b"".join(lines[:index]) + lines[index][: len(lines[index]) // 2])
+
+
+class TestResume:
+    """Every record-wise stage resumes a killed run to the bytes of an uninterrupted one."""
+
+    @pytest.mark.parametrize(
+        "stage, tag, command, upstream",
+        [
+            ("classified", "classify", 1, "corpus"),
+            ("tables_raw", "extract", 2, "classified"),
+            ("tables_parsed", "parse", 2, None),  # parsing asks the LLM nothing
+        ],
+    )
+    def test_killed_stage_resumes_to_the_uninterrupted_bytes(self, demo_env, tmp_path, stage, tag, command, upstream):
+        quarantine_under_every_tag(demo_env.llm_state)
+        control, killed = tmp_path / "control", tmp_path / "killed"
+        for run_dir in (control, killed):
+            for args in demo_env.all_stage_args(run_dir)[: command + 1]:
+                assert main(args) == 0, args
+
+        # killed after 3 records of the stage file, while writing the stage's last quarantine entry
+        stage_file, quarantine = killed / f"{stage}.jsonl", killed / "quarantine.jsonl"
+        entries = read_jsonl(quarantine)
+        tagged = [i for i, entry in enumerate(entries) if entry["stage"] == tag]
+        assert len(tagged) == len(QUARANTINED[tag])
+        written = {r["pmid"] for r in read_jsonl(stage_file)[:3]} | {entries[i]["pmid"] for i in tagged[:-1]}
+        cut_inside_line(stage_file, 3)
+        cut_inside_line(quarantine, tagged[-1])
+        set_status(killed, stage, "running")
+        if stage == "tables_raw":  # parsing had not begun
+            (killed / "tables_parsed.jsonl").unlink()
+            set_status(killed, "tables_parsed", "pending")
+
+        seen = len(demo_env.llm_state.requests)
+        assert main(demo_env.all_stage_args(killed)[command]) == 0
+        outputs = sorted(path.name for path in control.glob("*.jsonl") if path.name != "corpus.jsonl")  # timestamped
+        assert outputs == sorted(path.name for path in killed.glob("*.jsonl") if path.name != "corpus.jsonl")
+        for name in outputs:
+            assert (killed / name).read_bytes() == (control / name).read_bytes(), name
+
+        # the LLM is asked once for each upstream PMID not yet written, and never for a written one
+        pending = set()
+        if upstream:
+            pending = {r["pmid"] for r in read_jsonl(control / f"{upstream}.jsonl") if r.get("label") != "Exclude"}
+        prompts = [r["body"]["messages"][-1]["content"] for r in demo_env.llm_state.requests[seen:]]
+        asked = [_TITLE_PMID.search(prompt).group(1) for prompt in prompts]
+        assert sorted(asked) == sorted(pending - written)
 
 
 class TestProvenance:

@@ -11,13 +11,12 @@ from ihcmine.classify import iter_classified
 from ihcmine.domain import AbstractRecord
 from ihcmine.errors import EmptyOutputError, GatewayError, GatewayProtocolError, ValidationError
 from ihcmine.gateway import (
-    CLASSIFY_MAX_NEW_TOKENS,
-    EXTRACT_MAX_NEW_TOKENS,
+    CLASSIFY_TEMPLATE,
     EXTRACT_TEMPLATE,
+    MAX_NEW_TOKENS,
     ChatRequest,
     LlmGateway,
-    render_classification_prompt,
-    render_extraction_prompt,
+    render_prompt,
     template_hash,
     wire_payload,
 )
@@ -151,30 +150,30 @@ class TestEmbed:
 
 class TestPromptTemplates:
     def test_classification_prompt_contains_labels_and_rules(self):
-        request = render_classification_prompt(record(), model_id="m")
+        request = render_prompt(CLASSIFY_TEMPLATE, record(), model_id="m")
         assert "Include" in request.user_prompt and "Exclude" in request.user_prompt
         assert "Case reports" in request.user_prompt and "are included" in request.user_prompt
         assert "Review articles or meta-analyses" in request.user_prompt
         assert "exact number of patients" in request.user_prompt
-        assert request.max_new_tokens == CLASSIFY_MAX_NEW_TOKENS == 4
+        assert request.max_new_tokens == MAX_NEW_TOKENS[CLASSIFY_TEMPLATE] == 4
         assert request.temperature == 0.0
 
     def test_classification_prompt_embeds_title_and_abstract(self):
-        request = render_classification_prompt(record(), model_id="m")
+        request = render_prompt(CLASSIFY_TEMPLATE, record(), model_id="m")
         assert "ER in breast tumours" in request.user_prompt
         assert "5/10 cases" in request.user_prompt
 
     def test_extraction_prompt_contains_conventions(self):
-        request = render_extraction_prompt(record(), model_id="m")
+        request = render_prompt(EXTRACT_TEMPLATE, record(), model_id="m")
         assert "X/Y" in request.user_prompt
         assert "NA" in request.user_prompt
         assert "/1 for case reports" in request.user_prompt
-        assert request.max_new_tokens == EXTRACT_MAX_NEW_TOKENS == 1024
+        assert request.max_new_tokens == MAX_NEW_TOKENS[EXTRACT_TEMPLATE] == 1024
 
     def test_empty_abstract_rejected(self):
         bad = AbstractRecord(pmid="1", title="t", abstract_text="", source_markers={"ER"})
         with pytest.raises(ValidationError):
-            render_classification_prompt(bad)
+            render_prompt(CLASSIFY_TEMPLATE, bad)
 
     def test_template_hashes_stable(self):
         assert template_hash("classify_v1.txt") == template_hash("classify_v1.txt")
@@ -185,11 +184,11 @@ class TestPromptTemplates:
         shutil.copytree(gateway._PROMPT_DIR, prompts)
         monkeypatch.setattr(gateway, "_PROMPT_DIR", prompts)
         recorded = template_hash(EXTRACT_TEMPLATE)
-        first = render_extraction_prompt(record()).user_prompt
+        first = render_prompt(EXTRACT_TEMPLATE, record()).user_prompt
 
         template = prompts / EXTRACT_TEMPLATE
         template.write_text(template.read_text(encoding="utf-8") + "Edited mid-run.\n", encoding="utf-8")
-        again = render_extraction_prompt(record()).user_prompt
+        again = render_prompt(EXTRACT_TEMPLATE, record()).user_prompt
         assert again == first and "Edited mid-run" not in again
         assert template_hash(EXTRACT_TEMPLATE) == recorded
         sent = gateway.template_text(EXTRACT_TEMPLATE).encode("utf-8")
