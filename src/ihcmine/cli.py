@@ -28,7 +28,7 @@ from .config import PipelineConfig, build_config
 from .domain import AbstractRecord, ClassificationLabel, NormalizedRecord, format_percent, round_percent
 from .errors import GatewayError, PipelineError, TableNotFoundError, ValidationError
 from .gateway import CLASSIFY_TEMPLATE, EXTRACT_TEMPLATE, LlmGateway, template_hash
-from .pubmed import EntrezClient, build_query, dedup_merge
+from .pubmed import CorpusStats, EntrezClient, build_query, dedup_merge
 from .store import RunLock, RunStore, StageInfo, iter_jsonl
 from .tables import ProfileTable, extract_table, parse_markdown_table
 
@@ -252,8 +252,8 @@ def _write_json(path: Path, payload: dict[str, Any]) -> None:
 
 def cmd_fetch(config: PipelineConfig, store: RunStore, args: argparse.Namespace) -> int:
     markers_file = Path(config.markers_path)
-    markers = [line.strip() for line in markers_file.read_text(encoding="utf-8").splitlines()]
-    markers = [m for m in markers if m and not m.startswith("#")]
+    lines = (line.strip() for line in markers_file.read_text(encoding="utf-8").splitlines())
+    markers = list(dict.fromkeys(m for m in lines if m and not m.startswith("#")))
     if not markers:
         raise PipelineError(f"markers file {markers_file} is empty")
 
@@ -267,26 +267,24 @@ def cmd_fetch(config: PipelineConfig, store: RunStore, args: argparse.Namespace)
         backoff_base=config.backoff_base,
         timeout=config.timeout,
     )
-    batches = []
-    total_skipped = 0
     try:
+        hits = []
         for marker in markers:
-            query = build_query(marker)
-            pmids = client.search_pmids(query, cap=config.cap)
+            pmids = client.search_pmids(build_query(marker), cap=config.cap)
             logger.info("marker %s: %d PMIDs", marker, len(pmids))
-            if pmids:
-                records, skipped = client.fetch_abstracts(pmids, marker)
-                total_skipped += len(skipped)
-                if skipped:
-                    logger.info("marker %s: %d PMIDs had no abstract", marker, len(skipped))
-            else:
-                records = []
-            batches.append((marker, records))
+            hits.append((marker, pmids))
+        sources = dedup_merge(hits)
+        corpus, skipped = client.fetch_abstracts(sources) if sources else ([], [])
     finally:
         client.close()
-    corpus, stats = dedup_merge(batches)
+    if skipped:
+        logger.info("%d of %d unique PMIDs had no abstract", len(skipped), len(sources))
+    stats = CorpusStats(per_marker_counts=dict.fromkeys(markers, 0), total_unique=len(corpus))
+    for record in corpus:
+        for marker in record.source_markers:
+            stats.per_marker_counts[marker] += 1
     _write_json(store.run_dir / "corpus_stats.json", encode(stats))
-    count = store.write_stage_atomic("corpus", map(encode, corpus), note=f"skipped_no_abstract={total_skipped}")
+    count = store.write_stage_atomic("corpus", map(encode, corpus), note=f"skipped_no_abstract={len(skipped)}")
     print(f"fetched {count} unique abstracts across {len(markers)} markers")
     return 0
 

@@ -79,6 +79,14 @@ class PipelineConfig:
             raise ConfigError(f"top_k_tumours must be >= 1, got {self.top_k_tumours}")
         if self.requests_per_second is not None and self.requests_per_second <= 0:
             raise ConfigError("requests_per_second must be positive")
+        for name, high in (("esearch_page_size", 9999), ("efetch_batch_size", 500)):
+            value = getattr(self, name)
+            if not 1 <= value <= high:
+                raise ConfigError(f"{name} must be in [1, {high}], got {value}")
+        if self.backoff_base < 0:
+            raise ConfigError(f"backoff_base must be >= 0, got {self.backoff_base}")
+        if self.timeout <= 0:
+            raise ConfigError(f"timeout must be positive, got {self.timeout}")
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(PipelineConfig)}

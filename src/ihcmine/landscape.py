@@ -243,13 +243,18 @@ def load_reference_csv(path: str | Path) -> ReferenceTable:
         required = {"marker", "tumour", "kind", "low", "high"}
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
             raise ReferenceFileError(f"{path}: header must contain {sorted(required)}")
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
+            where = f"{path}:{reader.line_num}"
+            if any(row[name] is None for name in required):
+                raise ReferenceFileError(f"{where}: expected {len(reader.fieldnames)} fields")
             try:
                 kind = ReferenceKind(row["kind"].strip())
             except ValueError:
-                raise ReferenceFileError(f"{path}:{lineno}: unknown kind {row['kind']!r}") from None
-            low = int(row["low"]) if row["low"].strip() else None
-            high = int(row["high"]) if row["high"].strip() else None
+                raise ReferenceFileError(f"{where}: unknown kind {row['kind']!r}") from None
+            try:
+                low, high = (int(row[bound]) if row[bound].strip() else None for bound in ("low", "high"))
+            except ValueError:
+                raise ReferenceFileError(f"{where}: low and high must be integers or empty") from None
             entries.append(
                 ReferenceEntry(marker=row["marker"].strip(), tumour=row["tumour"].strip(), kind=kind, low=low, high=high)
             )

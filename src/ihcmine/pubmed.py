@@ -1,4 +1,4 @@
-"""Entrez e-utils client: per-marker search, batched abstract fetch, dedup.
+"""Entrez e-utils client: per-marker search, PMID dedup, batched abstract fetch.
 
 Requests are throttled globally per client (NCBI policy: 3/s without an
 API key, 10/s with one); every attempt, retries included, waits its turn.
@@ -13,7 +13,7 @@ import threading
 import time
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 from urllib.parse import urlencode
 
 from .domain import AbstractRecord
@@ -158,19 +158,22 @@ class EntrezClient:
 
     def fetch_abstracts(
         self,
-        pmids: Sequence[str],
-        marker: str,
+        sources: Mapping[str, set[str]],
         retrieved_at: str | None = None,
     ) -> tuple[list[AbstractRecord], list[str]]:
-        """Fetch abstracts in batches; PMIDs lacking an abstract go to the skip list."""
-        if not pmids:
+        """Fetch each PMID of ``sources`` once, in batches, as a record carrying its source markers.
+
+        PMIDs lacking an abstract go to the skip list.
+        """
+        if not sources:
             raise ValidationError("fetch_abstracts needs at least one PMID")
         timestamp = retrieved_at or time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime())
+        pmids = list(sources)
         records: list[AbstractRecord] = []
         skipped: list[str] = []
         for start in range(0, len(pmids), self.batch_size):
-            batch = list(pmids[start : start + self.batch_size])
-            context = f"marker={marker} batch={batch[0]}..{batch[-1]}"
+            batch = pmids[start : start + self.batch_size]
+            context = f"batch={batch[0]}..{batch[-1]}"
             body = self._get(
                 "efetch.fcgi",
                 {"db": "pubmed", "id": ",".join(batch), "rettype": "abstract", "retmode": "xml"},
@@ -186,6 +189,8 @@ class EntrezClient:
                 if pmid_node is None or not pmid_node.text:
                     continue
                 pmid = pmid_node.text.strip()
+                if pmid not in sources or pmid in found:  # efetch may answer with a PMID twice, or one not asked for
+                    continue
                 found.add(pmid)
                 title_node = article.find(".//Article/ArticleTitle")
                 title = "".join(title_node.itertext()).strip() if title_node is not None else ""
@@ -201,7 +206,7 @@ class EntrezClient:
                         pmid=pmid,
                         title=title,
                         abstract_text=abstract,
-                        source_markers={marker},
+                        source_markers=set(sources[pmid]),
                         retrieved_at=timestamp,
                     )
                 )
@@ -209,34 +214,10 @@ class EntrezClient:
         return records, skipped
 
 
-def dedup_merge(
-    batches: Iterable[tuple[str, Sequence[AbstractRecord]]],
-) -> tuple[list[AbstractRecord], CorpusStats]:
-    """Merge per-marker record lists into one corpus, unioning source markers.
-
-    Keeps one record per PMID (first title wins; conflicts are logged) and
-    reports raw per-marker counts next to the unique total.
-    """
-    merged: dict[str, AbstractRecord] = {}
-    stats = CorpusStats()
-    for marker, records in batches:
-        stats.per_marker_counts[marker] = stats.per_marker_counts.get(marker, 0) + len(records)
-        for record in records:
-            existing = merged.get(record.pmid)
-            if existing is None:
-                merged[record.pmid] = AbstractRecord(
-                    pmid=record.pmid,
-                    title=record.title,
-                    abstract_text=record.abstract_text,
-                    source_markers=set(record.source_markers) | {marker},
-                    retrieved_at=record.retrieved_at,
-                )
-            else:
-                if existing.title != record.title:
-                    logger.warning(
-                        "pmid %s: conflicting titles across markers; keeping the first", record.pmid
-                    )
-                existing.source_markers |= set(record.source_markers) | {marker}
-    corpus = list(merged.values())
-    stats.total_unique = len(corpus)
-    return corpus, stats
+def dedup_merge(hits: Iterable[tuple[str, Sequence[str]]]) -> dict[str, set[str]]:
+    """Each PMID of the per-marker search hits once, in first-seen order, with the markers that found it."""
+    sources: dict[str, set[str]] = {}
+    for marker, pmids in hits:
+        for pmid in pmids:
+            sources.setdefault(pmid, set()).add(marker)
+    return sources

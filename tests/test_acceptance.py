@@ -6,6 +6,7 @@ independently computed oracles (decimal arithmetic, linear scans,
 brute-force confusion matrices), or hand-constructed fixtures.
 """
 
+import json
 import os
 import random
 import shutil
@@ -15,6 +16,7 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+from urllib.parse import parse_qs
 
 import numpy as np
 import pytest
@@ -319,7 +321,8 @@ def test_c8_pipeline_determinism_and_resume(demo_env, tmp_path):
 
 
 def test_c9_ingest_contracts(tmp_path):
-    from ihcmine.pubmed import EntrezClient, build_query, dedup_merge
+    from ihcmine.cli import main
+    from ihcmine.pubmed import EntrezClient, build_query
     from mockservers import EntrezState, run_entrez
 
     # per-marker cap at 9,999 against 12,000 mock hits
@@ -329,23 +332,30 @@ def test_c9_ingest_contracts(tmp_path):
         pmids = client.search_pmids(build_query("BIG"), cap=9999)
     assert len(pmids) == len(set(pmids)) == 9999
 
-    # cross-marker dedup with union provenance
+    # cross-marker dedup with union provenance, each PMID efetched once
     shared = {str(6_000_000 + i): (f"title {i}", f"body {i}") for i in range(30)}
     state = EntrezState(
         markers={"ER": list(shared)[:20], "PR": list(shared)[10:]},
         articles=shared,
     )
+    markers = tmp_path / "markers.txt"
+    markers.write_text("ER\nPR\n", encoding="utf-8")
+    run_dir = tmp_path / "run"
     with run_entrez(state) as url:
-        client = EntrezClient(base_url=url, requests_per_second=500.0, backoff_base=0.01)
-        batches = []
-        for marker in ("ER", "PR"):
-            found = client.search_pmids(build_query(marker), cap=9999)
-            records, _ = client.fetch_abstracts(found, marker=marker)
-            batches.append((marker, records))
-    corpus, stats = dedup_merge(batches)
-    assert stats.total_unique == 30
-    both = [r for r in corpus if r.source_markers == {"ER", "PR"}]
+        args = ["fetch", "--run-dir", str(run_dir), "--markers", str(markers), "--entrez-base", url]
+        assert main([*args, "--rps", "500", "--backoff", "0.01", "--batch-size", "7"]) == 0
+    stats = json.loads((run_dir / "corpus_stats.json").read_text())
+    assert stats["total_unique"] == 30
+    corpus = read_jsonl(run_dir / "corpus.jsonl")
+    both = [r for r in corpus if set(r["source_markers"]) == {"ER", "PR"}]
     assert len(both) == 10
+    efetched = [
+        pmid
+        for _, path, query in state.requests
+        if path.endswith("efetch.fcgi")
+        for pmid in parse_qs(query)["id"][0].split(",")
+    ]
+    assert sorted(efetched) == sorted(shared)
 
     # request-rate ceiling observed by a timestamping mock
     rate = 25.0

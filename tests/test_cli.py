@@ -61,6 +61,15 @@ class TestFetch:
         overlapping = [r for r in corpus if len(r["source_markers"]) > 1]
         assert overlapping, "expected at least one abstract retrieved by two markers"
 
+    def test_repeated_marker_line_is_searched_once(self, demo_env, tmp_path, capsys):
+        demo_env.markers_file.write_text("ER\nPR\nER\n", encoding="utf-8")
+        run_dir = tmp_path / "run"
+        assert main(demo_env.fetch_args(run_dir)) == 0
+        assert "across 2 markers" in capsys.readouterr().out
+        corpus = read_jsonl(run_dir / "corpus.jsonl")
+        stats = json.loads((run_dir / "corpus_stats.json").read_text())
+        assert stats["per_marker_counts"] == {m: sum(m in r["source_markers"] for r in corpus) for m in ("ER", "PR")}
+
     def test_rerun_skips_done_stage(self, demo_env, tmp_path, capsys):
         run_dir = tmp_path / "run"
         assert main(demo_env.fetch_args(run_dir)) == 0
@@ -235,6 +244,21 @@ def normalized(pmid, tumour_cui="C0000010", flags=()):
         total=10,
         flags=list(flags),
     )
+
+
+class TestCompare:
+    @pytest.mark.parametrize(
+        "row", ["ER,melanoma,range,ten,90", "ER,melanoma,range"], ids=["non-integer-bound", "short-row"]
+    )
+    def test_malformed_reference_row_is_a_stage_failure(self, demo_env, tmp_path, capsys, row):
+        run_dir = tmp_path / "run"
+        for args in demo_env.all_stage_args(run_dir)[:5]:
+            assert main(args) == 0
+        reference = tmp_path / "bad_reference.csv"
+        reference.write_text(f"marker,tumour,kind,low,high\nPR,breast carcinoma,positive,,\n{row}\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["compare", "--run-dir", str(run_dir), "--reference", str(reference)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {reference}:3: ")
 
 
 class TestReport:
@@ -524,6 +548,22 @@ class TestConfigFile:
             build_config(flag_values={"cap": 10_000}, env={})
         with pytest.raises(ConfigError):
             build_config(flag_values={"wrong_f1_threshold": 1.5}, env={})
+
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [
+            ("--page-size", "0", "esearch_page_size"),
+            ("--page-size", "10000", "esearch_page_size"),
+            ("--batch-size", "0", "efetch_batch_size"),
+            ("--batch-size", "501", "efetch_batch_size"),
+            ("--backoff", "-0.5", "backoff_base"),
+            ("--timeout", "0", "timeout"),
+        ],
+    )
+    def test_entrez_and_transport_settings_bounded(self, tmp_path, capsys, flag, value, field):
+        local = ["--entrez-base", "http://127.0.0.1:9", "--retries", "1"]  # never the real Entrez
+        assert main(["fetch", "--run-dir", str(tmp_path / "run"), *local, flag, value]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {field} must be")
 
     def test_boolean_coercion(self, tmp_path):
         config_file = tmp_path / "pipeline.conf"

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ihcmine.domain import AbstractRecord
 from ihcmine.errors import EntrezParseError, IngestError, ValidationError
 from ihcmine.pubmed import (
     RPS_WITH_KEY,
@@ -23,12 +22,6 @@ from ihcmine.pubmed import (
 from mockservers import EntrezState, run_entrez
 
 FAST = dict(requests_per_second=500.0, backoff_base=0.01)
-
-
-def make_record(pmid, marker, title="t"):
-    return AbstractRecord(
-        pmid=pmid, title=title, abstract_text="body", source_markers={marker}, retrieved_at="2024-01-01T00:00:00+00:00"
-    )
 
 
 class TestBuildQuery:
@@ -129,19 +122,19 @@ class TestFetchAbstracts:
         state = EntrezState(articles={"11": ("A title", "An abstract body")})
         with run_entrez(state) as url:
             client = EntrezClient(base_url=url, **FAST)
-            records, skipped = client.fetch_abstracts(["11"], marker="ER")
+            records, skipped = client.fetch_abstracts({"11": {"ER", "PR"}})
         assert skipped == []
         assert records[0].pmid == "11"
         assert records[0].title == "A title"
         assert records[0].abstract_text == "An abstract body"
-        assert records[0].source_markers == {"ER"}
+        assert records[0].source_markers == {"ER", "PR"}
 
     def test_non_ascii_text_decoded_as_utf8(self):
         # the mock, like many servers, sends text/xml with no charset parameter
         state = EntrezState(articles={"11": ("Ki-67 in Müller glia", "β-catenin was positive in 3/5 cases.")})
         with run_entrez(state) as url:
             client = EntrezClient(base_url=url, **FAST)
-            records, _ = client.fetch_abstracts(["11"], marker="ER")
+            records, _ = client.fetch_abstracts({"11": {"ER"}})
         assert records[0].title == "Ki-67 in Müller glia"
         assert records[0].abstract_text == "β-catenin was positive in 3/5 cases."
 
@@ -149,7 +142,7 @@ class TestFetchAbstracts:
         state = EntrezState(articles={"11": ("t", "body"), "12": ("no abstract", None)})
         with run_entrez(state) as url:
             client = EntrezClient(base_url=url, **FAST)
-            records, skipped = client.fetch_abstracts(["11", "12"], marker="ER")
+            records, skipped = client.fetch_abstracts({"11": {"ER"}, "12": {"ER"}})
         assert [r.pmid for r in records] == ["11"]
         assert skipped == ["12"]
 
@@ -161,7 +154,7 @@ class TestFetchAbstracts:
         state = EntrezState(articles=articles)
         with run_entrez(state) as url:
             client = EntrezClient(base_url=url, batch_size=50, **FAST)
-            records, skipped = client.fetch_abstracts(sorted(articles), marker="ER")
+            records, skipped = client.fetch_abstracts(dict.fromkeys(sorted(articles), {"ER"}))
         assert len(records) + len(skipped) == 200
         fetches = [q for _, path, q in state.requests if path.endswith("efetch.fcgi")]
         assert len(fetches) == 4
@@ -170,19 +163,31 @@ class TestFetchAbstracts:
         state = EntrezState(articles={"11": ("t", "body")})
         with run_entrez(state) as url:
             client = EntrezClient(base_url=url, **FAST)
-            records, skipped = client.fetch_abstracts(["11", "404"], marker="ER")
+            records, skipped = client.fetch_abstracts({"11": {"ER"}, "404": {"ER"}})
         assert skipped == ["404"]
+
+    def test_repeated_or_unrequested_pmid_in_response_ignored(self, monkeypatch):
+        article = (
+            "<PubmedArticle><MedlineCitation><PMID>{}</PMID><Article><ArticleTitle>t</ArticleTitle>"
+            "<Abstract><AbstractText>body</AbstractText></Abstract></Article></MedlineCitation></PubmedArticle>"
+        )
+        body = "<PubmedArticleSet>" + "".join(article.format(p) for p in ("11", "99", "11")) + "</PubmedArticleSet>"
+        client = EntrezClient(base_url="http://localhost:1", **FAST)
+        monkeypatch.setattr(client, "_get", lambda *a, **k: body)
+        records, skipped = client.fetch_abstracts({"11": {"ER"}, "12": {"PR"}})
+        assert [(r.pmid, r.source_markers) for r in records] == [("11", {"ER"})]
+        assert skipped == ["12"]
 
     def test_empty_input_rejected(self):
         client = EntrezClient(base_url="http://localhost:1")
         with pytest.raises(ValidationError):
-            client.fetch_abstracts([], marker="ER")
+            client.fetch_abstracts({})
 
     def test_malformed_xml_raises_parse_error(self, monkeypatch):
         client = EntrezClient(base_url="http://localhost:1", **FAST)
         monkeypatch.setattr(client, "_get", lambda *a, **k: "<PubmedArticleSet><oops></PubmedArticleSet>")
         with pytest.raises(EntrezParseError):
-            client.fetch_abstracts(["11"], marker="ER")
+            client.fetch_abstracts({"11": {"ER"}})
 
 
 class TestThrottle:
@@ -211,34 +216,21 @@ class TestThrottle:
 
 class TestDedupMerge:
     def test_union_of_source_markers(self):
-        corpus, stats = dedup_merge(
-            [("ER", [make_record("1", "ER")]), ("PR", [make_record("1", "PR")])]
-        )
-        assert len(corpus) == 1
-        assert corpus[0].source_markers == {"ER", "PR"}
-        assert stats.per_marker_counts == {"ER": 1, "PR": 1}
-        assert stats.total_unique == 1
+        assert dedup_merge([("ER", ["1", "2"]), ("PR", ["1"])]) == {"1": {"ER", "PR"}, "2": {"ER"}}
+
+    def test_first_seen_order(self):
+        sources = dedup_merge([("ER", ["3", "1"]), ("PR", ["2", "1", "4"]), ("CD34", ["4", "3"])])
+        assert list(sources) == ["3", "1", "2", "4"]
 
     def test_unique_total_matches_set_union(self):
         rng = random.Random(8)
-        batches = []
+        hits = []
         all_pmids = set()
         for marker in ("ER", "PR", "CD34"):
             pmids = {str(rng.randint(1, 40)) for _ in range(20)}
             all_pmids |= pmids
-            batches.append((marker, [make_record(p, marker) for p in sorted(pmids)]))
-        corpus, stats = dedup_merge(batches)
-        assert stats.total_unique == len(all_pmids)
-        assert sum(stats.per_marker_counts.values()) >= stats.total_unique
-
-    def test_conflicting_title_keeps_first(self, caplog):
-        corpus, _ = dedup_merge(
-            [
-                ("ER", [make_record("1", "ER", title="first")]),
-                ("PR", [make_record("1", "PR", title="second")]),
-            ]
-        )
-        assert corpus[0].title == "first"
+            hits.append((marker, sorted(pmids)))
+        assert set(dedup_merge(hits)) == all_pmids
 
     @settings(max_examples=50)
     @given(
@@ -250,11 +242,10 @@ class TestDedupMerge:
             max_size=5,
         )
     )
-    def test_no_pmid_appears_twice(self, raw_batches):
-        batches = [
-            (marker, [make_record(str(p), marker) for p in dict.fromkeys(pmids)])
-            for marker, pmids in raw_batches
-        ]
-        corpus, stats = dedup_merge(batches)
-        pmids = [r.pmid for r in corpus]
-        assert len(pmids) == len(set(pmids)) == stats.total_unique
+    def test_no_pmid_appears_twice(self, raw_hits):
+        hits = [(marker, [str(p) for p in dict.fromkeys(pmids)]) for marker, pmids in raw_hits]
+        sources = dedup_merge(hits)
+        first_seen = list(dict.fromkeys(p for _, pmids in hits for p in pmids))
+        assert list(sources) == first_seen
+        for pmid, markers in sources.items():
+            assert markers == {marker for marker, pmids in hits if pmid in pmids}
