@@ -3,12 +3,16 @@
 Exit codes: 0 success, 1 usage error, 2 stage failure. Each stage reads
 the previous stage's output from the run directory and writes its own; an
 upstream stage that is missing, unfinished or stale fails with its producer.
+
+Every stage is its own process, so this module imports at load time only
+what every command uses, plus the names a tracer patches here
+(``dedup_merge``, ``extract_table``, ``parse_markdown_table``); a command
+imports the rest itself.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import hashlib
 import json
@@ -16,21 +20,19 @@ import logging
 import sys
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, NamedTuple
 
-from . import classify as classify_mod
-from . import landscape as landscape_mod
-from . import table_eval
 from .codec import decode, encode
 from .config import PipelineConfig, build_config
 from .domain import AbstractRecord, ClassificationLabel, NormalizedRecord, format_percent, round_percent
 from .errors import GatewayError, PipelineError, TableNotFoundError, ValidationError
-from .gateway import CLASSIFY_TEMPLATE, EXTRACT_TEMPLATE, LlmGateway, template_hash
 from .pubmed import CorpusStats, EntrezClient, build_query, dedup_merge
 from .store import RunLock, RunStore, StageInfo, iter_jsonl
 from .tables import ProfileTable, extract_table, parse_markdown_table
+
+if TYPE_CHECKING:
+    from .gateway import LlmGateway
 
 logger = logging.getLogger(__name__)
 
@@ -136,14 +138,14 @@ class _Stage(NamedTuple):  # what a stage's output is built from, besides its up
     upstream: str | None
     settings: tuple[str, ...] = ()  # config fields, recorded as str(value)
     files: tuple[str, ...] = ()  # config fields naming files, recorded by content hash
-    template: str | None = None  # prompt template, recorded by content hash
+    template: str | None = None  # name of a gateway prompt-template constant, recorded by content hash
     rerun: bool = False  # re-run on changed inputs: whole output, nothing record-wise downstream
 
 
 _STAGES = {
     "corpus": _Stage("fetch", None, ("cap",), ("markers_path",)),
-    "classified": _Stage("classify", "corpus", ("llm_model",), template=CLASSIFY_TEMPLATE),
-    "tables_raw": _Stage("extract", "classified", ("llm_model",), template=EXTRACT_TEMPLATE),
+    "classified": _Stage("classify", "corpus", ("llm_model",), template="CLASSIFY_TEMPLATE"),
+    "tables_raw": _Stage("extract", "classified", ("llm_model",), template="EXTRACT_TEMPLATE"),
     "tables_parsed": _Stage("extract", "tables_raw"),
     "normalized": _Stage("normalize", "tables_parsed", ("emb_model", "max_distance"), ("dictionary_path",), rerun=True),
     "aggregates": _Stage("aggregate", "normalized", ("split_qualifiers",), rerun=True),
@@ -169,7 +171,9 @@ def _inputs(stage: str, config: PipelineConfig, store: RunStore | None) -> dict[
     inputs = {name: str(getattr(config, name)) for name in spec.settings}
     inputs.update((name, _file_sha256(name, getattr(config, name))) for name in spec.files)
     if spec.template:
-        inputs["prompt_template"] = template_hash(spec.template)
+        from . import gateway
+
+        inputs["prompt_template"] = gateway.template_hash(getattr(gateway, spec.template))
     if spec.upstream:
         inputs[spec.upstream] = store.stage_info(spec.upstream).fingerprint()
     return inputs
@@ -231,6 +235,8 @@ def _gate(command: str, config: PipelineConfig, store: RunStore) -> bool:
 
 
 def _make_gateway(config: PipelineConfig) -> LlmGateway:
+    from .gateway import LlmGateway
+
     return LlmGateway(
         llm_base_url=config.llm_base_url,
         model_id=config.llm_model,
@@ -299,15 +305,19 @@ def _record_stage(
     A PMID written to the stage file or quarantined under ``tag`` is skipped; a partial
     last line of the stage file or of ``quarantine.jsonl`` is dropped first.
     """
+    from .classify import QuarantineEntry
+
     store.start_stage(stage)
     store.repair_tail("quarantine")
     skip = store.processed_ids(stage) | {q["pmid"] for q in store.iter_records("quarantine") if q["stage"] == tag}
     for result in results(record for record in records if record["pmid"] not in skip):
-        target = "quarantine" if isinstance(result, classify_mod.QuarantineEntry) else stage
+        target = "quarantine" if isinstance(result, QuarantineEntry) else stage
         store.append(target, result if isinstance(result, dict) else encode(result))
 
 
 def cmd_classify(config: PipelineConfig, store: RunStore, args: argparse.Namespace) -> int:
+    from . import classify as classify_mod
+
     if args.retry_quarantined:
         # extract never re-reads classified, so an abstract relabelled Include now would get no table
         status = store.stage_info("tables_raw").status
@@ -342,6 +352,8 @@ def cmd_classify(config: PipelineConfig, store: RunStore, args: argparse.Namespa
 
 
 def cmd_extract(config: PipelineConfig, store: RunStore, args: argparse.Namespace) -> int:
+    from . import classify as classify_mod
+
     corpus = {d["pmid"]: d for d in store.iter_records("corpus")}
     include_pmids = [
         d["pmid"] for d in store.iter_records("classified") if d["label"] == ClassificationLabel.INCLUDE.value
@@ -407,6 +419,8 @@ def cmd_normalize(config: PipelineConfig, store: RunStore, args: argparse.Namesp
 
 
 def cmd_aggregate(config: PipelineConfig, store: RunStore, args: argparse.Namespace) -> int:
+    from . import landscape as landscape_mod
+
     usable, dropped = landscape_mod.usable_records(
         decode(NormalizedRecord, d) for d in store.iter_records("normalized")
     )
@@ -425,6 +439,8 @@ def cmd_aggregate(config: PipelineConfig, store: RunStore, args: argparse.Namesp
 
 
 def cmd_compare(config: PipelineConfig, store: RunStore, args: argparse.Namespace) -> int:
+    from . import landscape as landscape_mod
+
     _require_stage(store, "aggregates")
     reference_path = Path(config.reference_path)
     if not reference_path.exists():
@@ -457,6 +473,10 @@ def cmd_compare(config: PipelineConfig, store: RunStore, args: argparse.Namespac
 
 
 def cmd_report(config: PipelineConfig, store: RunStore, args: argparse.Namespace) -> int:
+    import csv
+
+    from . import landscape as landscape_mod
+
     _require_stage(store, "aggregates")  # current aggregates imply a done normalized they were built from
     if not (store.run_dir / "comparison_report.csv").exists():
         raise PipelineError("comparison_report.csv not found; run compare")
@@ -509,6 +529,8 @@ def _gold_and_pred(
 
 
 def cmd_eval_classify(config: PipelineConfig, store: RunStore, args: argparse.Namespace) -> int:
+    from . import classify as classify_mod
+
     labels = functools.partial(decode, _LabelLine)
     golds, preds = _gold_and_pred(args, store, "classified", labels, "prediction")
     ordered = sorted(golds)
@@ -533,6 +555,10 @@ def cmd_eval_classify(config: PipelineConfig, store: RunStore, args: argparse.Na
 
 
 def cmd_eval_tables(config: PipelineConfig, store: RunStore, args: argparse.Namespace) -> int:
+    from fractions import Fraction
+
+    from . import table_eval
+
     golds, preds = _gold_and_pred(args, store, "tables_parsed", ProfileTable.from_dict, "predicted table")
 
     abstracts_path = Path(args.abstracts) if args.abstracts else _require_stage(store, "corpus")

@@ -10,9 +10,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .errors import InvalidCountError, ValidationError
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class ClassificationLabel(str, Enum):
@@ -80,6 +83,8 @@ class RateStat:
 
     @property
     def rate_percent(self) -> Fraction | None:
+        from fractions import Fraction  # not at module level: every stage imports this module
+
         if self.total == 0:
             return None
         return Fraction(100 * self.positives, self.total)
@@ -93,6 +98,8 @@ def compute_rate(positives: int, total: int) -> RateStat:
 
 def format_percent(value: Fraction, decimals: int) -> str:
     """Half-up decimal string of a non-negative rational, deterministic."""
+    from fractions import Fraction
+
     if decimals not in (0, 1):
         raise ValidationError(f"decimals must be 0 or 1, got {decimals}")
     if value < 0:

@@ -255,9 +255,11 @@ def load_reference_csv(path: str | Path) -> ReferenceTable:
                 low, high = (int(row[bound]) if row[bound].strip() else None for bound in ("low", "high"))
             except ValueError:
                 raise ReferenceFileError(f"{where}: low and high must be integers or empty") from None
-            entries.append(
-                ReferenceEntry(marker=row["marker"].strip(), tumour=row["tumour"].strip(), kind=kind, low=low, high=high)
-            )
+            marker, tumour = row["marker"].strip(), row["tumour"].strip()
+            try:
+                entries.append(ReferenceEntry(marker=marker, tumour=tumour, kind=kind, low=low, high=high))
+            except ReferenceFileError as exc:
+                raise ReferenceFileError(f"{where}: {exc}") from None
     return ReferenceTable(entries)
 
 

@@ -12,6 +12,7 @@ semantic-type column.
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass
 from enum import Enum
@@ -157,55 +158,80 @@ class ConceptIndex:
         return results
 
 
+_VECTOR_READER = {"delimiter": ",", "comments": None, "dtype": np.float64, "ndmin": 2}
+
+
+def _vector_fields(path: Path, handle: Iterable[str], concepts: list[Concept], line_numbers: list[int]) -> Iterator[str]:
+    """Checks each entry's fields but its vector; keeps its concept and line number; yields its vector field."""
+    seen: set[tuple[str, str]] = set()
+    for lineno, line in enumerate(handle, start=1):
+        if line.isspace():
+            continue
+        parts = line.rstrip("\n").split("\t")
+        if len(parts) not in (4, 5):
+            raise DictionaryLoadError(f"{path}:{lineno}: expected 4 or 5 tab-separated fields")
+        cui, name, kind_raw, vector_raw = parts[0], parts[1], parts[2], parts[3]
+        semantic_type = parts[4] if len(parts) == 5 and parts[4] else None
+        try:
+            kind = NameKind(kind_raw)
+        except ValueError:
+            raise DictionaryLoadError(f"{path}:{lineno}: unknown name kind {kind_raw!r}") from None
+        if not vector_raw:  # numpy's reader would skip it as a blank line
+            raise DictionaryLoadError(f"{path}:{lineno}: unparseable vector")
+        if (cui, name) in seen:
+            raise DictionaryLoadError(f"{path}:{lineno}: duplicate (cui, name) pair ({cui}, {name})")
+        seen.add((cui, name))
+        try:
+            concepts.append(Concept(cui=cui, name=name, kind=kind, semantic_type=semantic_type))
+        except ValidationError as exc:
+            raise DictionaryLoadError(f"{path}:{lineno}: {exc}") from None
+        line_numbers.append(lineno)
+        yield vector_raw
+
+
 def load_index(path: str | Path) -> ConceptIndex:
-    """Load a TSV dictionary; any malformed line fails with its line number."""
+    """Load a TSV dictionary in one streaming pass; any malformed line fails with its line number.
+
+    Python checks each line's other fields. numpy's C text reader parses the vector fields
+    straight into the matrix with CPython's correctly rounded string-to-double, so each value
+    gets the bits ``float()`` gives it, and it rejects a row whose width differs from the first.
+    """
     path = Path(path)
     if not path.exists():
         raise DictionaryLoadError(f"dictionary file not found: {path}")
     concepts: list[Concept] = []
-    vectors: list[np.ndarray] = []
-    seen: set[tuple[str, str]] = set()
-    dim: int | None = None
+    line_numbers: list[int] = []
     with path.open(encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) not in (4, 5):
-                raise DictionaryLoadError(f"{path}:{lineno}: expected 4 or 5 tab-separated fields")
-            cui, name, kind_raw, vector_raw = parts[0], parts[1], parts[2], parts[3]
-            semantic_type = parts[4] if len(parts) == 5 and parts[4] else None
-            try:
-                kind = NameKind(kind_raw)
-            except ValueError:
-                raise DictionaryLoadError(f"{path}:{lineno}: unknown name kind {kind_raw!r}") from None
-            try:
-                # numpy parses each str with float(), so the bits match a float() parse
-                vector = np.array(vector_raw.split(","), dtype=np.float64)
-            except ValueError:
-                raise DictionaryLoadError(f"{path}:{lineno}: unparseable vector") from None
-            if not np.isfinite(vector).all():
-                raise DictionaryLoadError(f"{path}:{lineno}: empty or non-finite vector")
-            if dim is None:
-                dim = vector.size
-            elif vector.size != dim:
-                raise DictionaryLoadError(
-                    f"{path}:{lineno}: vector dim {vector.size} != expected {dim}"
-                )
-            if (cui, name) in seen:
-                raise DictionaryLoadError(f"{path}:{lineno}: duplicate (cui, name) pair ({cui}, {name})")
-            seen.add((cui, name))
-            try:
-                concepts.append(Concept(cui=cui, name=name, kind=kind, semantic_type=semantic_type))
-            except ValidationError as exc:
-                raise DictionaryLoadError(f"{path}:{lineno}: {exc}") from None
-            vectors.append(vector)
-    if not concepts:
-        raise DictionaryLoadError("empty dictionary")
-    index = ConceptIndex(concepts, np.vstack(vectors))
+        vectors = _vector_fields(path, handle, concepts, line_numbers)
+        first = next(vectors, None)
+        if first is None:
+            raise DictionaryLoadError("empty dictionary")
+        try:
+            matrix = np.loadtxt(itertools.chain([first], vectors), **_VECTOR_READER)
+        except ValueError:
+            raise _first_bad_vector(path) from None
+    finite = np.isfinite(matrix).all(axis=1)
+    if not finite.all():
+        raise DictionaryLoadError(f"{path}:{line_numbers[int(finite.argmin())]}: empty or non-finite vector")
+    index = ConceptIndex(concepts, matrix)
     logger.info("loaded %d dictionary entries (dim=%d) from %s", len(index), index.dim, path)
     return index
+
+
+def _first_bad_vector(path: Path) -> DictionaryLoadError:
+    """The error for the first vector the reader rejected, found by reading the file again row by row."""
+    line_numbers: list[int] = []
+    dim = None
+    with path.open(encoding="utf-8") as handle:
+        for vector_raw in _vector_fields(path, handle, [], line_numbers):
+            try:
+                size = np.loadtxt([vector_raw], **_VECTOR_READER).shape[1]
+            except ValueError:
+                return DictionaryLoadError(f"{path}:{line_numbers[-1]}: unparseable vector")
+            if dim is not None and size != dim:
+                return DictionaryLoadError(f"{path}:{line_numbers[-1]}: vector dim {size} != expected {dim}")
+            dim = size
+    return DictionaryLoadError(f"{path}: unparseable vector")  # the file changed between the two reads
 
 
 class TermNormalizer:

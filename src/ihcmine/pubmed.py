@@ -11,7 +11,6 @@ from __future__ import annotations
 import logging
 import threading
 import time
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Sequence
 from urllib.parse import urlencode
@@ -129,10 +128,7 @@ class EntrezClient:
                 {"db": "pubmed", "term": query.query, "retmax": retmax, "retstart": retstart},
                 context,
             )
-            try:
-                root = ET.fromstring(body)
-            except ET.ParseError as exc:
-                raise EntrezParseError(f"esearch response not well-formed ({context})") from exc
+            root = _xml_root(body, "esearch", context)
             count_node = root.find("Count")
             if count_node is not None and count_node.text:
                 total_hits = int(count_node.text)
@@ -179,10 +175,7 @@ class EntrezClient:
                 {"db": "pubmed", "id": ",".join(batch), "rettype": "abstract", "retmode": "xml"},
                 context,
             )
-            try:
-                root = ET.fromstring(body)
-            except ET.ParseError as exc:
-                raise EntrezParseError(f"efetch response not well-formed ({context})") from exc
+            root = _xml_root(body, "efetch", context)
             found: set[str] = set()
             for article in root.findall(".//PubmedArticle"):
                 pmid_node = article.find(".//MedlineCitation/PMID")
@@ -212,6 +205,15 @@ class EntrezClient:
                 )
             skipped.extend(p for p in batch if p not in found)
         return records, skipped
+
+
+def _xml_root(body: str, what: str, context: str):
+    import xml.etree.ElementTree as ET  # only fetch parses XML
+
+    try:
+        return ET.fromstring(body)
+    except ET.ParseError as exc:
+        raise EntrezParseError(f"{what} response not well-formed ({context})") from exc
 
 
 def dedup_merge(hits: Iterable[tuple[str, Sequence[str]]]) -> dict[str, set[str]]:

@@ -198,8 +198,7 @@ class RunStore:
                 truncated = True
         if truncated:
             logger.warning("dropping corrupt trailing line from %s", path)
-            with path.open("wb") as handle:
-                handle.write(data)
+            os.truncate(path, len(data))  # in place: a kill or full disk midway cannot lose the kept records
 
     # -- record-wise stages ----------------------------------------------------
 

@@ -248,7 +248,9 @@ def normalized(pmid, tumour_cui="C0000010", flags=()):
 
 class TestCompare:
     @pytest.mark.parametrize(
-        "row", ["ER,melanoma,range,ten,90", "ER,melanoma,range"], ids=["non-integer-bound", "short-row"]
+        "row",
+        ["ER,melanoma,range,ten,90", "ER,melanoma,range", "ER,melanoma,range,90,10", "ER,melanoma,positive,5,"],
+        ids=["non-integer-bound", "short-row", "low-above-high", "bound-on-qualitative"],
     )
     def test_malformed_reference_row_is_a_stage_failure(self, demo_env, tmp_path, capsys, row):
         run_dir = tmp_path / "run"

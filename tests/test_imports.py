@@ -3,7 +3,8 @@
 Each stage runs as its own ``python -m ihcmine <stage>`` process, so what
 ``ihcmine.cli`` imports is paid on every stage start. numpy belongs to
 normalize alone. requests belongs to no stage: every endpoint is called
-through ``ihcmine.transport`` on ``http.client``. Each check runs in a fresh
+through ``ihcmine.transport`` on ``http.client``. The other modules below
+belong to the commands that use them. Each check runs in a fresh
 interpreter, so modules that pytest or other tests imported do not count.
 """
 
@@ -22,9 +23,20 @@ ROOT = Path(__file__).parent.parent
 FIXTURES = Path(__file__).parent / "data" / "renal_s100a4"
 
 
-def heavy_modules_after(code: str) -> list[str]:
-    """Runs ``code`` in a new interpreter; returns which of numpy and requests it left loaded."""
-    script = code + "\nimport json, sys; print(json.dumps(sorted({'numpy', 'requests'} & set(sys.modules))))"
+HEAVY = ("numpy", "requests")
+PER_COMMAND = (
+    "ihcmine.classify",
+    "ihcmine.landscape",
+    "ihcmine.table_eval",
+    "concurrent.futures",
+    "xml.etree.ElementTree",
+    "fractions",
+)
+
+
+def heavy_modules_after(code: str, watched=HEAVY) -> list[str]:
+    """Runs ``code`` in a new interpreter; returns which of the ``watched`` modules it left loaded."""
+    script = code + f"\nimport json, sys; print(json.dumps(sorted(set({list(watched)!r}) & set(sys.modules))))"
     env = {**os.environ, "PYTHONPATH": "src"}
     result = subprocess.run(
         [sys.executable, "-c", script], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
@@ -35,6 +47,10 @@ def heavy_modules_after(code: str) -> list[str]:
 
 def test_cli_import_loads_neither():
     assert heavy_modules_after("import ihcmine.cli") == []
+
+
+def test_cli_import_loads_no_command_module():
+    assert heavy_modules_after("import ihcmine.cli", HEAVY + PER_COMMAND) == []
 
 
 def test_normalize_loads_numpy_but_not_requests():
@@ -77,15 +93,16 @@ def test_stages_that_call_no_endpoint_load_neither(tmp_path):
     gold_labels = ROOT / "data" / "gold_eval.jsonl"
 
     run = ["--run-dir", str(run_dir)]
-    commands = [
-        ["aggregate", *run],
-        ["compare", *run, "--reference", str(reference)],
-        ["report", *run],
-        ["eval-classify", *run, "--gold", str(gold_labels), "--pred", str(gold_labels)],
-        ["eval-tables", *run, "--gold", str(tables), "--pred", str(tables), "--abstracts", str(abstracts)],
-    ]
-    code = f"from ihcmine.cli import main\nfor argv in {commands!r}:\n    assert main(argv) == 0, argv"
-    assert heavy_modules_after(code) == []
+    landscape_commands = [["aggregate", *run], ["compare", *run, "--reference", str(reference)], ["report", *run]]
+    eval_classify = [["eval-classify", *run, "--gold", str(gold_labels), "--pred", str(gold_labels)]]
+    eval_tables = [["eval-tables", *run, "--gold", str(tables), "--pred", str(tables), "--abstracts", str(abstracts)]]
+    for commands, not_loaded in [
+        (landscape_commands, ("ihcmine.classify", "ihcmine.table_eval")),
+        (eval_classify, ("ihcmine.table_eval",)),
+        (eval_tables, ("ihcmine.classify",)),
+    ]:
+        code = f"from ihcmine.cli import main\nfor argv in {commands!r}:\n    assert main(argv) == 0, argv"
+        assert heavy_modules_after(code, HEAVY + not_loaded) == [], commands[0][0]
     assert (run_dir / "marker_report.csv").exists() and (run_dir / "eval_report.json").exists()
 
 

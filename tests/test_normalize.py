@@ -2,10 +2,11 @@
 
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ihcmine.codec import decode, encode
@@ -134,6 +135,55 @@ class TestLoadIndex:
         )
         expected = np.array([[float(v) for v in row] for row in rows], dtype=np.float64)
         assert load_index(path)._matrix.tobytes() == expected.tobytes()
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda dim: st.lists(
+                st.lists(
+                    st.tuples(
+                        st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.floats(-1e-307, 1e-307)),
+                        st.sampled_from(["{!r}", "{:.6f}", "{:e}", "+{!r}", " {!r}  ", "  {:e}"]),
+                    ),
+                    min_size=dim,
+                    max_size=dim,
+                ),
+                min_size=1,
+                max_size=5,
+            )
+        )
+    )
+    def test_matrix_equals_per_value_float_oracle(self, tmp_path, rows):
+        texts = [[fmt.format(abs(v) if fmt.startswith("+") else v) for v, fmt in row] for row in rows]
+        path = self.write(
+            tmp_path, [f"C{i:07d}\tname {i}\tcanonical\t{','.join(row)}" for i, row in enumerate(texts, start=1)]
+        )
+        expected = np.array([[float(v) for v in row] for row in texts], dtype=np.float64)
+        assert load_index(path)._matrix.tobytes() == expected.tobytes()
+
+    def test_bad_value_past_the_readers_first_chunk_reports_its_line(self, tmp_path):
+        lines = [f"C{i:07d}\tname {i}\tcanonical\t0.5,{i}" for i in range(1, 50_011)]
+        lines[50_004] = "C9999999\tlate\tcanonical\t0.5,1.0.0"
+        path = self.write(tmp_path, lines)
+        with pytest.raises(DictionaryLoadError, match=":50005: unparseable vector"):
+            load_index(path)
+
+    @pytest.mark.parametrize("text", ["", "\n  \n\t\n"], ids=["empty", "blank-only"])
+    def test_empty_or_blank_file_warns_nothing(self, tmp_path, text):
+        path = tmp_path / "dict.tsv"
+        path.write_text(text, encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DictionaryLoadError, match="empty dictionary"):
+                load_index(path)
+
+    @pytest.mark.parametrize("value", ["1_0", "\uff11", "\u0661.5"], ids=["underscore", "full-width", "arabic-indic"])
+    def test_numbers_float_accepts_but_the_reader_rejects(self, tmp_path, value):
+        float(value)  # Python's float() takes it; the dictionary format does not
+        lines = ["C0000001\tmelanoma\tcanonical\t0.0,0.0", f"C0000002\tnaevus\tcanonical\t{value},0.0"]
+        path = self.write(tmp_path, lines)
+        with pytest.raises(DictionaryLoadError, match=":2: unparseable vector"):
+            load_index(path)
 
     def test_crlf_file_loads(self, tmp_path):
         path = tmp_path / "dict.tsv"

@@ -1,7 +1,10 @@
 """Run-store appends, crash recovery, manifest state machine, locking."""
 
+import contextlib
+import errno
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -103,6 +106,24 @@ class TestRecovery:
         path.write_text('{"pmid": "1"}\ngarbage line\n', encoding="utf-8")
         store.start_stage("classified")
         assert path.read_text() == '{"pmid": "1"}\n'
+
+    def test_repair_that_cannot_write_keeps_complete_records(self, store, monkeypatch):
+        path = store.path("classified")
+        path.write_text('{"pmid": "1"}\n{"pmid": "2"}\n{"pmid": "3"', encoding="utf-8")
+        real_open = Path.open
+
+        def open_then_disk_full(self, mode="r", *args, **kwargs):
+            handle = real_open(self, mode, *args, **kwargs)
+            if mode.strip("bt") != "r":
+                handle.close()
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return handle
+
+        monkeypatch.setattr(Path, "open", open_then_disk_full)
+        with contextlib.suppress(OSError):  # the repair may fail, but must not lose what it keeps
+            store.repair_tail("classified")
+        monkeypatch.undo()
+        assert store.processed_ids("classified") == {"1", "2"}
 
 
 class TestAtomicStage:
