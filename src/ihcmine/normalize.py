@@ -5,19 +5,32 @@ against precomputed squared row norms scores a batch of queries, and every
 row within a rounding bound of a query's k-th best score is re-ranked with
 the per-row distance, so results equal a linear scan's bit for bit. Ties
 break by ascending CUI then name so results are deterministic even with
-duplicated vectors. Dictionary format: one entry per line,
+duplicated vectors. Dictionary format: one UTF-8 entry per line,
 ``cui<TAB>name<TAB>kind<TAB>v1,v2,...`` with an optional fifth
 semantic-type column.
+
+The first load of a dictionary parses its text and keeps the result as one
+cache entry per resolved path, ``$XDG_CACHE_HOME/ihcmine/`` (default
+``~/.cache/ihcmine/``). A later load reads the entry instead when the sha256
+of the file's bytes equals the one it records; any other entry is parsed
+over. Deleting an entry is always safe.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import hashlib
 import itertools
+import json
 import logging
+import os
+import re
+import tempfile
+import zipfile
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -32,17 +45,10 @@ EMBED_CHUNK = 64
 _EPS = float(np.finfo(np.float64).eps)
 
 
-class NameKind(str, Enum):
-    CANONICAL = "canonical"
-    ALIAS = "alias"
-    TRADE_NAME = "trade_name"
-
-
 @dataclass(frozen=True)
 class Concept:
     cui: str
     name: str
-    kind: NameKind
     vector: EmbeddingVector | None = None
     semantic_type: str | None = None
 
@@ -159,30 +165,33 @@ class ConceptIndex:
 
 
 _VECTOR_READER = {"delimiter": ",", "comments": None, "dtype": np.float64, "ndmin": 2}
+_NAME_KINDS = frozenset({"canonical", "alias", "trade_name"})
+_UNDECODABLE = re.compile("[\udc80-\udcff]")  # bytes that ``surrogateescape`` kept because they are not UTF-8
+_CACHE_FORMAT = 1  # raise when the entry layout changes, or the parse gives other results for the same bytes
 
 
 def _vector_fields(path: Path, handle: Iterable[str], concepts: list[Concept], line_numbers: list[int]) -> Iterator[str]:
     """Checks each entry's fields but its vector; keeps its concept and line number; yields its vector field."""
     seen: set[tuple[str, str]] = set()
     for lineno, line in enumerate(handle, start=1):
+        if not line.isascii() and _UNDECODABLE.search(line):
+            raise DictionaryLoadError(f"{path}:{lineno}: not valid UTF-8")
         if line.isspace():
             continue
-        parts = line.rstrip("\n").split("\t")
+        parts = line.rstrip("\r\n").split("\t")
         if len(parts) not in (4, 5):
             raise DictionaryLoadError(f"{path}:{lineno}: expected 4 or 5 tab-separated fields")
-        cui, name, kind_raw, vector_raw = parts[0], parts[1], parts[2], parts[3]
+        cui, name, kind, vector_raw = parts[0], parts[1], parts[2], parts[3]
         semantic_type = parts[4] if len(parts) == 5 and parts[4] else None
-        try:
-            kind = NameKind(kind_raw)
-        except ValueError:
-            raise DictionaryLoadError(f"{path}:{lineno}: unknown name kind {kind_raw!r}") from None
+        if kind not in _NAME_KINDS:
+            raise DictionaryLoadError(f"{path}:{lineno}: unknown name kind {kind!r}")
         if not vector_raw:  # numpy's reader would skip it as a blank line
             raise DictionaryLoadError(f"{path}:{lineno}: unparseable vector")
         if (cui, name) in seen:
             raise DictionaryLoadError(f"{path}:{lineno}: duplicate (cui, name) pair ({cui}, {name})")
         seen.add((cui, name))
         try:
-            concepts.append(Concept(cui=cui, name=name, kind=kind, semantic_type=semantic_type))
+            concepts.append(Concept(cui=cui, name=name, semantic_type=semantic_type))
         except ValidationError as exc:
             raise DictionaryLoadError(f"{path}:{lineno}: {exc}") from None
         line_numbers.append(lineno)
@@ -190,19 +199,37 @@ def _vector_fields(path: Path, handle: Iterable[str], concepts: list[Concept], l
 
 
 def load_index(path: str | Path) -> ConceptIndex:
-    """Load a TSV dictionary in one streaming pass; any malformed line fails with its line number.
+    """Load a TSV dictionary; any malformed line fails with its line number.
+
+    A valid cache entry for the file's current content is read instead of the text (see
+    ``_cached``). Otherwise the file is parsed in one streaming pass and the entry is written.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise DictionaryLoadError(f"dictionary file not found: {path}")
+    entry = _cache_entry(path)
+    loaded = _cached(entry, path) if entry is not None else None
+    if loaded is None:
+        digest = hashlib.sha256()
+        loaded = _parse(path, digest)
+        if entry is not None:
+            _publish(entry, digest.hexdigest(), *loaded)
+    index = ConceptIndex(*loaded)
+    logger.info("loaded %d dictionary entries (dim=%d) from %s", len(index), index.dim, path)
+    return index
+
+
+def _parse(path: Path, digest: hashlib._Hash) -> tuple[list[Concept], np.ndarray]:
+    """The concepts and matrix of the file, feeding the bytes parsed to ``digest``.
 
     Python checks each line's other fields. numpy's C text reader parses the vector fields
     straight into the matrix with CPython's correctly rounded string-to-double, so each value
     gets the bits ``float()`` gives it, and it rejects a row whose width differs from the first.
     """
-    path = Path(path)
-    if not path.exists():
-        raise DictionaryLoadError(f"dictionary file not found: {path}")
     concepts: list[Concept] = []
     line_numbers: list[int] = []
-    with path.open(encoding="utf-8") as handle:
-        vectors = _vector_fields(path, handle, concepts, line_numbers)
+    with _open_text(path) as handle:
+        vectors = _vector_fields(path, _hashed(handle, digest), concepts, line_numbers)
         first = next(vectors, None)
         if first is None:
             raise DictionaryLoadError("empty dictionary")
@@ -213,16 +240,26 @@ def load_index(path: str | Path) -> ConceptIndex:
     finite = np.isfinite(matrix).all(axis=1)
     if not finite.all():
         raise DictionaryLoadError(f"{path}:{line_numbers[int(finite.argmin())]}: empty or non-finite vector")
-    index = ConceptIndex(concepts, matrix)
-    logger.info("loaded %d dictionary entries (dim=%d) from %s", len(index), index.dim, path)
-    return index
+    return concepts, matrix
+
+
+def _open_text(path: Path) -> TextIO:
+    """The file's lines with their line endings; bytes that are not UTF-8 become surrogates for the line check."""
+    return path.open(encoding="utf-8", errors="surrogateescape", newline="")
+
+
+def _hashed(lines: Iterable[str], digest: hashlib._Hash) -> Iterator[str]:
+    """The lines, each fed to ``digest`` as the bytes it was read from."""
+    for line in lines:
+        digest.update(line.encode("utf-8", "surrogateescape"))
+        yield line
 
 
 def _first_bad_vector(path: Path) -> DictionaryLoadError:
     """The error for the first vector the reader rejected, found by reading the file again row by row."""
     line_numbers: list[int] = []
     dim = None
-    with path.open(encoding="utf-8") as handle:
+    with _open_text(path) as handle:
         for vector_raw in _vector_fields(path, handle, [], line_numbers):
             try:
                 size = np.loadtxt([vector_raw], **_VECTOR_READER).shape[1]
@@ -232,6 +269,67 @@ def _first_bad_vector(path: Path) -> DictionaryLoadError:
                 return DictionaryLoadError(f"{path}:{line_numbers[-1]}: vector dim {size} != expected {dim}")
             dim = size
     return DictionaryLoadError(f"{path}: unparseable vector")  # the file changed between the two reads
+
+
+def _cache_entry(path: Path) -> Path | None:
+    """The cache entry of the dictionary at this resolved path, or None when there is no home to keep it in."""
+    root = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(root):
+        root = os.path.expanduser("~/.cache")
+        if not os.path.isabs(root):
+            return None
+    key = hashlib.sha256(os.fsencode(path.resolve())).hexdigest()[:32]
+    return Path(root) / "ihcmine" / f"dictionary-{key}.npz"
+
+
+def _cached(entry: Path, path: Path) -> tuple[list[Concept], np.ndarray] | None:
+    """The concepts and matrix an entry holds, when it is whole and was written from the file's current bytes.
+
+    The entry is an ``.npz`` of ``meta``, the UTF-8 JSON of the format version, the sha256 of
+    the dictionary's bytes and each concept's [cui, name, semantic type], and ``matrix``.
+    Anything else counts as a miss, and the load that follows rewrites the entry.
+    """
+    if not entry.is_file():
+        return None
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        for block in iter(functools.partial(handle.read, 1 << 20), b""):
+            digest.update(block)
+    try:
+        with open(entry, "rb") as handle, np.load(handle, allow_pickle=False) as data:
+            meta = json.loads(data["meta"].tobytes())
+            if meta["format"] != _CACHE_FORMAT or meta["sha256"] != digest.hexdigest():
+                return None
+            matrix = data["matrix"]
+            concepts = [Concept(cui=cui, name=name, semantic_type=stype) for cui, name, stype in meta["concepts"]]
+    except (OSError, EOFError, ValueError, TypeError, KeyError, zipfile.BadZipFile, ValidationError) as exc:
+        logger.debug("ignoring dictionary cache entry %s: %s", entry, exc)
+        return None
+    if matrix.dtype != np.float64 or matrix.ndim != 2 or matrix.shape[0] != len(concepts) or not matrix.shape[1]:
+        return None
+    if not concepts or not np.isfinite(matrix).all():
+        return None
+    return concepts, matrix
+
+
+def _publish(entry: Path, digest: str, concepts: list[Concept], matrix: np.ndarray) -> None:
+    """Writes the entry under a unique name, syncs it and renames it into place; a failure costs only the cache."""
+    fields = [[c.cui, c.name, c.semantic_type] for c in concepts]
+    meta = json.dumps({"format": _CACHE_FORMAT, "sha256": digest, "concepts": fields}).encode("utf-8")
+    temp = None
+    try:
+        entry.parent.mkdir(parents=True, exist_ok=True)
+        fd, temp = tempfile.mkstemp(prefix=f".{entry.name}.", suffix=".tmp", dir=entry.parent)
+        with os.fdopen(fd, "wb") as handle:
+            np.savez(handle, meta=np.frombuffer(meta, dtype=np.uint8), matrix=matrix)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(temp, entry)
+    except OSError as exc:
+        logger.debug("dictionary cache entry %s not written: %s", entry, exc)
+        if temp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(temp)
 
 
 class TermNormalizer:

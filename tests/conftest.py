@@ -15,6 +15,14 @@ from mockservers import (
 )
 
 
+@pytest.fixture(autouse=True)
+def cache_home(tmp_path_factory, monkeypatch):
+    """A per-test XDG cache home, so no test reads or writes cache entries in the real home directory."""
+    path = tmp_path_factory.mktemp("xdg-cache")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(path))
+    return path
+
+
 @dataclass
 class DemoEnv:
     root: Path

@@ -25,7 +25,7 @@ from ihcmine.classify import evaluate
 from ihcmine.domain import ClassificationLabel, compute_rate, format_percent, round_percent
 from ihcmine.gateway import EmbeddingVector
 from ihcmine.landscape import ConcordanceCategory, compare, load_reference_csv, summary_report
-from ihcmine.normalize import Concept, ConceptIndex, NameKind
+from ihcmine.normalize import Concept, ConceptIndex
 from ihcmine.table_eval import Verdict, evaluate_set, score
 from ihcmine.tables import parse_cell, parse_markdown_table, render_markdown
 
@@ -172,7 +172,6 @@ def test_c5_nearest_neighbor_matches_linear_scan():
         Concept(
             cui=f"C{i:07d}",
             name=f"name {i}",
-            kind=NameKind.CANONICAL,
             vector=EmbeddingVector.of([rng.random() for _ in range(dim)]),
         )
         for i in range(1000)
@@ -194,8 +193,8 @@ def test_c5_nearest_neighbor_matches_linear_scan():
 
     duplicated = ConceptIndex(
         [
-            Concept(cui="C0000042", name="beta", kind=NameKind.CANONICAL, vector=concepts[0].vector),
-            Concept(cui="C0000007", name="alpha", kind=NameKind.CANONICAL, vector=concepts[0].vector),
+            Concept(cui="C0000042", name="beta", vector=concepts[0].vector),
+            Concept(cui="C0000007", name="alpha", vector=concepts[0].vector),
         ]
     )
     ordered = duplicated.nearest(concepts[0].vector, 2)

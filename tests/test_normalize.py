@@ -1,14 +1,21 @@
 """Dictionary loading, exact nearest-neighbor search, term and table normalization."""
 
+import hashlib
+import logging
 import math
+import os
 import random
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from ihcmine import normalize as normalize_mod
 from ihcmine.codec import decode, encode
 from ihcmine.errors import DictionaryLoadError, GatewayError, NormalizationError, ValidationError
 from ihcmine.gateway import EmbeddingVector
@@ -16,7 +23,6 @@ from ihcmine.normalize import (
     EMBED_CHUNK,
     Concept,
     ConceptIndex,
-    NameKind,
     NormalizedRecord,
     TermNormalizer,
     load_index,
@@ -28,8 +34,8 @@ from ihcmine.tables import parse_markdown_table
 from mockservers import fake_embedding
 
 
-def concept(cui, name, values, kind=NameKind.CANONICAL, semantic_type=None):
-    return Concept(cui=cui, name=name, kind=kind, vector=EmbeddingVector.of(values), semantic_type=semantic_type)
+def concept(cui, name, values, semantic_type=None):
+    return Concept(cui=cui, name=name, vector=EmbeddingVector.of(values), semantic_type=semantic_type)
 
 
 class FakeEmbedGateway:
@@ -202,6 +208,173 @@ class TestLoadIndex:
         query = EmbeddingVector.of([0.9, 0.9])
         assert index.nearest(query, 1)[0][0].name == "ER"
         assert index.nearest(query, 1, semantic_type="tumour")[0][0].name == "melanoma"
+
+
+def linear_scan(index, query, k, semantic_type=None):
+    """The exact top k as a scan of every concept computes it: (distance, cui, name), ascending."""
+    q = np.asarray(query.values, dtype=np.float64)
+    scored = sorted(
+        (float(np.sqrt(((index._matrix[i] - q) ** 2).sum())), c.cui, c.name)
+        for i, c in enumerate(index.concepts)
+        if semantic_type is None or c.semantic_type == semantic_type
+    )
+    return scored[:k]
+
+
+class TestDictionaryCache:
+    """``load_index`` keeps one parsed entry per dictionary path, used only for the same bytes."""
+
+    LINES = [
+        "C0000001\tmelanoma\tcanonical\t0.1,0.2,0.3\ttumour",
+        "C0000002\tna\u00efve n\u00e6vus\talias\t-0.5,1e-310,2.5\ttumour",
+        "C0000003\tER\tcanonical\t0.30000000000000004,-0.0,1.0\tmarker",
+        "C0000003\tER\x00\ttrade_name\t0.3,0.0,1.5",
+        "C0000004\tanti-HMB45 \U0001f52c\ttrade_name\t1.0,1.0,1.0\tmarker",
+    ]
+
+    @pytest.fixture
+    def dictionary(self, tmp_path):
+        return self.write(tmp_path)
+
+    def write(self, tmp_path, newline="\n"):
+        path = tmp_path / "dict.tsv"
+        path.write_bytes("".join(line + newline for line in self.LINES).encode("utf-8"))
+        return path
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        """Counts the text parses ``load_index`` makes."""
+        calls = []
+        parse = normalize_mod._parse
+
+        def counted(*args):
+            calls.append(args[0])
+            return parse(*args)
+
+        monkeypatch.setattr(normalize_mod, "_parse", counted)
+        return calls
+
+    def entries(self, cache_home):
+        return sorted((cache_home / "ihcmine").glob("*")) if (cache_home / "ihcmine").exists() else []
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_miss_then_hit_gives_the_same_index(self, tmp_path, parses, cache_home, newline):
+        dictionary = self.write(tmp_path, newline)
+        cold = load_index(dictionary)
+        assert len(parses) == 1 and len(self.entries(cache_home)) == 1
+        warm = load_index(dictionary)
+        assert len(parses) == 1
+        assert [(c.cui, c.name, c.semantic_type) for c in warm.concepts] == [
+            (c.cui, c.name, c.semantic_type) for c in cold.concepts
+        ]
+        assert warm.concepts == cold.concepts and warm.concepts[3].name == "ER\x00"
+        assert warm._matrix.dtype == np.float64 and warm._matrix.tobytes() == cold._matrix.tobytes()
+        rng = random.Random(7)
+        queries = [EmbeddingVector.of([rng.uniform(-1, 2) for _ in range(3)]) for _ in range(20)]
+        for semantic_type in (None, "tumour", "marker"):
+            for k in (1, 2, 5):
+                hits = warm.nearest_many(queries, k, semantic_type)
+                assert hits == cold.nearest_many(queries, k, semantic_type)
+                for query, found in zip(queries, hits):
+                    assert [(d, c.cui, c.name) for c, d in found] == linear_scan(warm, query, k, semantic_type)
+
+    def test_edit_with_size_and_mtime_restored_misses(self, dictionary, parses, cache_home):
+        before = load_index(dictionary)
+        stat = dictionary.stat()
+        dictionary.write_bytes(dictionary.read_bytes().replace(b"0.1,0.2,0.3", b"0.1,0.7,0.3"))
+        os.utime(dictionary, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert dictionary.stat().st_size == stat.st_size and dictionary.stat().st_mtime_ns == stat.st_mtime_ns
+        after = load_index(dictionary)
+        assert len(parses) == 2
+        assert before._matrix[0, 1] == 0.2 and after._matrix[0, 1] == 0.7
+        assert len(self.entries(cache_home)) == 1  # the entry for this path was replaced
+        assert load_index(dictionary)._matrix.tobytes() == after._matrix.tobytes() and len(parses) == 2
+
+    @staticmethod
+    def rewrite(entry, change):
+        with np.load(entry) as data:
+            meta, matrix = data["meta"], data["matrix"]
+        with open(entry, "wb") as handle:
+            np.savez(handle, meta=meta, matrix=change(matrix))
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda entry: entry.write_bytes(entry.read_bytes()[: entry.stat().st_size // 2]),
+            lambda entry: entry.write_bytes(b"\x93NUMPY garbage" * 50),
+            lambda entry: entry.write_bytes(b""),
+            lambda entry: TestDictionaryCache.rewrite(entry, lambda m: m[:-1]),
+            lambda entry: TestDictionaryCache.rewrite(entry, lambda m: m.astype(np.float32)),
+            lambda entry: TestDictionaryCache.rewrite(entry, lambda m: m[:, 0]),
+            lambda entry: TestDictionaryCache.rewrite(entry, lambda m: np.where(m == 1.5, np.inf, m)),
+        ],
+        ids=["truncated", "garbage", "empty", "short-matrix", "float32", "one-dimensional", "non-finite"],
+    )
+    def test_damaged_entry_is_parsed_again_and_rewritten(self, dictionary, parses, cache_home, damage):
+        expected = load_index(dictionary)
+        (entry,) = self.entries(cache_home)
+        damage(entry)
+        loaded = load_index(dictionary)
+        assert len(parses) == 2
+        assert loaded.concepts == expected.concepts and loaded._matrix.tobytes() == expected._matrix.tobytes()
+        assert self.entries(cache_home) == [entry]
+        load_index(dictionary)
+        assert len(parses) == 2
+
+    def test_unwritable_cache_directory_still_loads(self, dictionary, parses, tmp_path, monkeypatch, caplog):
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("", encoding="utf-8")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+        with caplog.at_level(logging.DEBUG, logger="ihcmine.normalize"):
+            assert len(load_index(dictionary)) == len(self.LINES)
+        assert [r.levelno for r in caplog.records if "not written" in r.getMessage()] == [logging.DEBUG]
+        assert len(load_index(dictionary)) == len(self.LINES) and len(parses) == 2
+
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            (["C0000001\tmelanoma\tcanonical\t0.0,0.0", "C0000002\tnaevus\tcanonical\t1.0,2.0,3.0"], ":2: vector dim"),
+            (["C0000001\tmelanoma\tcanonical\t0.0,0.0", "C0000002\tnaevus\tcanonical\tnan,0.0"], ":2: empty or non"),
+            (["C0000001\tmelanoma\tcanonical\t0.0,0.0", "C0000001\tmelanoma\talias\t0.0,0.0"], ":2: duplicate"),
+        ],
+        ids=["dim", "non-finite", "duplicate"],
+    )
+    def test_malformed_dictionary_writes_no_entry(self, tmp_path, cache_home, lines, message):
+        path = tmp_path / "dict.tsv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(DictionaryLoadError, match=message):
+            load_index(path)
+        assert self.entries(cache_home) == []
+
+    @pytest.mark.parametrize("field", [1, 3, 4])
+    def test_non_utf8_dictionary_reports_its_line(self, tmp_path, cache_home, field):
+        lines = [line.encode("utf-8") for line in self.LINES]
+        parts = lines[2].split(b"\t")
+        parts[field] += b"\xff"
+        lines[2] = b"\t".join(parts)
+        path = tmp_path / "dict.tsv"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(DictionaryLoadError, match=r"dict\.tsv:3: not valid UTF-8$"):
+            load_index(path)
+        assert self.entries(cache_home) == []
+
+    def test_concurrent_loads_leave_one_valid_entry(self, tmp_path, parses, cache_home):
+        rng = random.Random(3)
+        path = tmp_path / "dict.tsv"
+        path.write_text(
+            "".join(f"C{i:07d}\tname {i}\tcanonical\t{','.join(repr(rng.random()) for _ in range(32))}\n" for i in range(2000)),
+            encoding="utf-8",
+        )
+        code = "import sys; from ihcmine.normalize import load_index; load_index(sys.argv[1])"
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")}
+        procs = [subprocess.Popen([sys.executable, "-c", code, str(path)], env=env) for _ in range(3)]
+        assert [proc.wait(timeout=120) for proc in procs] == [0, 0, 0]
+        (entry,) = self.entries(cache_home)
+        assert entry.suffix == ".npz"
+        loaded = load_index(path)
+        assert parses == []
+        expected = normalize_mod._parse(path, hashlib.sha256())
+        assert loaded.concepts == expected[0] and loaded._matrix.tobytes() == expected[1].tobytes()
 
 
 class TestNearest:
