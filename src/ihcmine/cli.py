@@ -28,7 +28,7 @@ from .config import PipelineConfig, build_config
 from .domain import AbstractRecord, ClassificationLabel, NormalizedRecord, format_percent, round_percent
 from .errors import GatewayError, PipelineError, TableNotFoundError, ValidationError
 from .pubmed import CorpusStats, EntrezClient, build_query, dedup_merge
-from .store import RunLock, RunStore, StageInfo, iter_jsonl
+from .store import RunLock, RunStore, StageInfo, atomic_file, iter_jsonl
 from .tables import ProfileTable, extract_table, parse_markdown_table
 
 if TYPE_CHECKING:
@@ -250,7 +250,8 @@ def _make_gateway(config: PipelineConfig) -> LlmGateway:
 
 
 def _write_json(path: Path, payload: dict[str, Any]) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    with atomic_file(path) as handle:
+        handle.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 # -- stage commands -----------------------------------------------------------
@@ -486,7 +487,7 @@ def cmd_report(config: PipelineConfig, store: RunStore, args: argparse.Namespace
     )
     totals = landscape_mod.marker_totals(aggregates, records=usable)
     out = store.run_dir / "marker_report.csv"
-    with out.open("w", encoding="utf-8", newline="") as handle:
+    with atomic_file(out) as handle:
         writer = csv.writer(handle)
         writer.writerow(["marker", "n_abstracts", "positives", "cohort", "positive_rate_percent"])
         for t in totals:

@@ -90,12 +90,6 @@ class RateStat:
         return Fraction(100 * self.positives, self.total)
 
 
-def compute_rate(positives: int, total: int) -> RateStat:
-    """Exact rate from a validated count; total must be >= 1."""
-    PositivityCount.checked(positives, total)
-    return RateStat(positives=positives, total=total)
-
-
 def format_percent(value: Fraction, decimals: int) -> str:
     """Half-up decimal string of a non-negative rational, deterministic."""
     from fractions import Fraction

@@ -17,6 +17,7 @@ from typing import Any, Iterable, Sequence
 
 from .domain import NormalizedRecord, RateStat, round_percent
 from .errors import ReferenceFileError, ValidationError
+from .store import atomic_file
 
 logger = logging.getLogger(__name__)
 
@@ -368,7 +369,7 @@ def summary_report(results: Sequence[ConcordanceResult]) -> dict[str, Any]:
 
 def write_comparison_csv(results: Sequence[ConcordanceResult], path: str | Path) -> None:
     report = summary_report(results)
-    with Path(path).open("w", encoding="utf-8", newline="") as handle:
+    with atomic_file(path) as handle:
         writer = csv.DictWriter(
             handle,
             fieldnames=["marker", "tumour", "positives", "total", "observed_percent", "reference", "category"],

@@ -13,12 +13,12 @@ The first load of a dictionary parses its text and keeps the result as one
 cache entry per resolved path, ``$XDG_CACHE_HOME/ihcmine/`` (default
 ``~/.cache/ihcmine/``). A later load reads the entry instead when the sha256
 of the file's bytes equals the one it records; any other entry is parsed
-over. Deleting an entry is always safe.
+over. Entries are written by ``store.atomic_file``. Deleting one, or a
+``.partial`` file that a load killed mid-write left, is always safe.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import hashlib
 import itertools
@@ -26,7 +26,6 @@ import json
 import logging
 import os
 import re
-import tempfile
 import zipfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -37,6 +36,7 @@ import numpy as np
 from .domain import NormalizedRecord
 from .errors import DictionaryLoadError, GatewayError, NormalizationError, ValidationError
 from .gateway import EmbeddingVector, LlmGateway
+from .store import atomic_file
 from .tables import ProfileTable, split_marker_column
 
 logger = logging.getLogger(__name__)
@@ -87,8 +87,8 @@ class ConceptIndex:
         with np.errstate(over="ignore"):  # an overflowed norm disables the search's cut
             self._sq_norms = (matrix * matrix).sum(axis=1)
         self._max_sq_norm = self._sq_norms.max()
-        self._cuis = np.array([c.cui for c in self.concepts])
-        self._names = np.array([c.name for c in self.concepts])
+        keys = [(c.cui, c.name) for c in self.concepts]  # Python strings: numpy's would drop trailing NULs
+        self._rank = np.argsort(sorted(range(len(keys)), key=keys.__getitem__))  # row -> place in (cui, name) order
         type_rows: dict[str, list[int]] = {}
         for i, c in enumerate(self.concepts):
             if c.semantic_type is not None:
@@ -159,7 +159,7 @@ class ConceptIndex:
             if rows is not None:
                 cand = rows[cand]
             distances = np.sqrt(((self._matrix[cand] - q) ** 2).sum(axis=1))
-            order = np.lexsort((self._names[cand], self._cuis[cand], distances))[:k]
+            order = np.lexsort((self._rank[cand], distances))[:k]
             results.append([(self.concepts[i], float(d)) for i, d in zip(cand[order], distances[order])])
         return results
 
@@ -313,23 +313,15 @@ def _cached(entry: Path, path: Path) -> tuple[list[Concept], np.ndarray] | None:
 
 
 def _publish(entry: Path, digest: str, concepts: list[Concept], matrix: np.ndarray) -> None:
-    """Writes the entry under a unique name, syncs it and renames it into place; a failure costs only the cache."""
+    """Writes the entry through ``atomic_file``; a failure costs only the cache."""
     fields = [[c.cui, c.name, c.semantic_type] for c in concepts]
     meta = json.dumps({"format": _CACHE_FORMAT, "sha256": digest, "concepts": fields}).encode("utf-8")
-    temp = None
     try:
         entry.parent.mkdir(parents=True, exist_ok=True)
-        fd, temp = tempfile.mkstemp(prefix=f".{entry.name}.", suffix=".tmp", dir=entry.parent)
-        with os.fdopen(fd, "wb") as handle:
+        with atomic_file(entry, "wb") as handle:
             np.savez(handle, meta=np.frombuffer(meta, dtype=np.uint8), matrix=matrix)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(temp, entry)
     except OSError as exc:
         logger.debug("dictionary cache entry %s not written: %s", entry, exc)
-        if temp is not None:
-            with contextlib.suppress(OSError):
-                os.unlink(temp)
 
 
 class TermNormalizer:

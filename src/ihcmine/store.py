@@ -2,13 +2,14 @@
 
 Each stage owns one JSONL file under the run directory. Record-wise stages
 append and flush per record so a killed run loses at most a partial
-trailing line, which is truncated away on reopen; whole-output stages
-(fetch, normalize, aggregate), auxiliary rewrites and the manifest commit
-via one temp-file + fsync + rename writer. A stage marked done rejects
-further appends. Each stage's manifest entry records the inputs it was
-built from: its own settings, the content hashes of its input files and
-its upstream stage's fingerprint. The CLI checks them before it reuses,
-re-runs or reads a stage.
+trailing line, which is truncated away on reopen. Every whole file (a
+whole-output stage, a quarantine rewrite, the manifest, a report, a
+dictionary cache entry) is written by ``atomic_file``, so it holds its old
+bytes or its new ones. A stage is marked done once its file is synced, and
+then rejects further appends. Each stage's manifest entry records the
+inputs it was built from: its own settings, the content hashes of its
+input files and its upstream stage's fingerprint. The CLI checks them
+before it reuses, re-runs or reads a stage.
 
 ``iter_jsonl`` is the one JSONL reader, for stage files and for the
 evaluation commands' gold and prediction files alike.
@@ -16,14 +17,16 @@ evaluation commands' gold and prediction files alike.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import logging
 import os
+import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import IO, Any, Iterable, Iterator
 
 from .codec import decode, encode
 from .errors import StageStateError, StoreError, ValidationError
@@ -34,6 +37,8 @@ STAGES = ("corpus", "classified", "tables_raw", "tables_parsed", "normalized", "
 AUX_FILES = ("quarantine",)
 
 _MANIFEST_NAME = "manifest.json"
+_UMASK = os.umask(0o022)  # read once, so atomic_file gives its files the mode open() would
+os.umask(_UMASK)
 
 
 def _utc_now() -> str:
@@ -70,17 +75,40 @@ def _jsonl_line(record: dict[str, Any]) -> str:
     return json.dumps(record, ensure_ascii=False) + "\n"
 
 
-def _write_atomic(path: Path, chunks: Iterable[str]) -> int:
-    """Write ``chunks`` to ``path`` via temp file, fsync and rename; returns the chunk count."""
-    tmp = path.with_name(path.name + ".partial")
+@contextlib.contextmanager
+def atomic_file(path: str | Path, mode: str = "w") -> Iterator[IO]:
+    """A handle on a unique ``.<name>.*.partial`` file beside ``path``, renamed over ``path`` when the block ends.
+
+    Text mode is UTF-8 without newline translation. The file, then its directory, is synced.
+    If the block raises, the temp file is removed and ``path`` keeps its old bytes.
+    """
+    path = Path(path)
+    fd, temp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".partial", dir=path.parent)
+    try:
+        text = "b" not in mode
+        with open(fd, mode, encoding="utf-8" if text else None, newline="" if text else None) as handle:
+            os.chmod(temp, 0o666 & ~_UMASK)
+            yield handle
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(temp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(temp)
+        raise
+    directory = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(directory)
+    finally:
+        os.close(directory)
+
+
+def _write_jsonl(path: Path, records: Iterable[dict[str, Any]]) -> int:
+    """Writes ``records`` to ``path`` through ``atomic_file``; returns the record count."""
     count = 0
-    with tmp.open("w", encoding="utf-8") as handle:
-        for chunk in chunks:
-            handle.write(chunk)
-            count += 1
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
+    with atomic_file(path) as handle:
+        for count, record in enumerate(records, 1):
+            handle.write(_jsonl_line(record))
     return count
 
 
@@ -159,7 +187,8 @@ class RunStore:
         self.close()
 
     def save_manifest(self) -> None:
-        _write_atomic(self.run_dir / _MANIFEST_NAME, [json.dumps(encode(self.manifest), indent=2)])
+        with atomic_file(self.run_dir / _MANIFEST_NAME) as handle:
+            handle.write(json.dumps(encode(self.manifest), indent=2))
 
     # -- paths ---------------------------------------------------------------
 
@@ -234,9 +263,9 @@ class RunStore:
             raise StoreError(f"write to {self.path(stage)} failed: {exc}") from exc
 
     def mark_done(self, stage: str, note: str | None = None) -> None:
-        handle = self._handles.pop(stage, None)
-        if handle is not None:
-            handle.close()
+        """Syncs the stage file, creating it when no record was written, then records the stage done."""
+        with self._handles.pop(stage, None) or self.path(stage).open("ab") as handle:  # appends are flushed
+            os.fsync(handle.fileno())
         self._finish(stage, sum(1 for _ in self.iter_records(stage)), note)
 
     def _finish(self, stage: str, count: int, note: str | None) -> None:
@@ -253,7 +282,7 @@ class RunStore:
     def write_stage_atomic(self, stage: str, records: Iterable[dict[str, Any]], note: str | None = None) -> int:
         """Write a complete stage output via temp file + rename."""
         self.start_stage(stage)
-        count = _write_atomic(self.path(stage), map(_jsonl_line, records))
+        count = _write_jsonl(self.path(stage), records)
         self._finish(stage, count, note)
         return count
 
@@ -262,7 +291,7 @@ class RunStore:
         handle = self._handles.pop(name, None)
         if handle is not None:
             handle.close()
-        return _write_atomic(self.path(name), map(_jsonl_line, records))
+        return _write_jsonl(self.path(name), records)
 
     # -- reads ---------------------------------------------------------------
 
@@ -287,16 +316,17 @@ class RunLock:
                 fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
                 os.write(fd, str(os.getpid()).encode("ascii"))
                 os.close(fd)
-                return
+                break
             except FileExistsError:
                 if self._holder_alive():
                     raise StoreError(f"run directory is locked by a live process ({self.path})") from None
                 logger.warning("removing stale lock %s", self.path)
-                try:
-                    self.path.unlink()
-                except FileNotFoundError:
-                    pass
-        raise StoreError(f"could not acquire lock {self.path}")
+                self.path.unlink(missing_ok=True)
+        else:
+            raise StoreError(f"could not acquire lock {self.path}")
+        for temp in self.path.parent.glob(".*.partial"):  # left by a writer killed inside atomic_file
+            logger.warning("removing %s left by an interrupted write", temp)
+            temp.unlink(missing_ok=True)
 
     def _holder_alive(self) -> bool:
         try:
@@ -312,7 +342,4 @@ class RunLock:
         return True
 
     def release(self) -> None:
-        try:
-            self.path.unlink()
-        except FileNotFoundError:
-            pass
+        self.path.unlink(missing_ok=True)

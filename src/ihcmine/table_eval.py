@@ -164,6 +164,28 @@ def cell_match(gold_cell: CellValue, pred_cell: CellValue, context: CellContext)
     return False
 
 
+def _matched_cells(
+    gold: ProfileTable,
+    pred: ProfileTable,
+    row_pairs: Sequence[tuple[int, int]],
+    column_pairs: Sequence[tuple[str, str]],
+    gold_flags: dict[tuple[int, str], bool],
+    pred_flags: dict[tuple[int, str], bool],
+) -> int:
+    """How many cells of the paired rows and columns ``cell_match`` accepts."""
+    matched = 0
+    for gi, pi in row_pairs:
+        for gname, pname in column_pairs:
+            gcell = gold.rows[gi].cells.get(gname, CellValue())
+            pcell = pred.rows[pi].cells.get(pname, CellValue())
+            ctx = CellContext(
+                gold_percent_derived=gold_flags.get((gi, gname), False),
+                pred_percent_derived=pred_flags.get((pi, pname), False),
+            )
+            matched += cell_match(gcell, pcell, ctx)
+    return matched
+
+
 def _column_key(name: str) -> tuple[str, str | None]:
     col = split_marker_column(name)
     qualifier = col.qualifier.lower() if col.qualifier else None
@@ -190,18 +212,6 @@ def _pair_columns(
     free_gold = list(gold.marker_columns)
     column_pairs: list[tuple[str, str]] = []
 
-    def match_count(gname: str, pname: str) -> int:
-        total = 0
-        for gi, pi in row_pairs:
-            gcell = gold.rows[gi].cells.get(gname, CellValue())
-            pcell = pred.rows[pi].cells.get(pname, CellValue())
-            ctx = CellContext(
-                gold_percent_derived=gold_flags.get((gi, gname), False),
-                pred_percent_derived=pred_flags.get((pi, pname), False),
-            )
-            total += cell_match(gcell, pcell, ctx)
-        return total
-
     unpaired_pred = []
     for pname in pred.marker_columns:
         exact = next((g for g in free_gold if gold_keys[g] == pred_keys[pname]), None)
@@ -218,7 +228,8 @@ def _pair_columns(
         candidates = [g for g in free_gold if gold_keys[g][0] == base]
         if not candidates:
             continue
-        best = max(candidates, key=lambda g: (match_count(g, pname), -gold.marker_columns.index(g)))
+        matches = {g: _matched_cells(gold, pred, row_pairs, [(g, pname)], gold_flags, pred_flags) for g in candidates}
+        best = max(candidates, key=lambda g: (matches[g], -gold.marker_columns.index(g)))
         column_pairs.append((best, pname))
         free_gold.remove(best)
 
@@ -256,17 +267,7 @@ def score(
     row_pairs = align_rows(gold, pred, threshold=row_threshold)
     column_pairs = _pair_columns(gold, pred, row_pairs, gold_flags, pred_flags)
 
-    matched = 0
-    for gi, pi in row_pairs:
-        for gname, pname in column_pairs:
-            gcell = gold.rows[gi].cells.get(gname, CellValue())
-            pcell = pred.rows[pi].cells.get(pname, CellValue())
-            ctx = CellContext(
-                gold_percent_derived=gold_flags.get((gi, gname), False),
-                pred_percent_derived=pred_flags.get((pi, pname), False),
-            )
-            matched += cell_match(gcell, pcell, ctx)
-
+    matched = _matched_cells(gold, pred, row_pairs, column_pairs, gold_flags, pred_flags)
     gold_cells = len(gold.rows) * len(gold.marker_columns)
     pred_cells = len(pred.rows) * len(pred.marker_columns)
     precision = Fraction(matched, pred_cells) if pred_cells else Fraction(1)

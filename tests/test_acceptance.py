@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from ihcmine.classify import evaluate
-from ihcmine.domain import ClassificationLabel, compute_rate, format_percent, round_percent
+from ihcmine.domain import ClassificationLabel, format_percent, round_percent
 from ihcmine.gateway import EmbeddingVector
 from ihcmine.landscape import ConcordanceCategory, compare, load_reference_csv, summary_report
 from ihcmine.normalize import Concept, ConceptIndex
@@ -30,6 +30,7 @@ from ihcmine.table_eval import Verdict, evaluate_set, score
 from ihcmine.tables import parse_cell, parse_markdown_table, render_markdown
 
 from test_cli import read_jsonl
+from test_domain import checked_rate
 from test_landscape import load_concordance_fixture
 from test_tables import random_table
 
@@ -86,9 +87,9 @@ def ok(criterion: str, detail: str) -> None:
 def test_c1_rate_arithmetic_reproduces_published_tables():
     start = time.perf_counter()
     for marker, positives, total, expected in TOP_MARKER_RATES:
-        assert round_percent(compute_rate(positives, total), 1) == expected, marker
+        assert round_percent(checked_rate(positives, total), 1) == expected, marker
     for marker, tumour, positives, total in load_concordance_fixture():
-        assert round_percent(compute_rate(positives, total), 0) == CONCORDANCE_PERCENTS[marker], marker
+        assert round_percent(checked_rate(positives, total), 0) == CONCORDANCE_PERCENTS[marker], marker
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     ok("C1", f"10 one-decimal rates and {len(CONCORDANCE_PERCENTS)} integer rates reproduced in {elapsed:.3f}s")
@@ -207,7 +208,7 @@ def test_c6_concordance_fixture_categories():
     references = load_reference_csv(REPO / "data" / "reference.csv")
     results = []
     for marker, tumour, positives, total in load_concordance_fixture():
-        results.append(compare(compute_rate(positives, total), references.lookup(marker, tumour)))
+        results.append(compare(checked_rate(positives, total), references.lookup(marker, tumour)))
     by_marker = {r.marker: r.category for r in results}
 
     assert by_marker["TTF1"] is ConcordanceCategory.WITHIN_RANGE

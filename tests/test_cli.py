@@ -118,6 +118,17 @@ class TestFullChain:
             assert info["status"] == "done"
             assert info["count"] == len(read_jsonl(run_dir / f"{stage}.jsonl"))
 
+    def test_all_exclude_chain_runs_through_report(self, demo_env, tmp_path, capsys):
+        demo_env.llm_state.classify_fn = lambda content: "Exclude"
+        run_dir = tmp_path / "run"
+        for args in demo_env.all_stage_args(run_dir):
+            assert main(args) == 0, args
+        assert "extracted 0 profile tables from 0 Include abstracts" in capsys.readouterr().out
+        for stage in ("tables_raw", "tables_parsed", "normalized", "aggregates"):
+            assert (run_dir / f"{stage}.jsonl").read_bytes() == b""
+        assert (run_dir / "marker_report.csv").read_bytes() == b"marker,n_abstracts,positives,cohort,positive_rate_percent\r\n"
+        assert list(run_dir.glob(".*.partial")) == []
+
     def test_quarantine_relabel_is_idempotent(self, demo_env, tmp_path):
         run_dir = tmp_path / "run"
         # make one abstract unparseable at classification time

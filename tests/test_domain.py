@@ -17,13 +17,18 @@ from ihcmine.domain import (
     ClassificationLabel,
     PositivityCount,
     RateStat,
-    compute_rate,
     format_percent,
     round_percent,
 )
 from ihcmine.errors import InvalidCountError, ValidationError
 
 getcontext().prec = 60
+
+
+def checked_rate(positives: int, total: int) -> RateStat:
+    """The exact rate of a count that must be valid."""
+    PositivityCount.checked(positives, total)
+    return RateStat(positives, total)
 
 
 def decimal_percent(positives: int, total: int, decimals: int) -> str:
@@ -35,49 +40,49 @@ def decimal_percent(positives: int, total: int, decimals: int) -> str:
 
 class TestComputeRate:
     def test_reported_one_decimal_rates(self):
-        assert round_percent(compute_rate(53442, 111423), 1) == "48.0"
-        assert round_percent(compute_rate(21104, 31263), 1) == "67.5"
+        assert round_percent(checked_rate(53442, 111423), 1) == "48.0"
+        assert round_percent(checked_rate(21104, 31263), 1) == "67.5"
 
     def test_zero_positives(self):
-        assert round_percent(compute_rate(0, 13), 0) == "0"
+        assert round_percent(checked_rate(0, 13), 0) == "0"
 
     def test_exact_fraction(self):
-        assert compute_rate(1, 3).rate_percent == Fraction(100, 3)
+        assert checked_rate(1, 3).rate_percent == Fraction(100, 3)
 
     def test_zero_total_rejected(self):
         with pytest.raises(InvalidCountError):
-            compute_rate(0, 0)
+            checked_rate(0, 0)
 
     def test_positives_above_total_rejected(self):
         with pytest.raises(InvalidCountError):
-            compute_rate(5, 4)
+            checked_rate(5, 4)
 
     @given(total=st.integers(min_value=1, max_value=10_000), data=st.data())
     def test_monotone_in_positives(self, total, data):
         a = data.draw(st.integers(min_value=0, max_value=total))
         b = data.draw(st.integers(min_value=0, max_value=total))
         low, high = sorted((a, b))
-        assert compute_rate(low, total).rate_percent <= compute_rate(high, total).rate_percent
+        assert checked_rate(low, total).rate_percent <= checked_rate(high, total).rate_percent
 
 
 class TestRoundPercent:
     def test_one_decimal(self):
-        assert round_percent(compute_rate(8082, 31601), 1) == "25.6"
+        assert round_percent(checked_rate(8082, 31601), 1) == "25.6"
 
     def test_integer(self):
-        assert round_percent(compute_rate(3410, 4315), 0) == "79"
+        assert round_percent(checked_rate(3410, 4315), 0) == "79"
 
     def test_zero(self):
-        assert round_percent(compute_rate(0, 13), 0) == "0"
+        assert round_percent(checked_rate(0, 13), 0) == "0"
 
     def test_half_up_at_boundary(self):
-        assert round_percent(compute_rate(1, 2), 0) == "50"
+        assert round_percent(checked_rate(1, 2), 0) == "50"
         assert format_percent(Fraction(495, 10), 0) == "50"
         assert format_percent(Fraction(45, 1000) * 100, 1) == "4.5"
 
     def test_bad_decimals_rejected(self):
         with pytest.raises(ValidationError):
-            round_percent(compute_rate(1, 2), 2)
+            round_percent(checked_rate(1, 2), 2)
 
     def test_undefined_rate_rejected(self):
         with pytest.raises(ValidationError):
@@ -88,7 +93,7 @@ class TestRoundPercent:
         for _ in range(1000):
             total = rng.randint(1, 200_000)
             positives = rng.randint(0, total)
-            rate = compute_rate(positives, total)
+            rate = checked_rate(positives, total)
             for decimals in (0, 1):
                 assert round_percent(rate, decimals) == decimal_percent(positives, total, decimals), (
                     positives,

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ihcmine.codec import decode, encode
-from ihcmine.domain import RateStat, compute_rate, round_percent
+from ihcmine.domain import RateStat, round_percent
 from ihcmine.errors import ReferenceFileError, ValidationError
 from ihcmine.landscape import (
     ConcordanceCategory,
@@ -25,6 +25,8 @@ from ihcmine.landscape import (
     top_tumours,
 )
 from ihcmine.normalize import NormalizedRecord
+
+from test_domain import checked_rate
 
 DATA = Path(__file__).parent / "data"
 REFERENCE_CSV = Path(__file__).parent.parent / "data" / "reference.csv"
@@ -201,48 +203,48 @@ class TestSelectReferenceTumour:
 
 class TestCompare:
     def test_within_range(self):
-        result = compare(compute_rate(3410, 4315), ReferenceEntry("TTF1", "lung", ReferenceKind.RANGE, 65, 93))
+        result = compare(checked_rate(3410, 4315), ReferenceEntry("TTF1", "lung", ReferenceKind.RANGE, 65, 93))
         assert result.category is ConcordanceCategory.WITHIN_RANGE
 
     def test_near_miss(self):
-        result = compare(compute_rate(923, 947), ReferenceEntry("STAT6", "sft", ReferenceKind.RANGE, 98, 100))
+        result = compare(checked_rate(923, 947), ReferenceEntry("STAT6", "sft", ReferenceKind.RANGE, 98, 100))
         assert result.category is ConcordanceCategory.OUT_OF_RANGE_NEAR
 
     def test_notable_miss(self):
-        result = compare(compute_rate(435, 755), ReferenceEntry("BerEP4", "bcc", ReferenceKind.RANGE, 80, 100))
+        result = compare(checked_rate(435, 755), ReferenceEntry("BerEP4", "bcc", ReferenceKind.RANGE, 80, 100))
         assert result.category is ConcordanceCategory.OUT_OF_RANGE_NOTABLE
 
     def test_negative_concordant(self):
-        result = compare(compute_rate(258, 7658), ReferenceEntry("DESMIN", "gist", ReferenceKind.NEGATIVE))
+        result = compare(checked_rate(258, 7658), ReferenceEntry("DESMIN", "gist", ReferenceKind.NEGATIVE))
         assert result.category is ConcordanceCategory.QUALITATIVE_CONCORDANT
 
     def test_negative_discordant(self):
-        result = compare(compute_rate(30, 100), ReferenceEntry("X", "t", ReferenceKind.NEGATIVE))
+        result = compare(checked_rate(30, 100), ReferenceEntry("X", "t", ReferenceKind.NEGATIVE))
         assert result.category is ConcordanceCategory.QUALITATIVE_DISCORDANT
 
     def test_positive_concordant(self):
-        result = compare(compute_rate(69, 100), ReferenceEntry("X", "t", ReferenceKind.POSITIVE))
+        result = compare(checked_rate(69, 100), ReferenceEntry("X", "t", ReferenceKind.POSITIVE))
         assert result.category is ConcordanceCategory.QUALITATIVE_CONCORDANT
 
     def test_positive_indeterminate_band(self):
-        result = compare(compute_rate(30, 100), ReferenceEntry("X", "t", ReferenceKind.POSITIVE))
+        result = compare(checked_rate(30, 100), ReferenceEntry("X", "t", ReferenceKind.POSITIVE))
         assert result.category is ConcordanceCategory.QUALITATIVE_INDETERMINATE
 
     def test_positive_discordant(self):
-        result = compare(compute_rate(10, 100), ReferenceEntry("X", "t", ReferenceKind.POSITIVE))
+        result = compare(checked_rate(10, 100), ReferenceEntry("X", "t", ReferenceKind.POSITIVE))
         assert result.category is ConcordanceCategory.QUALITATIVE_DISCORDANT
 
     def test_point_reference(self):
-        result = compare(compute_rate(333, 358), ReferenceEntry("WT1", "t", ReferenceKind.POINT, 93, 93))
+        result = compare(checked_rate(333, 358), ReferenceEntry("WT1", "t", ReferenceKind.POINT, 93, 93))
         assert result.category is ConcordanceCategory.WITHIN_RANGE
 
     def test_no_data(self):
-        result = compare(compute_rate(1, 2), ReferenceEntry("X", "t", ReferenceKind.NO_DATA))
+        result = compare(checked_rate(1, 2), ReferenceEntry("X", "t", ReferenceKind.NO_DATA))
         assert result.category is ConcordanceCategory.NO_REFERENCE
 
     def test_rounding_happens_before_comparison(self):
         # 49.62% rounds half-up to 50, the bottom of the range
-        result = compare(compute_rate(3225, 6499), ReferenceEntry("PR", "t", ReferenceKind.RANGE, 50, 70))
+        result = compare(checked_rate(3225, 6499), ReferenceEntry("PR", "t", ReferenceKind.RANGE, 50, 70))
         assert result.category is ConcordanceCategory.WITHIN_RANGE
 
     def test_missing_bounds_rejected(self):
@@ -261,15 +263,15 @@ class TestCompare:
     def test_within_range_invariant_under_cohort_scaling(self, positives, total, factor):
         positives = min(positives, total)
         entry = ReferenceEntry("X", "t", ReferenceKind.RANGE, 20, 80)
-        small = compare(compute_rate(positives, total), entry)
-        large = compare(compute_rate(positives * factor, total * factor), entry)
+        small = compare(checked_rate(positives, total), entry)
+        large = compare(checked_rate(positives * factor, total * factor), entry)
         assert small.category is large.category
 
     @given(st.integers(0, 100), st.sampled_from(list(ReferenceKind)))
     def test_category_independent_of_marker_identity(self, percent, kind):
         bounds = (30, 60) if kind in (ReferenceKind.RANGE,) else (percent, percent) if kind is ReferenceKind.POINT else (None, None)
-        a = compare(compute_rate(percent, 100), ReferenceEntry("AAA", "t", kind, *bounds))
-        b = compare(compute_rate(percent, 100), ReferenceEntry("ZZZ", "other tumour", kind, *bounds))
+        a = compare(checked_rate(percent, 100), ReferenceEntry("AAA", "t", kind, *bounds))
+        b = compare(checked_rate(percent, 100), ReferenceEntry("ZZZ", "other tumour", kind, *bounds))
         assert a.category is b.category
 
 
@@ -285,7 +287,7 @@ class TestSummaryReport:
     def test_full_fixture_categories(self):
         references = load_reference_csv(REFERENCE_CSV)
         results = [
-            compare(compute_rate(p, t), references.lookup(marker, tumour))
+            compare(checked_rate(p, t), references.lookup(marker, tumour))
             for marker, tumour, p, t in load_concordance_fixture()
         ]
         report = summary_report(results)

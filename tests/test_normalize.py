@@ -419,6 +419,12 @@ class TestNearest:
             ("C0000009", "zeta"),
         ]
 
+    def test_tie_break_keeps_trailing_nul_in_names(self):
+        vec = [0.5, 0.5]
+        index = ConceptIndex([concept("C0000001", "ER\x00", vec), concept("C0000001", "ER", vec)])
+        hits = index.nearest(EmbeddingVector.of([0.0, 0.0]), 2)
+        assert [c.name for c, _ in hits] == ["ER", "ER\x00"]
+
     def test_dim_mismatch_rejected(self):
         index, _ = build_index(["melanoma"])
         with pytest.raises(ValidationError):

@@ -4,12 +4,14 @@ import contextlib
 import errno
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from ihcmine.errors import StageStateError, StoreError
-from ihcmine.store import RunLock, RunStore
+from ihcmine.store import RunLock, RunStore, atomic_file
 
 
 @pytest.fixture
@@ -38,6 +40,12 @@ class TestAppend:
             store.append("classified", {"pmid": "2"})
         with pytest.raises(StageStateError):
             store.start_stage("classified")
+
+    def test_mark_done_without_records_creates_the_file(self, store):
+        store.start_stage("tables_raw")
+        store.mark_done("tables_raw")
+        assert store.path("tables_raw").read_bytes() == b""
+        assert store.manifest.stages["tables_raw"].count == 0
 
     def test_mark_done_records_line_count(self, store):
         store.start_stage("classified")
@@ -131,12 +139,62 @@ class TestAtomicStage:
         count = store.write_stage_atomic("corpus", ({"pmid": str(i)} for i in range(3)))
         assert count == 3
         assert store.stage_done("corpus")
-        assert not store.path("corpus").with_suffix(".jsonl.partial").exists()
+        assert list(store.run_dir.glob(".*.partial")) == []
 
     def test_rejected_when_done(self, store):
         store.write_stage_atomic("corpus", [{"pmid": "1"}])
         with pytest.raises(StageStateError):
             store.write_stage_atomic("corpus", [{"pmid": "2"}])
+
+
+class TestAtomicFile:
+    @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+    def test_raise_inside_block_keeps_old_bytes(self, tmp_path, error):
+        target = tmp_path / "report.csv"
+        target.write_bytes(b"old\n")
+        with pytest.raises(error):
+            with atomic_file(target) as handle:
+                handle.write("new\n")
+                raise error
+        assert target.read_bytes() == b"old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.csv"]
+
+    def test_text_is_utf8_without_newline_translation(self, tmp_path):
+        target = tmp_path / "out.csv"
+        with atomic_file(target) as handle:
+            handle.write("caf\u00e9\r\n\n")
+        assert target.read_bytes() == "caf\u00e9\r\n\n".encode("utf-8")
+        with atomic_file(target, "wb") as handle:
+            handle.write(b"\x00\xff")
+        assert target.read_bytes() == b"\x00\xff"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
+
+    def test_file_gets_the_mode_of_a_plain_open(self, tmp_path):
+        plain = tmp_path / "plain"
+        plain.write_text("", encoding="utf-8")
+        with atomic_file(tmp_path / "atomic") as handle:
+            handle.write("x")
+        assert (tmp_path / "atomic").stat().st_mode == plain.stat().st_mode
+
+    def test_killed_writer_leaves_old_target_and_next_lock_holder_sweeps(self, tmp_path):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        target = run_dir / "comparison_report.csv"
+        target.write_bytes(b"old\n")
+        code = (
+            "import os, sys; from ihcmine.store import atomic_file\n"
+            "with atomic_file(sys.argv[1]) as handle:\n"
+            "    handle.write('new' * 1000); handle.flush(); os._exit(3)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")}
+        assert subprocess.run([sys.executable, "-c", code, str(target)], env=env).returncode == 3
+        assert target.read_bytes() == b"old\n"
+        (temp,) = run_dir.glob(".*.partial")
+        assert temp.name.startswith(".comparison_report.csv.") and temp.stat().st_size == 3000
+        lock = RunLock(run_dir)
+        lock.acquire()
+        assert sorted(p.name for p in run_dir.iterdir()) == [".lock", "comparison_report.csv"]
+        lock.release()
 
 
 class TestManifest:
