@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import logging
 import sys
@@ -28,7 +27,7 @@ from .config import PipelineConfig, build_config
 from .domain import AbstractRecord, ClassificationLabel, NormalizedRecord, format_percent, round_percent
 from .errors import GatewayError, PipelineError, TableNotFoundError, ValidationError
 from .pubmed import CorpusStats, EntrezClient, build_query, dedup_merge
-from .store import RunLock, RunStore, StageInfo, atomic_file, iter_jsonl
+from .store import RunLock, RunStore, StageInfo, atomic_file, file_sha256, iter_jsonl
 from .tables import ProfileTable, extract_table, parse_markdown_table
 
 if TYPE_CHECKING:
@@ -155,14 +154,10 @@ _STAGES = {
 def _file_sha256(name: str, path: str | None) -> str:
     if path is None:
         raise PipelineError(f"{name} is not set")
-    digest = hashlib.sha256()
     try:
-        with open(path, "rb") as handle:
-            for block in iter(functools.partial(handle.read, 1 << 20), b""):
-                digest.update(block)
+        return file_sha256(path)
     except OSError as exc:
         raise PipelineError(f"{name}: cannot read {path}: {exc.strerror}") from None
-    return digest.hexdigest()
 
 
 def _inputs(stage: str, config: PipelineConfig, store: RunStore | None) -> dict[str, str]:

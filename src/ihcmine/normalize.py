@@ -6,8 +6,8 @@ row within a rounding bound of a query's k-th best score is re-ranked with
 the per-row distance, so results equal a linear scan's bit for bit. Ties
 break by ascending CUI then name so results are deterministic even with
 duplicated vectors. Dictionary format: one UTF-8 entry per line,
-``cui<TAB>name<TAB>kind<TAB>v1,v2,...`` with an optional fifth
-semantic-type column.
+``cui<TAB>name<TAB>kind<TAB>v1,v2,...``; an optional fifth column (a
+semantic type) is accepted and ignored.
 
 The first load of a dictionary parses its text and keeps the result as one
 cache entry per resolved path, ``$XDG_CACHE_HOME/ihcmine/`` (default
@@ -19,7 +19,6 @@ over. Entries are written by ``store.atomic_file``. Deleting one, or a
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import itertools
 import json
@@ -36,7 +35,7 @@ import numpy as np
 from .domain import NormalizedRecord
 from .errors import DictionaryLoadError, GatewayError, NormalizationError, ValidationError
 from .gateway import EmbeddingVector, LlmGateway
-from .store import atomic_file
+from .store import atomic_file, file_sha256
 from .tables import ProfileTable, split_marker_column
 
 logger = logging.getLogger(__name__)
@@ -50,7 +49,6 @@ class Concept:
     cui: str
     name: str
     vector: EmbeddingVector | None = None
-    semantic_type: str | None = None
 
     def __post_init__(self) -> None:
         if not self.cui or self.cui[0] != "C" or not self.cui[1:].isdigit():
@@ -85,34 +83,19 @@ class ConceptIndex:
         self._matrix = matrix
         self.dim = matrix.shape[1]
         with np.errstate(over="ignore"):  # an overflowed norm disables the search's cut
-            self._sq_norms = (matrix * matrix).sum(axis=1)
+            self._sq_norms = np.einsum("ij,ij->i", matrix, matrix)  # no matrix-sized temporary
         self._max_sq_norm = self._sq_norms.max()
         keys = [(c.cui, c.name) for c in self.concepts]  # Python strings: numpy's would drop trailing NULs
         self._rank = np.argsort(sorted(range(len(keys)), key=keys.__getitem__))  # row -> place in (cui, name) order
-        type_rows: dict[str, list[int]] = {}
-        for i, c in enumerate(self.concepts):
-            if c.semantic_type is not None:
-                type_rows.setdefault(c.semantic_type, []).append(i)
-        self._type_rows = {t: np.array(rows) for t, rows in type_rows.items()}
 
     def __len__(self) -> int:
         return len(self.concepts)
 
-    def nearest(
-        self,
-        query: EmbeddingVector,
-        k: int,
-        semantic_type: str | None = None,
-    ) -> list[tuple[Concept, float]]:
+    def nearest(self, query: EmbeddingVector, k: int) -> list[tuple[Concept, float]]:
         """Exact top-k by Euclidean distance, ascending; ties by (cui, name)."""
-        return self.nearest_many([query], k, semantic_type)[0]
+        return self.nearest_many([query], k)[0]
 
-    def nearest_many(
-        self,
-        queries: Sequence[EmbeddingVector],
-        k: int,
-        semantic_type: str | None = None,
-    ) -> list[list[tuple[Concept, float]]]:
+    def nearest_many(self, queries: Sequence[EmbeddingVector], k: int) -> list[list[tuple[Concept, float]]]:
         """``nearest`` for each query, all scored with one matrix product.
 
         The caller bounds the batch: the scores take len(queries) x len(self)
@@ -123,12 +106,6 @@ class ConceptIndex:
         for query in queries:
             if query.dim != self.dim:
                 raise ValidationError(f"query dim {query.dim} != index dim {self.dim}")
-        if semantic_type is None:
-            rows = None
-        elif semantic_type in self._type_rows:
-            rows = self._type_rows[semantic_type]
-        else:
-            return [[] for _ in queries]
         if not queries:
             return []
         block = np.array([q.values for q in queries], dtype=np.float64)
@@ -148,16 +125,12 @@ class ConceptIndex:
             gram = q_sq[:, None] + self._sq_norms - 2.0 * (block @ self._matrix.T)
             # 2e, with 4S formed first so that its overflow gives an infinite slack
             slack = 2.0 * (self.dim + 4) * _EPS * (4.0 * (q_sq + self._max_sq_norm))
-        if rows is not None:
-            gram = gram[:, rows]
         k = min(k, gram.shape[1])
         g_k = np.partition(gram, k - 1, axis=1)[:, k - 1]
         keep = ~(gram > (g_k + slack)[:, None])
         results = []
         for q, kept in zip(block, keep):
             cand = np.flatnonzero(kept)
-            if rows is not None:
-                cand = rows[cand]
             distances = np.sqrt(((self._matrix[cand] - q) ** 2).sum(axis=1))
             order = np.lexsort((self._rank[cand], distances))[:k]
             results.append([(self.concepts[i], float(d)) for i, d in zip(cand[order], distances[order])])
@@ -167,7 +140,7 @@ class ConceptIndex:
 _VECTOR_READER = {"delimiter": ",", "comments": None, "dtype": np.float64, "ndmin": 2}
 _NAME_KINDS = frozenset({"canonical", "alias", "trade_name"})
 _UNDECODABLE = re.compile("[\udc80-\udcff]")  # bytes that ``surrogateescape`` kept because they are not UTF-8
-_CACHE_FORMAT = 1  # raise when the entry layout changes, or the parse gives other results for the same bytes
+_CACHE_FORMAT = 2  # raise when the entry layout changes, or the parse gives other results for the same bytes
 
 
 def _vector_fields(path: Path, handle: Iterable[str], concepts: list[Concept], line_numbers: list[int]) -> Iterator[str]:
@@ -181,8 +154,7 @@ def _vector_fields(path: Path, handle: Iterable[str], concepts: list[Concept], l
         parts = line.rstrip("\r\n").split("\t")
         if len(parts) not in (4, 5):
             raise DictionaryLoadError(f"{path}:{lineno}: expected 4 or 5 tab-separated fields")
-        cui, name, kind, vector_raw = parts[0], parts[1], parts[2], parts[3]
-        semantic_type = parts[4] if len(parts) == 5 and parts[4] else None
+        cui, name, kind, vector_raw = parts[:4]
         if kind not in _NAME_KINDS:
             raise DictionaryLoadError(f"{path}:{lineno}: unknown name kind {kind!r}")
         if not vector_raw:  # numpy's reader would skip it as a blank line
@@ -191,7 +163,7 @@ def _vector_fields(path: Path, handle: Iterable[str], concepts: list[Concept], l
             raise DictionaryLoadError(f"{path}:{lineno}: duplicate (cui, name) pair ({cui}, {name})")
         seen.add((cui, name))
         try:
-            concepts.append(Concept(cui=cui, name=name, semantic_type=semantic_type))
+            concepts.append(Concept(cui=cui, name=name))
         except ValidationError as exc:
             raise DictionaryLoadError(f"{path}:{lineno}: {exc}") from None
         line_numbers.append(lineno)
@@ -286,22 +258,19 @@ def _cached(entry: Path, path: Path) -> tuple[list[Concept], np.ndarray] | None:
     """The concepts and matrix an entry holds, when it is whole and was written from the file's current bytes.
 
     The entry is an ``.npz`` of ``meta``, the UTF-8 JSON of the format version, the sha256 of
-    the dictionary's bytes and each concept's [cui, name, semantic type], and ``matrix``.
+    the dictionary's bytes and each concept's [cui, name], and ``matrix``.
     Anything else counts as a miss, and the load that follows rewrites the entry.
     """
     if not entry.is_file():
         return None
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for block in iter(functools.partial(handle.read, 1 << 20), b""):
-            digest.update(block)
+    digest = file_sha256(path)
     try:
         with open(entry, "rb") as handle, np.load(handle, allow_pickle=False) as data:
             meta = json.loads(data["meta"].tobytes())
-            if meta["format"] != _CACHE_FORMAT or meta["sha256"] != digest.hexdigest():
+            if meta["format"] != _CACHE_FORMAT or meta["sha256"] != digest:
                 return None
             matrix = data["matrix"]
-            concepts = [Concept(cui=cui, name=name, semantic_type=stype) for cui, name, stype in meta["concepts"]]
+            concepts = [Concept(cui=cui, name=name) for cui, name in meta["concepts"]]
     except (OSError, EOFError, ValueError, TypeError, KeyError, zipfile.BadZipFile, ValidationError) as exc:
         logger.debug("ignoring dictionary cache entry %s: %s", entry, exc)
         return None
@@ -314,7 +283,7 @@ def _cached(entry: Path, path: Path) -> tuple[list[Concept], np.ndarray] | None:
 
 def _publish(entry: Path, digest: str, concepts: list[Concept], matrix: np.ndarray) -> None:
     """Writes the entry through ``atomic_file``; a failure costs only the cache."""
-    fields = [[c.cui, c.name, c.semantic_type] for c in concepts]
+    fields = [[c.cui, c.name] for c in concepts]
     meta = json.dumps({"format": _CACHE_FORMAT, "sha256": digest, "concepts": fields}).encode("utf-8")
     try:
         entry.parent.mkdir(parents=True, exist_ok=True)
@@ -353,27 +322,24 @@ class TermNormalizer:
                 logger.warning("embedding %d surfaces failed, falling back to one at a time: %s", len(chunk), exc)
                 continue
             for surface, hits in zip(chunk, self.index.nearest_many(vectors, k=1)):
-                self._remember(surface, hits, surface)
+                self._remember(surface, hits)
 
-    def normalize_term(self, surface: str, semantic_type: str | None = None) -> NormalizedEntity:
+    def normalize_term(self, surface: str) -> NormalizedEntity:
         if not surface or not surface.strip():
             raise ValidationError("cannot normalize an empty surface form")
-        cache_key = surface if semantic_type is None else f"{semantic_type}\x00{surface}"
-        cached = self._cache.get(cache_key)
+        cached = self._cache.get(surface)
         if cached is not None:
             return cached
         try:
             vector = self.gateway.embed([surface])[0]
         except GatewayError as exc:
             raise NormalizationError(f"embedding failed for {surface!r}: {exc}") from exc
-        return self._remember(surface, self.index.nearest(vector, k=1, semantic_type=semantic_type), cache_key)
+        return self._remember(surface, self.index.nearest(vector, k=1))
 
-    def _remember(self, surface: str, hits: list[tuple[Concept, float]], cache_key: str) -> NormalizedEntity:
-        if not hits:
-            raise NormalizationError(f"no dictionary candidates for {surface!r}")
+    def _remember(self, surface: str, hits: list[tuple[Concept, float]]) -> NormalizedEntity:
         concept, distance = hits[0]
         entity = NormalizedEntity(surface=surface, cui=concept.cui, matched_name=concept.name, distance=distance)
-        self._cache[cache_key] = entity
+        self._cache[surface] = entity
         return entity
 
 

@@ -2,9 +2,10 @@
 
 Each stage owns one JSONL file under the run directory. Record-wise stages
 append and flush per record so a killed run loses at most a partial
-trailing line, which is truncated away on reopen. Every whole file (a
-whole-output stage, a quarantine rewrite, the manifest, a report, a
-dictionary cache entry) is written by ``atomic_file``, so it holds its old
+trailing line, which is truncated away on reopen; the repair reads back
+from the end only the lines it checks. Every whole file (a whole-output
+stage, a quarantine rewrite, the manifest, a report, a dictionary cache
+entry) is written by ``atomic_file``, so it holds its old
 bytes or its new ones. A stage is marked done once its file is synced, and
 then rejects further appends. Each stage's manifest entry records the
 inputs it was built from: its own settings, the content hashes of its
@@ -12,12 +13,16 @@ input files and its upstream stage's fingerprint. The CLI checks them
 before it reuses, re-runs or reads a stage.
 
 ``iter_jsonl`` is the one JSONL reader, for stage files and for the
-evaluation commands' gold and prediction files alike.
+evaluation commands' gold and prediction files alike, and ``file_sha256``
+the one file hasher. ``RunLock`` lets one subcommand at a time use a run
+directory.
 """
 
 from __future__ import annotations
 
 import contextlib
+import fcntl
+import functools
 import hashlib
 import json
 import logging
@@ -37,6 +42,7 @@ STAGES = ("corpus", "classified", "tables_raw", "tables_parsed", "normalized", "
 AUX_FILES = ("quarantine",)
 
 _MANIFEST_NAME = "manifest.json"
+_TAIL_BLOCK = 1 << 16
 _UMASK = os.umask(0o022)  # read once, so atomic_file gives its files the mode open() would
 os.umask(_UMASK)
 
@@ -101,6 +107,27 @@ def atomic_file(path: str | Path, mode: str = "w") -> Iterator[IO]:
         os.fsync(directory)
     finally:
         os.close(directory)
+
+
+def file_sha256(path: str | Path) -> str:
+    """The hex sha256 of a file's bytes, read in 1 MiB blocks."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        for block in iter(functools.partial(handle.read, 1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
+def _line_start(handle: IO[bytes], end: int) -> int:
+    """The offset just past the last newline before ``end``, or 0; reads back in bounded blocks."""
+    while end > 0:
+        start = max(0, end - _TAIL_BLOCK)
+        handle.seek(start)
+        found = handle.read(end - start).rfind(b"\n")
+        if found >= 0:
+            return start + found + 1
+        end = start
+    return 0
 
 
 def _write_jsonl(path: Path, records: Iterable[dict[str, Any]]) -> int:
@@ -206,28 +233,24 @@ class RunStore:
     # -- recovery ------------------------------------------------------------
 
     def repair_tail(self, stage: str) -> None:
-        """Drop a partial or non-JSON trailing line left by a crash."""
+        """Drop a partial or non-JSON trailing line left by a crash, reading only the lines it inspects."""
         path = self.path(stage)
-        if not path.exists() or path.stat().st_size == 0:
+        if not path.exists():
             return
-        data = path.read_bytes()
-        truncated = False
-        if not data.endswith(b"\n"):
-            cut = data.rfind(b"\n") + 1
-            data = data[:cut]
-            truncated = True
-        while data:
-            cut = data.rfind(b"\n", 0, len(data) - 1) + 1
-            last_line = data[cut:]
-            try:
-                json.loads(last_line.decode("utf-8"))
-                break
-            except (ValueError, UnicodeDecodeError):
-                data = data[:cut]
-                truncated = True
-        if truncated:
+        with path.open("rb") as handle:
+            size = handle.seek(0, os.SEEK_END)
+            end = _line_start(handle, size)  # a last line without its newline is cut off
+            while end:
+                start = _line_start(handle, end - 1)
+                handle.seek(start)
+                try:
+                    json.loads(handle.read(end - start).decode("utf-8"))
+                    break
+                except ValueError:  # UnicodeDecodeError is a ValueError
+                    end = start
+        if end < size:
             logger.warning("dropping corrupt trailing line from %s", path)
-            os.truncate(path, len(data))  # in place: a kill or full disk midway cannot lose the kept records
+            os.truncate(path, end)  # in place: a kill or full disk midway cannot lose the kept records
 
     # -- record-wise stages ----------------------------------------------------
 
@@ -304,42 +327,39 @@ class RunStore:
 
 
 class RunLock:
-    """One subcommand per run directory; stale locks from dead PIDs are reclaimed."""
+    """One subcommand per run directory: an exclusive ``flock`` on ``.lock``.
+
+    The kernel drops the lock when its holder exits or is killed, so a ``.lock``
+    file left behind is harmless. The PID written into it is for humans only.
+    """
 
     def __init__(self, run_dir: str | Path):
         self.path = Path(run_dir) / ".lock"
+        self._fd: int | None = None
 
     def acquire(self) -> None:
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        for _ in range(2):
+        while self._fd is None:
+            fd = os.open(self.path, os.O_CREAT | os.O_RDWR, 0o666)
             try:
-                fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-                os.write(fd, str(os.getpid()).encode("ascii"))
-                os.close(fd)
-                break
-            except FileExistsError:
-                if self._holder_alive():
-                    raise StoreError(f"run directory is locked by a live process ({self.path})") from None
-                logger.warning("removing stale lock %s", self.path)
-                self.path.unlink(missing_ok=True)
-        else:
-            raise StoreError(f"could not acquire lock {self.path}")
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                if os.path.samestat(os.fstat(fd), os.stat(self.path)):
+                    self._fd = fd
+            except BlockingIOError:
+                raise StoreError(f"run directory is locked by a live process ({self.path})") from None
+            except FileNotFoundError:
+                pass
+            finally:
+                if self._fd != fd:  # not locked, or a releaser unlinked the file after our open: try again
+                    os.close(fd)
+        os.ftruncate(self._fd, 0)
+        os.write(self._fd, str(os.getpid()).encode("ascii"))
         for temp in self.path.parent.glob(".*.partial"):  # left by a writer killed inside atomic_file
             logger.warning("removing %s left by an interrupted write", temp)
             temp.unlink(missing_ok=True)
 
-    def _holder_alive(self) -> bool:
-        try:
-            pid = int(self.path.read_text().strip())
-        except (OSError, ValueError):
-            return False
-        try:
-            os.kill(pid, 0)
-        except ProcessLookupError:
-            return False
-        except PermissionError:
-            return True
-        return True
-
     def release(self) -> None:
-        self.path.unlink(missing_ok=True)
+        self.path.unlink(missing_ok=True)  # before the close, so a waiter that opened this file tries again
+        if self._fd is not None:
+            os.close(self._fd)
+            self._fd = None

@@ -1,6 +1,7 @@
 """Dictionary loading, exact nearest-neighbor search, term and table normalization."""
 
 import hashlib
+import json
 import logging
 import math
 import os
@@ -34,8 +35,8 @@ from ihcmine.tables import parse_markdown_table
 from mockservers import fake_embedding
 
 
-def concept(cui, name, values, semantic_type=None):
-    return Concept(cui=cui, name=name, vector=EmbeddingVector.of(values), semantic_type=semantic_type)
+def concept(cui, name, values):
+    return Concept(cui=cui, name=name, vector=EmbeddingVector.of(values))
 
 
 class FakeEmbedGateway:
@@ -196,27 +197,31 @@ class TestLoadIndex:
         path.write_bytes(b"C0000001\tmelanoma\tcanonical\t0.0,0.0\ttumour\r\nC0000002\tER\tcanonical\t1.0,1.0\tmarker\r\n")
         index = load_index(path)
         assert len(index) == 2
-        hit, distance = index.nearest(EmbeddingVector.of([1.0, 1.0]), 1, semantic_type="tumour")[0]
-        assert (hit.name, hit.semantic_type, distance) == ("melanoma", "tumour", math.sqrt(2.0))
+        hits = index.nearest(EmbeddingVector.of([1.0, 1.0]), 2)
+        assert [(c.name, d) for c, d in hits] == [("ER", 0.0), ("melanoma", math.sqrt(2.0))]
 
     def test_semantic_type_column(self, tmp_path):
-        path = self.write(
-            tmp_path,
-            ["C0000001\tmelanoma\tcanonical\t0.0,0.0\ttumour", "C0000002\tER\tcanonical\t1.0,1.0\tmarker"],
-        )
-        index = load_index(path)
-        query = EmbeddingVector.of([0.9, 0.9])
-        assert index.nearest(query, 1)[0][0].name == "ER"
-        assert index.nearest(query, 1, semantic_type="tumour")[0][0].name == "melanoma"
+        """A fifth column is accepted and changes neither the index nor its search."""
+        lines = [
+            "C0000001\tmelanoma\tcanonical\t0.0,0.0",
+            "C0000002\tER\tcanonical\t1.0,1.0",
+            "C0000003\tS100\talias\t0.5,0.4",
+        ]
+        (tmp_path / "typed").mkdir()
+        typed_lines = [f"{line}\t{t}" for line, t in zip(lines, ["T191", "", "T116"])]
+        typed = load_index(self.write(tmp_path / "typed", typed_lines))
+        plain = load_index(self.write(tmp_path, lines))
+        assert typed.concepts == plain.concepts and typed._matrix.tobytes() == plain._matrix.tobytes()
+        queries = [EmbeddingVector.of(v) for v in ([0.9, 0.9], [0.0, 0.1], [0.45, 0.45])]
+        for k in (1, 2, 3):
+            assert typed.nearest_many(queries, k) == plain.nearest_many(queries, k)
 
 
-def linear_scan(index, query, k, semantic_type=None):
+def linear_scan(index, query, k):
     """The exact top k as a scan of every concept computes it: (distance, cui, name), ascending."""
     q = np.asarray(query.values, dtype=np.float64)
     scored = sorted(
-        (float(np.sqrt(((index._matrix[i] - q) ** 2).sum())), c.cui, c.name)
-        for i, c in enumerate(index.concepts)
-        if semantic_type is None or c.semantic_type == semantic_type
+        (float(np.sqrt(((index._matrix[i] - q) ** 2).sum())), c.cui, c.name) for i, c in enumerate(index.concepts)
     )
     return scored[:k]
 
@@ -264,19 +269,16 @@ class TestDictionaryCache:
         assert len(parses) == 1 and len(self.entries(cache_home)) == 1
         warm = load_index(dictionary)
         assert len(parses) == 1
-        assert [(c.cui, c.name, c.semantic_type) for c in warm.concepts] == [
-            (c.cui, c.name, c.semantic_type) for c in cold.concepts
-        ]
+        assert [(c.cui, c.name) for c in warm.concepts] == [(c.cui, c.name) for c in cold.concepts]
         assert warm.concepts == cold.concepts and warm.concepts[3].name == "ER\x00"
         assert warm._matrix.dtype == np.float64 and warm._matrix.tobytes() == cold._matrix.tobytes()
         rng = random.Random(7)
         queries = [EmbeddingVector.of([rng.uniform(-1, 2) for _ in range(3)]) for _ in range(20)]
-        for semantic_type in (None, "tumour", "marker"):
-            for k in (1, 2, 5):
-                hits = warm.nearest_many(queries, k, semantic_type)
-                assert hits == cold.nearest_many(queries, k, semantic_type)
-                for query, found in zip(queries, hits):
-                    assert [(d, c.cui, c.name) for c, d in found] == linear_scan(warm, query, k, semantic_type)
+        for k in (1, 2, 5):
+            hits = warm.nearest_many(queries, k)
+            assert hits == cold.nearest_many(queries, k)
+            for query, found in zip(queries, hits):
+                assert [(d, c.cui, c.name) for c, d in found] == linear_scan(warm, query, k)
 
     def test_edit_with_size_and_mtime_restored_misses(self, dictionary, parses, cache_home):
         before = load_index(dictionary)
@@ -291,11 +293,12 @@ class TestDictionaryCache:
         assert load_index(dictionary)._matrix.tobytes() == after._matrix.tobytes() and len(parses) == 2
 
     @staticmethod
-    def rewrite(entry, change):
+    def rewrite(entry, change=lambda matrix: matrix, change_meta=lambda meta: meta):
         with np.load(entry) as data:
-            meta, matrix = data["meta"], data["matrix"]
+            meta, matrix = json.loads(data["meta"].tobytes()), data["matrix"]
+        meta = json.dumps(change_meta(meta)).encode("utf-8")
         with open(entry, "wb") as handle:
-            np.savez(handle, meta=meta, matrix=change(matrix))
+            np.savez(handle, meta=np.frombuffer(meta, dtype=np.uint8), matrix=change(matrix))
 
     @pytest.mark.parametrize(
         "damage",
@@ -307,8 +310,11 @@ class TestDictionaryCache:
             lambda entry: TestDictionaryCache.rewrite(entry, lambda m: m.astype(np.float32)),
             lambda entry: TestDictionaryCache.rewrite(entry, lambda m: m[:, 0]),
             lambda entry: TestDictionaryCache.rewrite(entry, lambda m: np.where(m == 1.5, np.inf, m)),
+            lambda entry: TestDictionaryCache.rewrite(
+                entry, change_meta=lambda meta: {**meta, "format": 1, "concepts": [c + [None] for c in meta["concepts"]]}
+            ),
         ],
-        ids=["truncated", "garbage", "empty", "short-matrix", "float32", "one-dimensional", "non-finite"],
+        ids=["truncated", "garbage", "empty", "short-matrix", "float32", "one-dimensional", "non-finite", "format-1"],
     )
     def test_damaged_entry_is_parsed_again_and_rewritten(self, dictionary, parses, cache_home, damage):
         expected = load_index(dictionary)
@@ -458,7 +464,7 @@ class TestNearest:
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_batched_search_matches_linear_scan_oracle(self, data):
-        """Duplicates, ulp-apart rows and large common offsets, every k, with and without a type filter."""
+        """Duplicates, ulp-apart rows and large common offsets, every k."""
         dim = data.draw(st.integers(1, 16), label="dim")
         # 1e3 and 1e6 make the GEMM expansion cancel badly; 1e155 overflows its norms
         offset = data.draw(st.sampled_from([0.0, 1e3, -1e3, 1e6, 1e155]), label="offset")
@@ -471,18 +477,16 @@ class TestNearest:
             for _ in range(data.draw(st.integers(0, 2))):
                 vector[j] = np.nextafter(vector[j], data.draw(st.sampled_from([-np.inf, np.inf])))
             cui = f"C{data.draw(st.integers(1, 3)):07d}"
-            semantic_type = data.draw(st.sampled_from([None, "tumour", "marker"]))
-            concepts.append(concept(cui, f"name {(7 * i) % 15}", vector, semantic_type=semantic_type))
+            concepts.append(concept(cui, f"name {(7 * i) % 15}", vector))
         index = ConceptIndex(concepts)
         queries = [EmbeddingVector.of(v) for v in bases]
         queries += [EmbeddingVector.of(np.array(v) + offset) for v in data.draw(st.lists(coords, max_size=3))]
 
-        def oracle(query, k, semantic_type):
+        def oracle(query, k):
             q = np.asarray(query.values, dtype=np.float64)
             scanned = sorted(
                 (float(np.sqrt(((np.asarray(c.vector.values, dtype=np.float64) - q) ** 2).sum())), c.cui, c.name)
                 for c in concepts
-                if semantic_type is None or c.semantic_type == semantic_type
             )
             return [(d.hex(), cui, name) for d, cui, name in scanned[:k]]
 
@@ -490,13 +494,11 @@ class TestNearest:
             return [(d.hex(), c.cui, c.name) for c, d in hits]
 
         for k in range(1, len(concepts) + 2):
-            for semantic_type in (None, "tumour", "marker"):
-                batched = index.nearest_many(queries, k, semantic_type)
-                assert len(batched) == len(queries)
-                for query, hits in zip(queries, batched):
-                    assert bits(hits) == bits(index.nearest(query, k, semantic_type))
-                    assert bits(hits) == oracle(query, k, semantic_type)
-            assert index.nearest_many(queries, k, "unknown") == [[] for _ in queries]
+            batched = index.nearest_many(queries, k)
+            assert len(batched) == len(queries)
+            for query, hits in zip(queries, batched):
+                assert bits(hits) == bits(index.nearest(query, k))
+                assert bits(hits) == oracle(query, k)
 
 
 class TestTermNormalizer:

@@ -4,8 +4,11 @@ import contextlib
 import errno
 import json
 import os
+import random
+import signal
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -133,6 +136,59 @@ class TestRecovery:
         monkeypatch.undo()
         assert store.processed_ids("classified") == {"1", "2"}
 
+    @staticmethod
+    def whole_file_repair(data):
+        """The length the repair keeps, as the reference reads it: the whole file, dropping lines from its end."""
+        if not data.endswith(b"\n"):
+            data = data[: data.rfind(b"\n") + 1]
+        while data:
+            cut = data.rfind(b"\n", 0, len(data) - 1) + 1
+            try:
+                json.loads(data[cut:].decode("utf-8"))
+                break
+            except ValueError:
+                data = data[:cut]
+        return len(data)
+
+    def test_repair_matches_whole_file_reference_on_random_tails(self, store):
+        rng = random.Random(13)
+
+        def record():  # some span two or three of the 64 KiB blocks the repair reads back
+            return json.dumps({"pmid": str(rng.randint(1, 99)), "text": "x" * rng.choice([0, 9, 70_000, 140_000])})
+
+        pieces = [
+            lambda: record() + "\n",
+            lambda: "\n",
+            lambda: "\r\n",
+            lambda: "garbage line\n",
+            lambda: "y" * rng.randint(70_000, 140_000) + "\n",
+            lambda: '{"pmid": "\udcff"}\n',
+            lambda: record()[: rng.randint(0, 40)],
+        ]
+        path = store.path("classified")
+        for _ in range(300):
+            text = "".join(rng.choice(pieces)() for _ in range(rng.randint(0, 6)))
+            data = text.encode("utf-8", "surrogateescape")
+            path.write_bytes(data)
+            store.repair_tail("classified")
+            assert path.read_bytes() == data[: self.whole_file_repair(data)], repr(data[-200:])
+
+    def test_repair_reads_a_bounded_tail(self, store):
+        path = store.path("classified")
+        line = json.dumps({"pmid": "1", "text": "x" * 1000}) + "\n"
+        with path.open("w", encoding="utf-8") as handle:
+            handle.write(line * (8 * 1024 * 1024 // len(line) + 1) + line[:500])
+        size = path.stat().st_size
+        assert size >= 8 * 1024 * 1024
+        tracemalloc.start()
+        try:
+            store.repair_tail("classified")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size == size - 500
+        assert peak < 1024 * 1024
+
 
 class TestAtomicStage:
     def test_write_and_done(self, store):
@@ -240,3 +296,38 @@ class TestRunLock:
         lock.acquire()
         assert lock.path.read_text() == str(os.getpid())
         lock.release()
+
+    def test_leftover_lock_naming_a_live_process_is_acquired(self, tmp_path):
+        lock = RunLock(tmp_path)
+        lock.path.write_text(str(os.getpid()))  # e.g. a restarted container's pipeline under the same PID
+        lock.acquire()
+        assert lock.path.read_text() == str(os.getpid())
+        lock.release()
+
+    @pytest.fixture
+    def holder(self, tmp_path):
+        """A child process that holds the run lock of ``tmp_path`` until its stdin closes."""
+        code = (
+            "import sys; from ihcmine.store import RunLock\n"
+            "RunLock(sys.argv[1]).acquire(); print('held', flush=True); sys.stdin.read()\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")}
+        args = [sys.executable, "-c", code, str(tmp_path)]
+        with subprocess.Popen(args, env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True) as proc:
+            assert proc.stdout.readline() == "held\n"
+            yield proc
+            proc.kill()
+
+    def test_lock_held_by_another_process_blocks(self, tmp_path, holder):
+        with pytest.raises(StoreError, match="locked by a live process"):
+            RunLock(tmp_path).acquire()
+        assert holder.poll() is None
+
+    def test_lock_of_a_killed_holder_is_acquired(self, tmp_path, holder):
+        holder.send_signal(signal.SIGKILL)
+        assert holder.wait(timeout=30) == -signal.SIGKILL
+        lock = RunLock(tmp_path)
+        lock.acquire()
+        assert lock.path.read_text() == str(os.getpid())
+        lock.release()
+        assert not lock.path.exists()
