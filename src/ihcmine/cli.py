@@ -397,7 +397,8 @@ def cmd_extract(config: PipelineConfig, store: RunStore, args: argparse.Namespac
 def cmd_normalize(config: PipelineConfig, store: RunStore, args: argparse.Namespace) -> int:
     from . import normalize as normalize_mod  # numpy: loaded only by the stage that searches vectors
 
-    index = normalize_mod.load_index(config.dictionary_path)
+    recorded = store.stage_info("normalized").inputs["dictionary_path"]  # the digest the gate just took
+    index = normalize_mod.load_index(config.dictionary_path, sha256=recorded)
     gateway = _make_gateway(config)
     normalizer = normalize_mod.TermNormalizer(gateway, index, max_distance=config.max_distance)
 

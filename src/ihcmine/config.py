@@ -7,6 +7,7 @@ built-in defaults. The config file is flat ``key = value`` lines with
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -77,6 +78,10 @@ class PipelineConfig:
             raise ConfigError(f"llm_concurrency must be >= 1, got {self.llm_concurrency}")
         if self.top_k_tumours < 1:
             raise ConfigError(f"top_k_tumours must be >= 1, got {self.top_k_tumours}")
+        for name in ("requests_per_second", "backoff_base", "timeout", "max_distance"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be a finite number, got {value}")
         if self.requests_per_second is not None and self.requests_per_second <= 0:
             raise ConfigError("requests_per_second must be positive")
         for name, high in (("esearch_page_size", 9999), ("efetch_batch_size", 500)):

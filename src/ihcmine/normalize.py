@@ -12,8 +12,8 @@ semantic type) is accepted and ignored.
 The first load of a dictionary parses its text and keeps the result as one
 cache entry per resolved path, ``$XDG_CACHE_HOME/ihcmine/`` (default
 ``~/.cache/ihcmine/``). A later load reads the entry instead when the sha256
-of the file's bytes equals the one it records; any other entry is parsed
-over. Entries are written by ``store.atomic_file``. Deleting one, or a
+of the file's bytes, or the digest the caller passes, equals the one it
+records; any other entry is parsed over. Entries are written by ``store.atomic_file``. Deleting one, or a
 ``.partial`` file that a load killed mid-write left, is always safe.
 """
 
@@ -170,20 +170,25 @@ def _vector_fields(path: Path, handle: Iterable[str], concepts: list[Concept], l
         yield vector_raw
 
 
-def load_index(path: str | Path) -> ConceptIndex:
+def load_index(path: str | Path, *, sha256: str | None = None) -> ConceptIndex:
     """Load a TSV dictionary; any malformed line fails with its line number.
 
-    A valid cache entry for the file's current content is read instead of the text (see
-    ``_cached``). Otherwise the file is parsed in one streaming pass and the entry is written.
+    A valid cache entry for the file's content is read instead of the text (see ``_cached``).
+    Otherwise the file is parsed in one streaming pass and the entry is written. ``sha256``
+    is the digest of the content the caller means, when it has hashed the file already: the
+    cache is checked against it without reading the file again, and a parse of other bytes
+    is an error.
     """
     path = Path(path)
     if not path.exists():
         raise DictionaryLoadError(f"dictionary file not found: {path}")
     entry = _cache_entry(path)
-    loaded = _cached(entry, path) if entry is not None else None
+    loaded = _cached(entry, path, sha256) if entry is not None else None
     if loaded is None:
         digest = hashlib.sha256()
         loaded = _parse(path, digest)
+        if sha256 is not None and digest.hexdigest() != sha256:
+            raise DictionaryLoadError(f"{path}: changed while normalize ran")
         if entry is not None:
             _publish(entry, digest.hexdigest(), *loaded)
     index = ConceptIndex(*loaded)
@@ -254,8 +259,9 @@ def _cache_entry(path: Path) -> Path | None:
     return Path(root) / "ihcmine" / f"dictionary-{key}.npz"
 
 
-def _cached(entry: Path, path: Path) -> tuple[list[Concept], np.ndarray] | None:
-    """The concepts and matrix an entry holds, when it is whole and was written from the file's current bytes.
+def _cached(entry: Path, path: Path, sha256: str | None) -> tuple[list[Concept], np.ndarray] | None:
+    """The concepts and matrix an entry holds, when it is whole and was written from the bytes of digest
+    ``sha256`` (by default, the file's current bytes).
 
     The entry is an ``.npz`` of ``meta``, the UTF-8 JSON of the format version, the sha256 of
     the dictionary's bytes and each concept's [cui, name], and ``matrix``.
@@ -263,7 +269,7 @@ def _cached(entry: Path, path: Path) -> tuple[list[Concept], np.ndarray] | None:
     """
     if not entry.is_file():
         return None
-    digest = file_sha256(path)
+    digest = sha256 or file_sha256(path)
     try:
         with open(entry, "rb") as handle, np.load(handle, allow_pickle=False) as data:
             meta = json.loads(data["meta"].tobytes())

@@ -1,7 +1,8 @@
 """Entrez e-utils client: per-marker search, PMID dedup, batched abstract fetch.
 
-Requests are throttled globally per client (NCBI policy: 3/s without an
-API key, 10/s with one); every attempt, retries included, waits its turn.
+Requests share one sliding-window budget per client, NCBI's policy as it
+states it: at most 3 request starts in any one-second window without an API
+key, 10 with one. Every attempt, retries included, counts against the window.
 ``transport`` retries transport errors and 429/5xx. PMIDs without an
 abstract body are skipped, not errors.
 """
@@ -9,8 +10,11 @@ abstract body are skipped, not errors.
 from __future__ import annotations
 
 import logging
+import math
+import sys
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Sequence
 from urllib.parse import urlencode
@@ -48,23 +52,33 @@ def build_query(marker: str) -> MarkerQuery:
 
 
 class RateLimiter:
-    """Uniform request spacing shared by all endpoints of one client."""
+    """Sliding-window request budget shared by all endpoints of one client.
+
+    With n = max(1, floor(rate)), a request starts when fewer than n requests
+    started in the last n / rate seconds; otherwise it sleeps until the oldest
+    of the last n starts is one window old. At 3 and 10 req/s that is at most
+    rate starts in any one-second window; at any rate the long-run rate is
+    ``rate``. The lock is held while a caller sleeps, so waiting callers start
+    one after another.
+    """
 
     def __init__(self, rate_per_second: float):
-        if rate_per_second <= 0:
-            raise ValidationError(f"rate must be positive, got {rate_per_second}")
-        self.interval = 1.0 / rate_per_second
+        if not (math.isfinite(rate_per_second) and rate_per_second > 0):
+            raise ValidationError(f"rate must be positive and finite, got {rate_per_second}")
+        n = min(max(1, int(rate_per_second)), sys.maxsize)
+        self.window = n / rate_per_second
+        self._starts: deque[float] = deque(maxlen=n)
         self._lock = threading.Lock()
-        self._next_time = 0.0
 
     def acquire(self) -> None:
         with self._lock:
             now = time.monotonic()
-            wait = self._next_time - now
-            if wait > 0:
-                time.sleep(wait)
-                now = time.monotonic()
-            self._next_time = max(now, self._next_time) + self.interval
+            if len(self._starts) == self._starts.maxlen:
+                wait = self._starts[0] + self.window - now
+                if wait > 0:
+                    time.sleep(wait)
+                    now = time.monotonic()
+            self._starts.append(now)
 
 
 class EntrezClient:

@@ -357,13 +357,14 @@ def test_c9_ingest_contracts(tmp_path):
     ]
     assert sorted(efetched) == sorted(shared)
 
-    # request-rate ceiling observed by a timestamping mock
-    rate = 25.0
+    # request-rate ceiling observed by a timestamping mock: at most n = 5 starts in any 1 s window
+    rate, n = 5.0, 5
     state = EntrezState(markers={"ER": [str(i) for i in range(60)]})
     with run_entrez(state) as url:
         client = EntrezClient(base_url=url, page_size=6, requests_per_second=rate, backoff_base=0.01)
         client.search_pmids(build_query("ER"), cap=9999)
     arrivals = sorted(ts for ts, _, _ in state.requests)
-    assert len(arrivals) >= 10
-    assert arrivals[-1] - arrivals[0] >= (len(arrivals) - 1) / rate - 0.05
-    ok("C9", f"cap honored at 9999, union dedup 30 unique, {len(arrivals)} requests spaced at <= {rate}/s")
+    assert len(arrivals) == 10
+    # no window [t, t + 1 s - slack) holds n + 1 arrivals; i = 0 is arrival n + 1 against the first
+    assert all(later - earlier >= n / rate - 0.05 for earlier, later in zip(arrivals, arrivals[n:]))
+    ok("C9", f"cap honored at 9999, union dedup 30 unique, {len(arrivals)} requests at <= {n} per {n / rate:g} s")

@@ -433,6 +433,35 @@ class TestProvenance:
         assert before["inputs"]["max_distance"] == "None" and after["inputs"]["max_distance"] == "0.0001"
         assert after["inputs"]["dictionary_path"] == before["inputs"]["dictionary_path"]
 
+    def test_normalize_on_a_warm_cache_hashes_the_dictionary_once(self, demo_env, tmp_path, monkeypatch):
+        import ihcmine.cli
+        import ihcmine.normalize
+        from ihcmine.store import file_sha256
+
+        run_dir = tmp_path / "run"
+        finish_run(demo_env, run_dir)  # its normalize wrote the dictionary's cache entry
+        hashed = []
+
+        def counted(path):
+            hashed.append(path)
+            return file_sha256(path)
+
+        monkeypatch.setattr(ihcmine.cli, "file_sha256", counted)
+        monkeypatch.setattr(ihcmine.normalize, "file_sha256", counted)
+        assert main([*demo_env.normalize_args(run_dir), "--max-dist", "1e-4"]) == 0
+        assert hashed == [str(demo_env.dictionary_file)]
+
+    def test_dictionary_changed_after_the_gate_hashed_it_is_a_stage_failure(self, demo_env, tmp_path, monkeypatch, capsys):
+        import ihcmine.cli
+
+        run_dir = tmp_path / "run"
+        for args in demo_env.all_stage_args(run_dir)[:3]:
+            assert main(args) == 0
+        monkeypatch.setattr(ihcmine.cli, "file_sha256", lambda path: "0" * 64)  # the digest of other bytes
+        assert main(demo_env.normalize_args(run_dir)) == 2
+        assert capsys.readouterr().err == f"error: {demo_env.dictionary_file}: changed while normalize ran\n"
+        assert stage_info(run_dir, "normalized")["status"] != "done"
+
     def test_fetch_refuses_another_markers_file(self, demo_env, tmp_path, capsys):
         run_dir = tmp_path / "run"
         finish_run(demo_env, run_dir)
@@ -577,6 +606,23 @@ class TestConfigFile:
         local = ["--entrez-base", "http://127.0.0.1:9", "--retries", "1"]  # never the real Entrez
         assert main(["fetch", "--run-dir", str(tmp_path / "run"), *local, flag, value]) == 2
         assert capsys.readouterr().err.startswith(f"error: {field} must be")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "command, flag, field",
+        [
+            ("fetch", "--rps", "requests_per_second"),
+            ("fetch", "--backoff", "backoff_base"),
+            ("fetch", "--timeout", "timeout"),
+            ("normalize", "--max-dist", "max_distance"),
+        ],
+    )
+    def test_non_finite_float_settings_rejected(self, tmp_path, capsys, command, flag, field, value):
+        local = ["--entrez-base", "http://127.0.0.1:9", "--retries", "1"] if command == "fetch" else []
+        assert main([command, "--run-dir", str(tmp_path / "run"), *local, f"{flag}={value}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field} must be") and "Traceback" not in err
+        assert not (tmp_path / "run").exists()
 
     def test_boolean_coercion(self, tmp_path):
         config_file = tmp_path / "pipeline.conf"

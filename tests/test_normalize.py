@@ -327,6 +327,18 @@ class TestDictionaryCache:
         load_index(dictionary)
         assert len(parses) == 2
 
+    def test_given_digest_is_trusted_on_a_hit_and_checked_on_a_parse(self, dictionary, parses, cache_home, monkeypatch):
+        digest = hashlib.sha256(dictionary.read_bytes()).hexdigest()
+        with pytest.raises(DictionaryLoadError, match=r"dict\.tsv: changed while normalize ran$"):
+            load_index(dictionary, sha256="0" * 64)
+        assert self.entries(cache_home) == []
+        cold = load_index(dictionary, sha256=digest)
+        monkeypatch.setattr(normalize_mod, "file_sha256", lambda path: pytest.fail("the file was hashed again"))
+        warm = load_index(dictionary, sha256=digest)
+        assert len(parses) == 2 and warm._matrix.tobytes() == cold._matrix.tobytes()
+        with pytest.raises(DictionaryLoadError, match="changed while normalize ran"):
+            load_index(dictionary, sha256="0" * 64)  # misses the entry, parses, and finds other bytes
+
     def test_unwritable_cache_directory_still_loads(self, dictionary, parses, tmp_path, monkeypatch, caplog):
         blocker = tmp_path / "not-a-directory"
         blocker.write_text("", encoding="utf-8")

@@ -2,6 +2,8 @@
 
 import random
 import socket
+import sys
+import threading
 import time
 from urllib.parse import parse_qs, unquote
 
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ihcmine import pubmed
 from ihcmine.errors import EntrezParseError, IngestError, ValidationError
 from ihcmine.pubmed import (
     RPS_WITH_KEY,
@@ -190,28 +193,150 @@ class TestFetchAbstracts:
             client.fetch_abstracts({"11": {"ER"}})
 
 
+class FakeClock:
+    """Stands in for the ``time`` module ``pubmed`` uses: sleeping advances the clock at once."""
+
+    def __init__(self):
+        self.now = 1000.0
+        self.sleeps = []
+
+    def monotonic(self):
+        return self.now
+
+    def sleep(self, seconds):
+        self.sleeps.append(seconds)
+        self.now += seconds
+
+
+class SleepRecorder:
+    """The real ``time`` module, but every ``sleep`` is recorded."""
+
+    def __init__(self):
+        self.sleeps = []
+
+    def sleep(self, seconds):
+        self.sleeps.append(seconds)
+        time.sleep(seconds)
+
+    def __getattr__(self, name):
+        return getattr(time, name)
+
+
+def most_in_window(arrivals, width):
+    """The largest number of arrivals that any half-open window [t, t + width) holds."""
+    arrivals = sorted(arrivals)
+    return max(sum(1 for b in arrivals if a <= b < a + width) for a in arrivals)
+
+
 class TestThrottle:
-    def test_default_budgets(self):
-        assert EntrezClient(base_url="http://x").limiter.interval == pytest.approx(1 / RPS_WITHOUT_KEY)
-        assert EntrezClient(base_url="http://x", api_key="k").limiter.interval == pytest.approx(1 / RPS_WITH_KEY)
+    @pytest.fixture
+    def clock(self, monkeypatch):
+        fake = FakeClock()
+        monkeypatch.setattr(pubmed, "time", fake)
+        return fake
+
+    def test_default_budgets(self, clock):
+        for api_key, n in ((None, RPS_WITHOUT_KEY), ("k", RPS_WITH_KEY)):
+            limiter = EntrezClient(base_url="http://x", api_key=api_key).limiter
+            assert limiter.window == 1.0
+            clock.sleeps.clear()
+            for _ in range(int(n)):
+                limiter.acquire()
+            assert clock.sleeps == []
+            limiter.acquire()
+            assert clock.sleeps == [1.0]
+
+    def test_limiter_spacing(self, clock):
+        limiter = RateLimiter(4.0)  # n = 4, window 1 s
+        first = clock.now
+        for step in (0.0, 0.1, 0.3, 0.2):
+            clock.now += step
+            limiter.acquire()
+        assert clock.sleeps == []  # n starts within 0.6 s do not sleep
+        limiter.acquire()  # start n + 1 sleeps until the oldest start is one window old
+        assert clock.sleeps == [pytest.approx(0.4)] and clock.now == pytest.approx(first + 1.0)
+        limiter.acquire()  # the oldest start is now the one at +0.1
+        assert clock.sleeps[1] == pytest.approx(0.1) and clock.now == pytest.approx(first + 1.1)
+        clock.now += 5.0
+        limiter.acquire()
+        assert len(clock.sleeps) == 2
+
+    @pytest.mark.parametrize("rate, n", [(2.5, 2), (0.5, 1), (3.0, 3), (10.0, 10)])
+    def test_long_run_rate(self, clock, rate, n):
+        limiter = RateLimiter(rate)
+        assert limiter.window == pytest.approx(n / rate)
+        first = clock.now
+        starts = []
+        for _ in range(20 * n + 1):
+            limiter.acquire()
+            starts.append(clock.now)
+        assert starts[-1] - first == pytest.approx(20 * n / rate)
+        assert most_in_window(starts, n / rate - 1e-9) == n
+
+    def test_rate_past_the_largest_window_count_never_sleeps(self, clock):
+        limiter = RateLimiter(1e300)  # floor(rate) does not fit a deque's maxlen
+        for _ in range(100):
+            limiter.acquire()
+        assert clock.sleeps == []
+
+    def test_threads_sharing_a_limiter_keep_the_window(self, clock):
+        limiter = RateLimiter(10.0)
+        first = clock.now
+        threads = [threading.Thread(target=lambda: [limiter.acquire() for _ in range(25)]) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        # 200 starts, 10 per window: a start that skipped the window would end the run early
+        assert clock.sleeps == [1.0] * 19 and clock.now == first + 19.0
+
+    @pytest.mark.parametrize("rate", [0.0, -1.0, float("nan"), float("inf"), float("-inf")])
+    def test_rate_must_be_positive_and_finite(self, rate):
+        with pytest.raises(ValidationError):
+            RateLimiter(rate)
+        with pytest.raises(ValidationError):
+            EntrezClient(base_url="http://x", requests_per_second=rate)
 
     def test_rate_ceiling_observed_by_server(self):
-        state = EntrezState(markers={"ER": [str(i) for i in range(40)]})
-        rate = 25.0
+        state = EntrezState(markers={"ER": [str(i) for i in range(50)]})
+        rate, n = 5.0, 5
         with run_entrez(state) as url:
             client = EntrezClient(base_url=url, page_size=5, requests_per_second=rate, backoff_base=0.01)
             client.search_pmids(build_query("ER"), cap=9999)
         arrivals = sorted(ts for ts, path, _ in state.requests if path.endswith("esearch.fcgi"))
-        assert len(arrivals) >= 8
-        elapsed = arrivals[-1] - arrivals[0]
-        assert elapsed >= (len(arrivals) - 1) / rate - 0.05
+        assert len(arrivals) == 10
+        assert most_in_window(arrivals, n / rate - 0.05) <= n
+        assert arrivals[n] - arrivals[0] >= n / rate - 0.05
 
-    def test_limiter_spacing(self):
-        limiter = RateLimiter(100.0)
-        start = time.monotonic()
-        for _ in range(5):
-            limiter.acquire()
-        assert time.monotonic() - start >= 0.04
+    def test_retried_attempt_counts_against_the_window(self, clock):
+        state = EntrezState(markers={"ER": ["1"]}, fail_next=2)
+        with run_entrez(state) as url:
+            client = EntrezClient(base_url=url, requests_per_second=2.0, retries=3, backoff_base=0.0)
+            assert client.search_pmids(build_query("ER")) == ["1"]
+        assert len(state.requests) == 3  # one search, three attempts
+        assert clock.sleeps == [1.0]  # the third attempt waited for the first to leave the window
+
+    def test_fetch_within_the_budget_never_sleeps(self, tmp_path, monkeypatch):
+        from ihcmine.cli import main
+
+        recorder = SleepRecorder()
+        monkeypatch.setattr(pubmed, "time", recorder)
+        articles = {str(100 + i): (f"t{i}", f"body {i}") for i in range(30)}
+        markers = ["ER", "PR", "CD34", "S100", "HMB45", "KI67"]
+        state = EntrezState(markers={m: list(articles)[i::3] for i, m in enumerate(markers)}, articles=articles)
+        marker_file = tmp_path / "markers.txt"
+        marker_file.write_text("\n".join(markers) + "\n", encoding="utf-8")
+        with run_entrez(state) as url:
+            args = ["fetch", "--run-dir", str(tmp_path / "run"), "--markers", str(marker_file), "--entrez-base", url]
+            assert main([*args, "--rps", "10", "--batch-size", "20"]) == 0
+        assert len(state.requests) == 8  # six searches, two fetches
+        assert recorder.sleeps == []
 
 
 class TestDedupMerge:
