@@ -428,6 +428,9 @@ def cmd_aggregate(config: PipelineConfig, store: RunStore, args: argparse.Namesp
             dropped["unmapped"],
         )
     aggregates = landscape_mod.aggregate(usable, split_qualifiers=config.split_qualifiers)
+    # the reports built from the aggregates replaced here go first, so compare must run again before report
+    for name in ("comparison_report.csv", "landscape_report.json", "marker_report.csv"):
+        (store.run_dir / name).unlink(missing_ok=True)
     count = store.write_stage_atomic(
         "aggregates", map(encode, aggregates), note=json.dumps(dropped, sort_keys=True)
     )
@@ -625,6 +628,3 @@ def main(argv: list[str] | None = None) -> int:
         print("interrupted", file=sys.stderr)
         return 2
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -14,6 +14,7 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from .errors import ConfigError
+from .transport import MAX_WAIT_S
 
 ENV_VARS = {
     "entrez_base_url": "ENTREZ_BASE_URL",
@@ -82,16 +83,19 @@ class PipelineConfig:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ConfigError(f"{name} must be a finite number, got {value}")
-        if self.requests_per_second is not None and self.requests_per_second <= 0:
-            raise ConfigError("requests_per_second must be positive")
+        if self.requests_per_second is not None and self.requests_per_second < 1 / MAX_WAIT_S:
+            raise ConfigError(
+                f"requests_per_second must be at least 1/{MAX_WAIT_S:g} (one request per window of at most "
+                f"{MAX_WAIT_S:g} s), got {self.requests_per_second}"
+            )
         for name, high in (("esearch_page_size", 9999), ("efetch_batch_size", 500)):
             value = getattr(self, name)
             if not 1 <= value <= high:
                 raise ConfigError(f"{name} must be in [1, {high}], got {value}")
         if self.backoff_base < 0:
             raise ConfigError(f"backoff_base must be >= 0, got {self.backoff_base}")
-        if self.timeout <= 0:
-            raise ConfigError(f"timeout must be positive, got {self.timeout}")
+        if not 0 < self.timeout <= MAX_WAIT_S:
+            raise ConfigError(f"timeout must be in (0, {MAX_WAIT_S:g}] seconds, got {self.timeout}")
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(PipelineConfig)}

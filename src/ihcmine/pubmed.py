@@ -21,7 +21,7 @@ from urllib.parse import urlencode
 
 from .domain import AbstractRecord
 from .errors import EntrezParseError, IngestError, ValidationError
-from .transport import RETRYABLE_STATUS, HttpTransport, TransportError
+from .transport import MAX_WAIT_S, RETRYABLE_STATUS, HttpTransport, TransportError
 
 logger = logging.getLogger(__name__)
 
@@ -67,6 +67,8 @@ class RateLimiter:
             raise ValidationError(f"rate must be positive and finite, got {rate_per_second}")
         n = min(max(1, int(rate_per_second)), sys.maxsize)
         self.window = n / rate_per_second
+        if self.window > MAX_WAIT_S:  # a longer sleep overflows time.sleep, or lasts for years
+            raise ValidationError(f"rate {rate_per_second} gives a {self.window:g} s window, over {MAX_WAIT_S:g} s")
         self._starts: deque[float] = deque(maxlen=n)
         self._lock = threading.Lock()
 

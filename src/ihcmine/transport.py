@@ -2,9 +2,9 @@
 
 ``HttpTransport.request`` is the pipeline's one retry loop, on ``http.client``
 with one keep-alive connection per thread and host. Before a retry it waits
-what ``Retry-After`` asks (RFC 9110 §10.2.3), capped at the timeout, else a
-full-jitter exponential backoff (Brooker, "Exponential Backoff and Jitter",
-AWS Architecture Blog, 2015). Logs and errors never show a URL's query
+what ``Retry-After`` asks (RFC 9110 §10.2.3), else a full-jitter exponential
+backoff (Brooker, "Exponential Backoff and Jitter", AWS Architecture Blog,
+2015), either capped at the timeout. Logs and errors never show a URL's query
 string, which carries the NCBI API key. ``http.client`` and ``ssl`` load on
 first use, so stages that call no endpoint never import them.
 """
@@ -23,6 +23,7 @@ from .errors import ValidationError
 logger = logging.getLogger(__name__)
 
 RETRYABLE_STATUS = frozenset({429, 500, 502, 503, 504})
+MAX_WAIT_S = 86_400.0  # one day: the longest timeout and rate-limiter window a setting may ask for
 
 
 class TransportError(Exception):
@@ -35,6 +36,8 @@ class HttpTransport:
     def __init__(self, retries: int, backoff_base: float, timeout: float) -> None:
         if retries < 1:
             raise ValidationError(f"retries must be >= 1, got {retries}")
+        if not 0 < timeout <= MAX_WAIT_S:  # a longer one overflows the socket's timeout
+            raise ValidationError(f"timeout must be in (0, {MAX_WAIT_S:g}] seconds, got {timeout}")
         self.retries = retries
         self.backoff_base = backoff_base
         self.timeout = timeout
@@ -83,7 +86,7 @@ class HttpTransport:
         seconds = _retry_after_seconds(retry_after) if retry_after else None
         if seconds is not None:
             return min(seconds, self.timeout)  # one header may not stall a stage longer than a hung request
-        return random.uniform(0, self.backoff_base * 2 ** (attempt - 1))
+        return random.uniform(0, min(self.backoff_base * 2 ** (attempt - 1), self.timeout))
 
     def _connection(self, scheme: str, netloc: str):
         """This thread's (connection, target prefix, proxy headers) for ``scheme://netloc``."""

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -422,6 +423,25 @@ class TestProvenance:
         with (run_dir / "comparison_report.csv").open() as handle:
             assert "ESR1" in {row["marker"] for row in csv.DictReader(handle)}
 
+    def test_report_after_a_new_aggregate_needs_compare(self, demo_env, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        finish_run(demo_env, run_dir)
+        other = tmp_path / "other.tsv"
+        other.write_text(demo_env.dictionary_file.read_text().replace("\tER\t", "\tESR1\t"), encoding="utf-8")
+        normalize = [a if a != str(demo_env.dictionary_file) else str(other) for a in demo_env.normalize_args(run_dir)]
+        assert main(normalize) == 0
+        assert main(demo_env.aggregate_args(run_dir)) == 0
+        reports = ("comparison_report.csv", "landscape_report.json", "marker_report.csv")
+        assert not any((run_dir / name).exists() for name in reports)  # each was built from the old aggregates
+        capsys.readouterr()
+        assert main(demo_env.report_args(run_dir)) == 2
+        assert "comparison_report.csv not found; run compare" in capsys.readouterr().err
+        assert main(demo_env.compare_args(run_dir)) == 0
+        assert main(demo_env.report_args(run_dir)) == 0
+        for name in ("comparison_report.csv", "marker_report.csv"):
+            with (run_dir / name).open() as handle:
+                assert "ESR1" in {row["marker"] for row in csv.DictReader(handle)}, name
+
     def test_normalize_reruns_on_another_max_distance(self, demo_env, tmp_path, capsys):
         run_dir = tmp_path / "run"
         finish_run(demo_env, run_dir)
@@ -600,12 +620,25 @@ class TestConfigFile:
             ("--batch-size", "501", "efetch_batch_size"),
             ("--backoff", "-0.5", "backoff_base"),
             ("--timeout", "0", "timeout"),
+            ("--timeout", "1e10", "timeout"),  # overflowed the socket's timeout
+            ("--timeout", "86401", "timeout"),
+            ("--rps", "1e-300", "requests_per_second"),  # overflowed the limiter's sleep
+            ("--rps", "1e-5", "requests_per_second"),  # a window of 100000 s
         ],
     )
     def test_entrez_and_transport_settings_bounded(self, tmp_path, capsys, flag, value, field):
         local = ["--entrez-base", "http://127.0.0.1:9", "--retries", "1"]  # never the real Entrez
         assert main(["fetch", "--run-dir", str(tmp_path / "run"), *local, flag, value]) == 2
-        assert capsys.readouterr().err.startswith(f"error: {field} must be")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field} must be") and "Traceback" not in err
+
+    def test_backoff_sleep_capped_at_the_timeout(self, demo_env, tmp_path):
+        demo_env.entrez_state.fail_next = 1
+        fetch = [*demo_env.fetch_args(tmp_path / "run"), "--backoff", "1e20", "--timeout", "0.2", "--retries", "2"]
+        start = time.monotonic()
+        assert main(fetch) == 0  # 1e20 overflowed time.sleep; 1e8 slept for years
+        assert time.monotonic() - start < 5.0
+        assert demo_env.entrez_state.fail_next == 0
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize(

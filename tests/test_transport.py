@@ -8,8 +8,8 @@ import pytest
 
 from ihcmine.errors import ValidationError
 from ihcmine.gateway import ChatRequest, LlmGateway
-from ihcmine.pubmed import EntrezClient, build_query
-from ihcmine.transport import HttpTransport, TransportError
+from ihcmine.pubmed import EntrezClient, RateLimiter, build_query
+from ihcmine.transport import MAX_WAIT_S, HttpTransport, TransportError
 
 from mockservers import EntrezState, LlmState, run_entrez, run_llm, run_server
 
@@ -90,6 +90,26 @@ def test_backoff_is_full_jitter():
     delays = [transport._delay(3, None) for _ in range(200)]
     assert all(0.0 <= d <= 4.0 for d in delays)
     assert min(delays) < 1.0 and max(delays) > 3.0
+
+
+def test_backoff_capped_at_timeout():
+    transport = HttpTransport(retries=4, backoff_base=1e20, timeout=0.5)
+    delays = [transport._delay(3, None) for _ in range(200)]
+    assert all(0.0 <= d <= 0.5 for d in delays) and max(delays) > 0.4
+
+
+@pytest.mark.parametrize("timeout", [0.0, -1.0, float("nan"), MAX_WAIT_S * 1.01, 1e10])
+def test_timeout_outside_the_bound_rejected(timeout):
+    with pytest.raises(ValidationError, match="timeout must be in"):
+        HttpTransport(retries=1, backoff_base=1.0, timeout=timeout)
+    HttpTransport(retries=1, backoff_base=1.0, timeout=MAX_WAIT_S)
+
+
+def test_rate_limiter_window_bounded():
+    assert RateLimiter(1 / MAX_WAIT_S).window == MAX_WAIT_S
+    for rate in (1e-300, 0.5 / MAX_WAIT_S):
+        with pytest.raises(ValidationError, match="window"):
+            RateLimiter(rate)
 
 
 def test_retries_below_one_rejected():
