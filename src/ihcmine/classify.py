@@ -12,12 +12,14 @@ import re
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .domain import AbstractRecord, ClassificationLabel
 from .errors import GatewayError, UnparseableLabelError, ValidationError
 from .gateway import CLASSIFY_TEMPLATE, LlmGateway, render_prompt, template_hash
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 logger = logging.getLogger(__name__)
 
@@ -121,22 +123,26 @@ class ClassificationMetrics:
 
     @property
     def accuracy(self) -> Fraction:
-        return Fraction(self.tp + self.tn, self.n) if self.n else Fraction(0)
+        return _ratio(self.tp + self.tn, self.n)
 
     @property
     def precision(self) -> Fraction:
-        denom = self.tp + self.fp
-        return Fraction(self.tp, denom) if denom else Fraction(0)
+        return _ratio(self.tp, self.tp + self.fp)
 
     @property
     def recall(self) -> Fraction:
-        denom = self.tp + self.fn
-        return Fraction(self.tp, denom) if denom else Fraction(0)
+        return _ratio(self.tp, self.tp + self.fn)
 
     @property
     def f1(self) -> Fraction:
-        denom = 2 * self.tp + self.fp + self.fn
-        return Fraction(2 * self.tp, denom) if denom else Fraction(0)
+        return _ratio(2 * self.tp, 2 * self.tp + self.fp + self.fn)
+
+
+def _ratio(numerator: int, denominator: int) -> Fraction:
+    """The exact ratio, or 0 for a zero denominator."""
+    from fractions import Fraction  # not at module level: classify and extract load this module
+
+    return Fraction(numerator, denominator) if denominator else Fraction(0)
 
 
 def evaluate(

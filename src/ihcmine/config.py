@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from .errors import ConfigError
-from .transport import MAX_WAIT_S
+from .transport import MAX_RETRIES, MAX_WAIT_S
 
 ENV_VARS = {
     "entrez_base_url": "ENTREZ_BASE_URL",
@@ -96,6 +96,10 @@ class PipelineConfig:
             raise ConfigError(f"backoff_base must be >= 0, got {self.backoff_base}")
         if not 0 < self.timeout <= MAX_WAIT_S:
             raise ConfigError(f"timeout must be in (0, {MAX_WAIT_S:g}] seconds, got {self.timeout}")
+        if not 1 <= self.retries <= MAX_RETRIES:  # the backoff of attempt 1025 overflows a float
+            raise ConfigError(f"retries must be in [1, {MAX_RETRIES}], got {self.retries}")
+        if self.llm_api_key and any(c in self.llm_api_key for c in "\r\n\0"):
+            raise ConfigError("llm_api_key must not contain CR, LF or NUL")  # the key itself stays out of the message
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(PipelineConfig)}

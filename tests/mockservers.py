@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+import socket
 import threading
 import time
 from contextlib import contextmanager
@@ -276,6 +277,93 @@ def run_entrez(state: EntrezState):
 def run_llm(state: LlmState):
     with run_server(_LlmHandler, state) as url:
         yield url
+
+
+# -- scripted raw-socket server -----------------------------------------------------
+
+
+@dataclass
+class ScriptedState:
+    """Answers sent byte for byte, one list per connection in accept order.
+
+    On connection i the server reads one request per answer in
+    ``answers[i]`` and sends that answer as it is. After the last answer a
+    plain server shuts its sending side, which ends a close-delimited body,
+    and still records any further request, unanswered; a TLS server closes.
+    A connection past the script gets no answer. ``tls`` is a server-side
+    ``ssl.SSLContext``. ``requests`` holds (connection index, request bytes)
+    in arrival order.
+    """
+
+    answers: list[list[bytes]]
+    tls: object = None
+    connections: int = 0
+    requests: list[tuple[int, bytes]] = field(default_factory=list)
+
+
+def _read_request(reader) -> bytes | None:
+    """One request's head and body, or None at the end of the stream."""
+    lines = []
+    while not lines or lines[-1] not in (b"\r\n", b"\n"):
+        line = reader.readline()
+        if not line:
+            return None
+        lines.append(line)
+    length = 0
+    for line in lines:
+        name, _, value = line.partition(b":")
+        if name.strip().lower() == b"content-length":
+            length = int(value)
+    return b"".join(lines) + reader.read(length)
+
+
+def _serve_scripted(conn: socket.socket, index: int, state: ScriptedState) -> None:
+    answers = state.answers[index] if index < len(state.answers) else []
+    if state.tls is not None:
+        conn = state.tls.wrap_socket(conn, server_side=True)
+    with conn, conn.makefile("rb") as reader:
+        for answer in answers:
+            request = _read_request(reader)
+            if request is None:
+                return
+            state.requests.append((index, request))
+            conn.sendall(answer)
+        if state.tls is not None:
+            return
+        conn.shutdown(socket.SHUT_WR)
+        while (request := _read_request(reader)) is not None:
+            state.requests.append((index, request))
+
+
+@contextmanager
+def run_scripted(state: ScriptedState):
+    """Serves ``state``'s script on loopback, one connection at a time; yields the base URL."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(0.02)
+    stop = threading.Event()
+
+    def serve() -> None:
+        while not stop.is_set():
+            try:
+                conn, _ = listener.accept()
+            except TimeoutError:
+                continue
+            conn.settimeout(5.0)
+            state.connections += 1
+            try:
+                _serve_scripted(conn, state.connections - 1, state)
+            except OSError:  # a reset, a timeout or a refused TLS handshake ends only this connection
+                conn.close()
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    scheme = "http" if state.tls is None else "https"
+    try:
+        yield f"{scheme}://127.0.0.1:{listener.getsockname()[1]}"
+    finally:
+        stop.set()
+        thread.join(10)
+        listener.close()
 
 
 # -- demo corpus for end-to-end runs ---------------------------------------------

@@ -624,6 +624,8 @@ class TestConfigFile:
             ("--timeout", "86401", "timeout"),
             ("--rps", "1e-300", "requests_per_second"),  # overflowed the limiter's sleep
             ("--rps", "1e-5", "requests_per_second"),  # a window of 100000 s
+            ("--retries", "0", "retries"),
+            ("--retries", "1001", "retries"),  # the backoff of attempt 1025 overflowed a float
         ],
     )
     def test_entrez_and_transport_settings_bounded(self, tmp_path, capsys, flag, value, field):
@@ -631,6 +633,16 @@ class TestConfigFile:
         assert main(["fetch", "--run-dir", str(tmp_path / "run"), *local, flag, value]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {field} must be") and "Traceback" not in err
+
+    @pytest.mark.parametrize("key", ["abc\ndef", "abc\r\nX-Injected: 1", "abc\0def"])
+    def test_llm_api_key_with_control_characters_rejected(self, tmp_path, capsys, key):
+        # it used to reach http.client, whose ValueError ended a worker thread in a traceback
+        argv = ["classify", "--run-dir", str(tmp_path / "run"), "--llm-base", "http://127.0.0.1:9", "--llm-key", key]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: llm_api_key must not contain CR, LF or NUL")
+        assert "abc" not in err and "Traceback" not in err
+        assert not (tmp_path / "run").exists()
 
     def test_backoff_sleep_capped_at_the_timeout(self, demo_env, tmp_path):
         demo_env.entrez_state.fail_next = 1

@@ -3,8 +3,10 @@
 Each stage runs as its own ``python -m ihcmine <stage>`` process, so what
 ``ihcmine.cli`` imports is paid on every stage start. numpy belongs to
 normalize alone. requests belongs to no stage: every endpoint is called
-through ``ihcmine.transport`` on ``http.client``. The other modules below
-belong to the commands that use them. Each check runs in a fresh
+through ``ihcmine.transport``, which frames HTTP/1.1 itself on ``socket``,
+so a plain-HTTP stage without a proxy variable loads neither
+``http.client``, ``urllib.request``, ``email`` nor ``ssl``. The other modules
+below belong to the commands that use them. Each check runs in a fresh
 interpreter, so modules that pytest or other tests imported do not count.
 """
 
@@ -14,10 +16,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from ihcmine.cli import main
 from ihcmine.codec import encode
 from ihcmine.domain import NormalizedRecord
 from ihcmine.store import RunStore
 from ihcmine.tables import parse_markdown_table
+
+from mockservers import ScriptedState, run_scripted
 
 ROOT = Path(__file__).parent.parent
 FIXTURES = Path(__file__).parent / "data" / "renal_s100a4"
@@ -32,12 +39,15 @@ PER_COMMAND = (
     "xml.etree.ElementTree",
     "fractions",
 )
+HTTP_CLIENT = ("http.client", "urllib.request", "email.parser", "ssl")
 
 
 def heavy_modules_after(code: str, watched=HEAVY) -> list[str]:
     """Runs ``code`` in a new interpreter; returns which of the ``watched`` modules it left loaded."""
     script = code + f"\nimport json, sys; print(json.dumps(sorted(set({list(watched)!r}) & set(sys.modules))))"
-    env = {**os.environ, "PYTHONPATH": "src"}
+    # without proxy variables: one loads urllib.request on purpose
+    env = {name: value for name, value in os.environ.items() if not name.lower().endswith("_proxy")}
+    env["PYTHONPATH"] = "src"
     result = subprocess.run(
         [sys.executable, "-c", script], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
     )
@@ -110,4 +120,27 @@ def test_stages_that_call_endpoints_never_load_requests(demo_env, tmp_path):
     commands = demo_env.all_stage_args(tmp_path / "run")[:4]
     assert [argv[0] for argv in commands] == ["fetch", "classify", "extract", "normalize"]
     code = f"from ihcmine.cli import main\nfor argv in {commands!r}:\n    assert main(argv) == 0, argv"
-    assert heavy_modules_after(code) == ["numpy"]
+    assert heavy_modules_after(code, HEAVY + HTTP_CLIENT) == ["numpy"]
+
+
+def test_classify_and_extract_load_no_fractions(demo_env, tmp_path):
+    fetch, classify, extract = demo_env.all_stage_args(tmp_path / "run")[:3]
+    assert main(fetch) == 0
+    code = f"from ihcmine.cli import main\nfor argv in {[classify, extract]!r}:\n    assert main(argv) == 0, argv"
+    assert heavy_modules_after(code, ("fractions", "decimal")) == []
+
+
+@pytest.mark.parametrize(
+    "proxy_variables, loaded",
+    [({}, []), ({"http_proxy": "http://127.0.0.1:9", "no_proxy": "127.0.0.1"}, sorted(HTTP_CLIENT))],
+)
+def test_plain_http_request_loads_no_http_client(proxy_variables, loaded):
+    """Only a proxy variable brings in urllib.request, and with it http.client, email and ssl."""
+    state = ScriptedState([[b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok"]])
+    with run_scripted(state) as url:
+        code = (
+            f"import os\nos.environ.update({proxy_variables!r})\n"
+            f"from ihcmine.transport import HttpTransport\ntransport = HttpTransport(1, 0.01, 5.0)\n"
+            f"assert transport.request('GET', {url!r} + '/') == (200, b'ok')\ntransport.close()"
+        )
+        assert heavy_modules_after(code, HTTP_CLIENT) == loaded

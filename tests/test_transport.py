@@ -1,6 +1,9 @@
-"""The shared HTTP transport: keep-alive reuse, Retry-After, jitter and proxies, via both clients."""
+"""The shared HTTP transport: keep-alive reuse, Retry-After, jitter, proxies and HTTP/1.1 framing."""
 
 import email.utils
+import shutil
+import ssl
+import subprocess
 import time
 from http.server import BaseHTTPRequestHandler
 
@@ -9,9 +12,17 @@ import pytest
 from ihcmine.errors import ValidationError
 from ihcmine.gateway import ChatRequest, LlmGateway
 from ihcmine.pubmed import EntrezClient, RateLimiter, build_query
-from ihcmine.transport import MAX_WAIT_S, HttpTransport, TransportError
+from ihcmine.transport import (
+    MAX_HEADERS,
+    MAX_LINE,
+    MAX_RETRIES,
+    MAX_WAIT_S,
+    HttpTransport,
+    TransportError,
+    _tls_context,
+)
 
-from mockservers import EntrezState, LlmState, run_entrez, run_llm, run_server
+from mockservers import EntrezState, LlmState, ScriptedState, run_entrez, run_llm, run_scripted, run_server
 
 
 def chat_request(i=0):
@@ -117,6 +128,18 @@ def test_retries_below_one_rejected():
         LlmGateway("http://localhost:1", retries=0)
 
 
+def test_retries_above_the_bound_rejected():
+    with pytest.raises(ValidationError, match=f"retries must be <= {MAX_RETRIES}"):
+        HttpTransport(retries=MAX_RETRIES + 1, backoff_base=1.0, timeout=1.0)
+
+
+@pytest.mark.parametrize("backoff", [0.0, 1.0, 1e300])
+def test_backoff_at_the_last_retry_stays_within_the_timeout(backoff):
+    # 2 ** 1024 does not convert to a float, so attempt 1025 used to raise OverflowError.
+    transport = HttpTransport(retries=MAX_RETRIES, backoff_base=backoff, timeout=1.0)
+    assert all(0.0 <= transport._delay(MAX_RETRIES, None) <= 1.0 for _ in range(20))
+
+
 class _ProxyRecorder(BaseHTTPRequestHandler):
     """Records each request line and its proxy credentials; answers GET 200 and refuses CONNECT."""
 
@@ -172,3 +195,196 @@ def test_no_proxy_bypasses_the_proxy(proxy, monkeypatch):
         client = EntrezClient(base_url=url, requests_per_second=500.0, backoff_base=0.01, retries=1)
         assert client.search_pmids(build_query("ER")) == ["1"]
     assert proxy == []
+
+
+# -- HTTP/1.1 framing, against scripted raw-socket servers ---------------------------
+
+OK = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok"
+
+
+def exchange(state, n=1, retries=1, method="GET"):
+    """``n`` requests on one transport against ``state``'s script; their (status, body) answers."""
+    with run_scripted(state) as url:
+        transport = HttpTransport(retries, 0.01, 2.0)
+        try:
+            return [transport.request(method, f"{url}/path?q={i}") for i in range(n)]
+        finally:
+            transport.close()
+
+
+def connection_of_each_request(state):
+    return [index for index, _ in state.requests]
+
+
+def test_request_bytes():
+    state = ScriptedState([[OK]])
+    with run_scripted(state) as url:
+        transport = HttpTransport(1, 0.01, 2.0)
+        assert transport.request("POST", f"{url}/v1/chat?x=1", b'{"a":1}', {"Content-Type": "application/json"})
+        transport.close()
+    host = url.split("//")[1]
+    assert state.requests == [
+        (
+            0,
+            f"POST /v1/chat?x=1 HTTP/1.1\r\nHost: {host}\r\nAccept-Encoding: identity\r\n"
+            'Content-Type: application/json\r\nContent-Length: 7\r\n\r\n{"a":1}'.encode(),
+        )
+    ]
+
+
+def test_chunked_body_with_an_extension_and_a_trailer():
+    chunked = (
+        b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+        b"5;name=value\r\nhello\r\n6\r\n world\r\n0\r\nX-Checksum: 1\r\n\r\n"
+    )
+    state = ScriptedState([[chunked, OK]])
+    assert exchange(state, 2) == [(200, b"hello world"), (200, b"ok")]
+    assert connection_of_each_request(state) == [0, 0]
+
+
+def test_interim_100_continue_is_skipped():
+    state = ScriptedState([[b"HTTP/1.1 100 Continue\r\n\r\n" + OK, OK]])
+    assert exchange(state, 2) == [(200, b"ok"), (200, b"ok")]
+    assert connection_of_each_request(state) == [0, 0]
+
+
+def test_http10_body_ends_where_the_server_closes():
+    state = ScriptedState([[b"HTTP/1.0 200 OK\r\nContent-Type: text/plain\r\n\r\nup to the close"], [OK]])
+    assert exchange(state, 2) == [(200, b"up to the close"), (200, b"ok")]
+    assert connection_of_each_request(state) == [0, 1]
+
+
+def test_connection_close_on_http11_opens_a_new_connection():
+    close = b"HTTP/1.1 200 OK\r\nConnection: close\r\nContent-Length: 2\r\n\r\nok"
+    state = ScriptedState([[close], [OK]])
+    assert exchange(state, 2) == [(200, b"ok"), (200, b"ok")]
+    assert connection_of_each_request(state) == [0, 1]  # nothing was sent on the closed connection
+
+
+@pytest.mark.parametrize(
+    "method, answer, status",
+    [
+        ("GET", b"HTTP/1.1 204 No Content\r\n\r\n", 204),
+        ("GET", b"HTTP/1.1 304 Not Modified\r\nContent-Length: 5\r\n\r\n", 304),
+        ("HEAD", b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\n", 200),
+    ],
+)
+def test_answer_without_a_body_keeps_the_connection(method, answer, status):
+    state = ScriptedState([[answer, answer]])
+    assert exchange(state, 2, method=method) == [(status, b""), (status, b"")]
+    assert connection_of_each_request(state) == [0, 0]
+
+
+def test_short_body_costs_one_attempt():
+    short = b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nhello"
+    state = ScriptedState([[short], [OK]])
+    assert exchange(state, retries=2) == [(200, b"ok")]
+    assert connection_of_each_request(state) == [0, 1]
+    with pytest.raises(TransportError, match="incomplete body: got 5 of 10 bytes"):
+        exchange(ScriptedState([[short]]))
+
+
+def with_fields(fields: bytes) -> bytes:
+    return b"HTTP/1.1 200 OK\r\n" + fields + b"Content-Length: 2\r\n\r\nok"
+
+
+def numbered_fields(n: int) -> bytes:
+    return b"".join(b"X-Field-%d: v\r\n" % i for i in range(n))
+
+
+def test_head_at_its_limits_is_read():
+    longest = b"X-Long: " + b"a" * (MAX_LINE - 10) + b"\r\n"
+    answers = [with_fields(numbered_fields(MAX_HEADERS - 1)), with_fields(longest)]
+    assert exchange(ScriptedState([answers]), 2) == [(200, b"ok"), (200, b"ok")]
+
+
+@pytest.mark.parametrize(
+    "answer, error",
+    [
+        (with_fields(b"X-Long: " + b"a" * MAX_LINE + b"\r\n"), "header line longer than 65536 bytes"),
+        (with_fields(numbered_fields(MAX_HEADERS)), "got more than 100 headers"),  # 101 with Content-Length
+        (b"HTTP/1.1 2x0 OK\r\n\r\n", "malformed status line"),
+        (b"ICY 200 OK\r\n\r\n", "malformed status line"),
+        (b"HTTP/1.1 200 OK\r\nContent-Length: -2\r\n\r\nok", "bad Content-Length"),
+        (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n", "malformed chunk size line"),
+    ],
+)
+def test_malformed_head_costs_an_attempt(answer, error):
+    with pytest.raises(TransportError, match=f"ProtocolError: {error}"):
+        exchange(ScriptedState([[answer]]))
+
+
+@pytest.mark.parametrize(
+    "url_suffix, headers, error",
+    [
+        ("/", {"Authorization": "Bearer abc\r\nX-Injected: 1"}, "header 'Authorization' contains CR, LF or NUL"),
+        ("/", {"X-A\nB": "v"}, "contains CR, LF or NUL"),
+        ("/", {"X-Key": "abc\0def"}, "header 'X-Key' contains CR, LF or NUL"),
+        ("/a\0b", {}, "request target must be printable ASCII"),
+    ],
+)
+def test_unsendable_request_refused_before_any_byte_is_sent(url_suffix, headers, error):
+    state = ScriptedState([[OK]])
+    with run_scripted(state) as url:
+        transport = HttpTransport(1, 0.01, 2.0)
+        with pytest.raises(ValidationError, match=error) as raised:
+            transport.request("POST", url + url_suffix, b"{}", headers)
+        transport.close()
+    assert "abc" not in str(raised.value)
+    assert state.connections == 0 and state.requests == []
+
+
+def test_api_key_with_a_newline_is_a_validation_error():
+    with run_scripted(ScriptedState([[OK]])) as url:
+        gateway = LlmGateway(url, model_id="m", api_key="abc\ndef")
+        with pytest.raises(ValidationError, match="Authorization"):
+            gateway.chat(chat_request())
+        gateway.close()
+
+
+# -- TLS ------------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def certificate(tmp_path_factory):
+    """A self-signed certificate and key for 127.0.0.1, made by ``openssl req -x509``."""
+    if shutil.which("openssl") is None:
+        pytest.skip("openssl is not installed")
+    directory = tmp_path_factory.mktemp("tls")
+    cert, key = directory / "cert.pem", directory / "key.pem"
+    subprocess.run(
+        ["openssl", "req", "-x509", "-newkey", "rsa:2048", "-nodes", "-days", "2", "-subj", "/CN=127.0.0.1",
+         "-addext", "subjectAltName=IP:127.0.0.1",
+         "-addext", "keyUsage=critical,digitalSignature,keyEncipherment,keyCertSign",
+         "-keyout", str(key), "-out", str(cert)],
+        check=True, capture_output=True, timeout=60,
+    )
+    return cert, key
+
+
+@pytest.fixture
+def tls_server(certificate, monkeypatch):
+    """A server-side TLS context for the certificate, which the client trusts through ``SSL_CERT_FILE``."""
+    cert, key = certificate
+    monkeypatch.setenv("SSL_CERT_FILE", str(cert))
+    _tls_context.cache_clear()
+    context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    context.load_cert_chain(cert, key)
+    yield context
+    _tls_context.cache_clear()
+
+
+def test_https_round_trips_share_one_connection(tls_server):
+    state = ScriptedState([[OK, OK]], tls=tls_server)
+    assert exchange(state, 2) == [(200, b"ok"), (200, b"ok")]
+    assert connection_of_each_request(state) == [0, 0]
+
+
+def test_https_name_mismatch_is_a_transport_error(tls_server):
+    state = ScriptedState([[OK]], tls=tls_server)
+    with run_scripted(state) as url:
+        transport = HttpTransport(1, 0.01, 2.0)
+        with pytest.raises(TransportError, match="SSLCertVerificationError"):
+            transport.request("GET", url.replace("127.0.0.1", "localhost") + "/")
+        transport.close()
+    assert state.requests == []
