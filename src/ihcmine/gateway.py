@@ -44,12 +44,12 @@ class EmbeddingVector:
     def __post_init__(self) -> None:
         if self.dim != len(self.values):
             raise ValidationError(f"dim {self.dim} != len(values) {len(self.values)}")
-        if not all(math.isfinite(v) for v in self.values):
+        if not all(map(math.isfinite, self.values)):
             raise ValidationError("embedding contains non-finite values")
 
     @classmethod
     def of(cls, values) -> "EmbeddingVector":
-        vals = tuple(float(v) for v in values)
+        vals = tuple(map(float, values))
         return cls(values=vals, dim=len(vals))
 
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import contextlib
 import fcntl
-import functools
 import hashlib
 import json
 import logging
@@ -110,11 +109,12 @@ def atomic_file(path: str | Path, mode: str = "w") -> Iterator[IO]:
 
 
 def file_sha256(path: str | Path) -> str:
-    """The hex sha256 of a file's bytes, read in 1 MiB blocks."""
+    """The hex sha256 of a file's bytes, read in 1 MiB blocks into one reused buffer."""
     digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for block in iter(functools.partial(handle.read, 1 << 20), b""):
-            digest.update(block)
+    buffer = memoryview(bytearray(1 << 20))
+    with open(path, "rb", buffering=0) as handle:
+        while size := handle.readinto(buffer):
+            digest.update(buffer[:size])
     return digest.hexdigest()
 
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import shutil
 
 import pytest
@@ -15,6 +16,7 @@ from ihcmine.gateway import (
     EXTRACT_TEMPLATE,
     MAX_NEW_TOKENS,
     ChatRequest,
+    EmbeddingVector,
     LlmGateway,
     render_prompt,
     template_hash,
@@ -146,6 +148,31 @@ class TestEmbed:
         gateway = LlmGateway(url, model_id="m", backoff_base=0.01)
         with pytest.raises(GatewayProtocolError):
             gateway.embed(["a", "b"])
+
+
+class TestEmbeddingVector:
+    def test_values_become_floats(self):
+        vector = EmbeddingVector.of([1, "2.5", 3.0, True])
+        assert vector.values == (1.0, 2.5, 3.0, 1.0) and vector.dim == 4
+        assert all(type(v) is float for v in vector.values)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "nan", "-inf", 1e400])
+    def test_non_finite_values_are_rejected(self, value):
+        with pytest.raises(ValidationError, match="^embedding contains non-finite values$"):
+            EmbeddingVector.of([0.0, value])
+
+    @pytest.mark.parametrize("value, error", [("abc", ValueError), (None, TypeError), ([1.0], TypeError), ({}, TypeError)])
+    def test_non_numeric_values_raise_what_float_raises(self, value, error):
+        with pytest.raises(error):
+            EmbeddingVector.of([0.0, value])
+
+    def test_direct_construction_checks_dim_and_values(self):
+        with pytest.raises(ValidationError, match="dim 3 != len"):
+            EmbeddingVector(values=(0.0, 1.0), dim=3)
+        with pytest.raises(ValidationError, match="non-finite"):
+            EmbeddingVector(values=(0.0, math.inf), dim=2)
+        with pytest.raises(TypeError):
+            EmbeddingVector(values=(0.0, "1.0"), dim=2)
 
 
 class TestPromptTemplates:

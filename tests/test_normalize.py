@@ -1,13 +1,14 @@
 """Dictionary loading, exact nearest-neighbor search, term and table normalization."""
 
 import hashlib
-import json
+import itertools
 import logging
 import math
 import os
 import random
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -117,6 +118,8 @@ class TestLoadIndex:
             ("C0000002\tnaevus\tcanonical\t0.0,0.0,", "unparseable vector"),
             ("C0000002\tnaevus\tcanonical", "expected 4 or 5 tab-separated fields"),
             ("X0000002\tnaevus\tcanonical\t0.0,0.0", "CUI must be"),
+            ("C000000\uff12\tnaevus\tcanonical\t0.0,0.0", "CUI must be"),
+            ("C\u00b2\tnaevus\tcanonical\t0.0,0.0", "CUI must be"),
         ],
     )
     def test_bad_line_reports_its_number(self, tmp_path, line, message):
@@ -211,7 +214,7 @@ class TestLoadIndex:
         typed_lines = [f"{line}\t{t}" for line, t in zip(lines, ["T191", "", "T116"])]
         typed = load_index(self.write(tmp_path / "typed", typed_lines))
         plain = load_index(self.write(tmp_path, lines))
-        assert typed.concepts == plain.concepts and typed._matrix.tobytes() == plain._matrix.tobytes()
+        assert list(typed.concepts) == list(plain.concepts) and typed._matrix.tobytes() == plain._matrix.tobytes()
         queries = [EmbeddingVector.of(v) for v in ([0.9, 0.9], [0.0, 0.1], [0.45, 0.45])]
         for k in (1, 2, 3):
             assert typed.nearest_many(queries, k) == plain.nearest_many(queries, k)
@@ -224,6 +227,44 @@ def linear_scan(index, query, k):
         (float(np.sqrt(((index._matrix[i] - q) ** 2).sum())), c.cui, c.name) for i, c in enumerate(index.concepts)
     )
     return scored[:k]
+
+
+def rewritten(damage):
+    """Rewrites a cache entry after ``damage(header, sections)`` edited its header fields or its five
+    sections' bytes in place. Section starts and the end follow the sections' sizes unless it set them."""
+
+    def rewrite(entry):
+        data = entry.read_bytes()
+        magic, version, digest, n, dim, *starts, end = normalize_mod._HEADER.unpack_from(data)
+        sections = [bytearray(data[a:b]) for a, b in zip(starts, [*starts[1:], end])]
+        header = {"magic": magic, "format": version, "sha256": digest, "n": n, "dim": dim, "starts": None, "end": None}
+        damage(header, sections)
+        if header["starts"] is None:
+            header["starts"] = list(itertools.accumulate([starts[0], *map(len, sections[:-1])]))
+        if header["end"] is None:
+            header["end"] = header["starts"][-1] + len(sections[-1])
+        fields = [header[name] for name in ("magic", "format", "sha256", "n", "dim")]
+        packed = normalize_mod._HEADER.pack(*fields, *header["starts"], header["end"])
+        entry.write_bytes(packed.ljust(starts[0], b"\x00") + b"".join(sections))
+
+    return rewrite
+
+
+def section(index, dtype, change):
+    """A damage that replaces section ``index``'s values, read as ``dtype``, with ``change`` of them."""
+
+    def damage(header, sections):
+        values = np.frombuffer(bytes(sections[index]), dtype).copy()
+        sections[index][:] = np.asarray(change(values)).tobytes()
+
+    return damage
+
+
+def past_eof(header, **fields):
+    """Sets header fields, and the section starts an entry of its n and dim has, so that the header
+    agrees with itself but not with the file's size."""
+    header.update(fields)
+    header["starts"] = list(normalize_mod._sections(header["n"], header["dim"]))
 
 
 class TestDictionaryCache:
@@ -270,8 +311,10 @@ class TestDictionaryCache:
         warm = load_index(dictionary)
         assert len(parses) == 1
         assert [(c.cui, c.name) for c in warm.concepts] == [(c.cui, c.name) for c in cold.concepts]
-        assert warm.concepts == cold.concepts and warm.concepts[3].name == "ER\x00"
+        assert list(warm.concepts) == list(cold.concepts) and warm.concepts[3].name == "ER\x00"
+        assert [c.name for c in warm.concepts[-2:]] == ["ER\x00", "anti-HMB45 \U0001f52c"]
         assert warm._matrix.dtype == np.float64 and warm._matrix.tobytes() == cold._matrix.tobytes()
+        assert warm._sq_norms.tobytes() == cold._sq_norms.tobytes() and warm._rank.tolist() == cold._rank.tolist()
         rng = random.Random(7)
         queries = [EmbeddingVector.of([rng.uniform(-1, 2) for _ in range(3)]) for _ in range(20)]
         for k in (1, 2, 5):
@@ -292,29 +335,32 @@ class TestDictionaryCache:
         assert len(self.entries(cache_home)) == 1  # the entry for this path was replaced
         assert load_index(dictionary)._matrix.tobytes() == after._matrix.tobytes() and len(parses) == 2
 
-    @staticmethod
-    def rewrite(entry, change=lambda matrix: matrix, change_meta=lambda meta: meta):
-        with np.load(entry) as data:
-            meta, matrix = json.loads(data["meta"].tobytes()), data["matrix"]
-        meta = json.dumps(change_meta(meta)).encode("utf-8")
-        with open(entry, "wb") as handle:
-            np.savez(handle, meta=np.frombuffer(meta, dtype=np.uint8), matrix=change(matrix))
-
     @pytest.mark.parametrize(
         "damage",
         [
-            lambda entry: entry.write_bytes(entry.read_bytes()[: entry.stat().st_size // 2]),
-            lambda entry: entry.write_bytes(b"\x93NUMPY garbage" * 50),
-            lambda entry: entry.write_bytes(b""),
-            lambda entry: TestDictionaryCache.rewrite(entry, lambda m: m[:-1]),
-            lambda entry: TestDictionaryCache.rewrite(entry, lambda m: m.astype(np.float32)),
-            lambda entry: TestDictionaryCache.rewrite(entry, lambda m: m[:, 0]),
-            lambda entry: TestDictionaryCache.rewrite(entry, lambda m: np.where(m == 1.5, np.inf, m)),
-            lambda entry: TestDictionaryCache.rewrite(
-                entry, change_meta=lambda meta: {**meta, "format": 1, "concepts": [c + [None] for c in meta["concepts"]]}
-            ),
+            pytest.param(lambda entry: entry.write_bytes(entry.read_bytes()[: entry.stat().st_size // 2]), id="truncated"),
+            pytest.param(lambda entry: entry.write_bytes(b"IHCDICT\x00 garbage" * 50), id="garbage"),
+            pytest.param(lambda entry: entry.write_bytes(b""), id="empty"),
+            pytest.param(rewritten(lambda h, s: s[0].__delitem__(slice(-8 * h["dim"], None))), id="short-matrix"),
+            pytest.param(rewritten(section(0, "<f8", lambda m: m.astype("<f4"))), id="float32"),
+            pytest.param(rewritten(lambda h, s: h.update(n=h["n"] * h["dim"], dim=1)), id="one-dimensional"),
+            pytest.param(rewritten(section(0, "<f8", lambda m: np.where(m == 1.5, np.inf, m))), id="non-finite"),
+            pytest.param(rewritten(lambda h, s: h.update(format=1)), id="format-1"),
+            pytest.param(rewritten(lambda h, s: h.update(format=2)), id="format-2"),
+            pytest.param(rewritten(lambda h, s: h.update(magic=b"IHCDICT\x01")), id="magic"),
+            pytest.param(rewritten(lambda h, s: past_eof(h, n=h["n"] + 1)), id="n-past-eof"),
+            pytest.param(rewritten(lambda h, s: past_eof(h, n=2**40)), id="huge-n-past-eof"),
+            pytest.param(rewritten(lambda h, s: past_eof(h, dim=h["dim"] + 1)), id="dim-past-eof"),
+            pytest.param(rewritten(lambda h, s: h.update(n=2**64 - 1, dim=2**64 - 1)), id="n-dim-overflow"),
+            pytest.param(rewritten(lambda h, s: h.update(n=0)), id="no-rows"),
+            pytest.param(rewritten(lambda h, s: past_eof(h, end=normalize_mod._sections(h["n"], h["dim"])[-1] + len(s[-1]) + 4096)), id="text-past-eof"),
+            pytest.param(rewritten(lambda h, s: s[-1].__setitem__(slice(1, 2), b"x")), id="bad-cui"),
+            pytest.param(rewritten(lambda h, s: s[-1].__setitem__(slice(-1, None), b"\xff")), id="text-not-utf8"),
+            pytest.param(rewritten(section(3, "<i8", lambda o: o + (np.arange(len(o)) == 1))), id="cui-offsets-misplaced"),
+            pytest.param(rewritten(section(3, "<i8", lambda o: o[[*range(len(o) - 3), -2, -3, -1]])), id="offsets-descending"),
+            pytest.param(rewritten(section(3, "<i8", lambda o: o * 0)), id="offsets-zero"),
+            pytest.param(rewritten(section(3, "<i8", lambda o: np.where(np.arange(len(o)) <= len(o) // 2, -1, o))), id="cui-offsets-negative"),
         ],
-        ids=["truncated", "garbage", "empty", "short-matrix", "float32", "one-dimensional", "non-finite", "format-1"],
     )
     def test_damaged_entry_is_parsed_again_and_rewritten(self, dictionary, parses, cache_home, damage):
         expected = load_index(dictionary)
@@ -322,7 +368,8 @@ class TestDictionaryCache:
         damage(entry)
         loaded = load_index(dictionary)
         assert len(parses) == 2
-        assert loaded.concepts == expected.concepts and loaded._matrix.tobytes() == expected._matrix.tobytes()
+        assert list(loaded.concepts) == list(expected.concepts)
+        assert loaded._matrix.tobytes() == expected._matrix.tobytes()
         assert self.entries(cache_home) == [entry]
         load_index(dictionary)
         assert len(parses) == 2
@@ -338,6 +385,32 @@ class TestDictionaryCache:
         assert len(parses) == 2 and warm._matrix.tobytes() == cold._matrix.tobytes()
         with pytest.raises(DictionaryLoadError, match="changed while normalize ran"):
             load_index(dictionary, sha256="0" * 64)  # misses the entry, parses, and finds other bytes
+
+    def test_publishing_deletes_the_format_2_entry(self, dictionary, parses, cache_home):
+        stale = cache_home / "ihcmine" / normalize_mod._cache_entry(dictionary).with_suffix(".npz").name
+        stale.parent.mkdir(parents=True)
+        stale.write_bytes(b"PK\x03\x04 a format-2 entry")
+        other = stale.with_name("dictionary-0123456789abcdef0123456789abcdef.npz")  # another dictionary's
+        other.write_bytes(b"PK\x03\x04")
+        cold = load_index(dictionary)
+        assert [p.name for p in self.entries(cache_home)] == sorted([other.name, stale.with_suffix(".bin").name])
+        warm = load_index(dictionary)
+        assert len(parses) == 1 and warm._matrix.tobytes() == cold._matrix.tobytes()
+
+    def test_warm_load_builds_only_the_concepts_a_search_returns(self, dictionary, parses, monkeypatch):
+        cold = load_index(dictionary)
+        built = []
+        check = normalize_mod._check_cui
+        monkeypatch.setattr(normalize_mod, "_check_cui", lambda cui: built.append(cui) or check(cui))
+        warm = load_index(dictionary)
+        assert len(parses) == 1 and built == []
+        queries = [EmbeddingVector.of(v) for v in ([0.3, 0.0, 1.4], [1.0, 1.0, 1.0])]
+        hits = warm.nearest_many(queries, k=1)
+        assert [(c.cui, c.name) for (c, _), in hits] == [("C0000003", "ER\x00"), ("C0000004", "anti-HMB45 \U0001f52c")]
+        assert built == ["C0000003", "C0000004"]
+        assert [[(c.cui, c.name, d) for c, d in found] for found in hits] == [
+            [(c.cui, c.name, d) for c, d in found] for found in cold.nearest_many(queries, k=1)
+        ]
 
     def test_unwritable_cache_directory_still_loads(self, dictionary, parses, tmp_path, monkeypatch, caplog):
         blocker = tmp_path / "not-a-directory"
@@ -388,11 +461,11 @@ class TestDictionaryCache:
         procs = [subprocess.Popen([sys.executable, "-c", code, str(path)], env=env) for _ in range(3)]
         assert [proc.wait(timeout=120) for proc in procs] == [0, 0, 0]
         (entry,) = self.entries(cache_home)
-        assert entry.suffix == ".npz"
+        assert entry.suffix == ".bin"
         loaded = load_index(path)
         assert parses == []
-        expected = normalize_mod._parse(path, hashlib.sha256())
-        assert loaded.concepts == expected[0] and loaded._matrix.tobytes() == expected[1].tobytes()
+        keys, matrix = normalize_mod._parse(path, hashlib.sha256())
+        assert [(c.cui, c.name) for c in loaded.concepts] == keys and loaded._matrix.tobytes() == matrix.tobytes()
 
 
 class TestNearest:
@@ -511,6 +584,45 @@ class TestNearest:
             for query, hits in zip(queries, batched):
                 assert bits(hits) == bits(index.nearest(query, k))
                 assert bits(hits) == oracle(query, k)
+
+
+    def test_threads_sharing_one_index_match_the_oracle(self, tmp_path):
+        """Each thread reuses its own score buffers, growing them across batch sizes, while the other searches."""
+        rng = random.Random(11)
+        dim = 6
+        path = tmp_path / "dict.tsv"
+        path.write_text(
+            "".join(f"C{i % 150:07d}\tname {i}\tcanonical\t{','.join(repr(rng.random()) for _ in range(dim))}\n" for i in range(300)),
+            encoding="utf-8",
+        )
+        load_index(path)
+        index = load_index(path)  # the mapped entry
+        batches = [[EmbeddingVector.of([rng.random() for _ in range(dim)]) for _ in range(size)] for size in (1, 7, 64, 3, 64, 20)]
+        expected = [[linear_scan(index, query, 4) for query in batch] for batch in batches]
+        failures = []
+
+        def search(order):
+            try:
+                for _ in range(5):
+                    for i in order:
+                        got = [[(d, c.cui, c.name) for c, d in hits] for hits in index.nearest_many(batches[i], 4)]
+                        if got != expected[i]:
+                            failures.append(i)
+            except Exception as exc:  # reported by the assertion below
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=search, args=(order,)) for order in ([0, 1, 2, 3, 4, 5], [5, 4, 2, 3, 1, 0])]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
 
 
 class TestTermNormalizer:

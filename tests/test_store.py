@@ -2,6 +2,7 @@
 
 import contextlib
 import errno
+import hashlib
 import json
 import os
 import random
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from ihcmine.errors import StageStateError, StoreError
-from ihcmine.store import RunLock, RunStore, atomic_file
+from ihcmine.store import RunLock, RunStore, atomic_file, file_sha256
 
 
 @pytest.fixture
@@ -251,6 +252,14 @@ class TestAtomicFile:
         lock.acquire()
         assert sorted(p.name for p in run_dir.iterdir()) == [".lock", "comparison_report.csv"]
         lock.release()
+
+
+@pytest.mark.parametrize("size", [0, 1, (1 << 20) - 1, 1 << 20, (1 << 20) + 1, 3 * (1 << 20) + 7])
+def test_file_sha256_equals_hashlib_across_block_edges(tmp_path, size):
+    data = random.Random(size).randbytes(size)
+    path = tmp_path / "blob"
+    path.write_bytes(data)
+    assert file_sha256(path) == hashlib.sha256(data).hexdigest()
 
 
 class TestManifest:
