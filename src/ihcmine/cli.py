@@ -298,13 +298,11 @@ def _record_stage(
 
     ``results`` maps the upstream records not yet written, in order, to one result each:
     a ``QuarantineEntry`` tagged ``tag``, or the stage's record as a dict or a dataclass.
-    A PMID written to the stage file or quarantined under ``tag`` is skipped; a partial
-    last line of the stage file or of ``quarantine.jsonl`` is dropped first.
+    A PMID written to the stage file or quarantined under ``tag`` is skipped.
     """
     from .classify import QuarantineEntry
 
     store.start_stage(stage)
-    store.repair_tail("quarantine")
     skip = store.processed_ids(stage) | {q["pmid"] for q in store.iter_records("quarantine") if q["stage"] == tag}
     for result in results(record for record in records if record["pmid"] not in skip):
         target = "quarantine" if isinstance(result, QuarantineEntry) else stage
@@ -612,6 +610,7 @@ def main(argv: list[str] | None = None) -> int:
         lock.acquire()
         try:
             with RunStore.open_or_create(run_dir) as store:
+                store.recover()
                 if _gate(args.command, config, store) and not getattr(args, "retry_quarantined", False):
                     print(f"{args.command}: output already done; skipping")
                     return 0

@@ -156,13 +156,15 @@ class LlmGateway:
             raise GatewayProtocolError(f"unexpected chat response shape: {data!r:.200}") from exc
         if text is None:
             raise EmptyOutputError("completion content was null")
+        if not isinstance(text, str):
+            raise GatewayProtocolError(f"chat content is not text: {text!r:.200}")
         text = text.rstrip()
         if not text:
             raise EmptyOutputError("completion was empty")
         return text
 
     def embed(self, texts: list[str]) -> list[EmbeddingVector]:
-        """One vector per input, order preserved, uniform dimension."""
+        """One vector per input, order preserved, uniform dimension; the answer must index the inputs 0..n-1."""
         if not texts:
             raise ValidationError("embed() needs at least one text")
         if any(not t for t in texts):
@@ -172,11 +174,12 @@ class LlmGateway:
         data = self._post(self.emb_base_url + "/v1/embeddings", body)
         try:
             items = sorted(data["data"], key=lambda item: item["index"])
+            indices = [item["index"] for item in items]
             vectors = [EmbeddingVector.of(item["embedding"]) for item in items]
-        except (KeyError, TypeError) as exc:
-            raise GatewayProtocolError(f"unexpected embeddings response shape: {data!r:.200}") from exc
-        if len(vectors) != len(texts):
-            raise GatewayProtocolError(f"asked for {len(texts)} embeddings, got {len(vectors)}")
+        except (KeyError, TypeError, ValueError, OverflowError, ValidationError) as exc:  # what float() or the vector refuse
+            raise GatewayProtocolError(f"unexpected embeddings response ({exc}): {data!r:.200}") from exc
+        if indices != list(range(len(texts))):
+            raise GatewayProtocolError(f"asked for {len(texts)} embeddings, got indices {indices!r:.200}")
         dims = {v.dim for v in vectors}
         if len(dims) > 1:
             raise GatewayProtocolError(f"embedding dimensions differ within one batch: {sorted(dims)}")

@@ -18,7 +18,8 @@ of the file's bytes, or the digest the caller passes, equals the one it
 records; any other entry is parsed over. A loaded index builds a ``Concept``
 only for a search hit. Entries are written by ``store.atomic_file`` and only
 ever replaced whole, never edited in place, since loads map them. Deleting
-one, or a ``.partial`` file that a load killed mid-write left, is always safe.
+one is always safe, and writing one deletes the ``.partial`` files that loads
+killed while writing it left.
 """
 
 from __future__ import annotations
@@ -396,7 +397,8 @@ def _cached(entry: Path, path: Path, sha256: str | None) -> _Table | None:
 
 def _publish(entry: Path, digest: str, table: _Table) -> None:
     """Writes the entry through ``atomic_file`` and deletes the format-2 ``.npz`` entry of the same
-    dictionary, which no load reads; a failure costs only the cache."""
+    dictionary, which no load reads; a failure costs only the cache. The ``.partial`` files of killed
+    writers of the entry go first: a live writer that loses its file fails to rename it, at the same cost."""
     n, dim = table.matrix.shape
     starts = _sections(n, dim)
     text = table.text.encode("utf-8")
@@ -404,6 +406,8 @@ def _publish(entry: Path, digest: str, table: _Table) -> None:
     sections = ((table.matrix, "<f8"), (table.sq_norms, "<f8"), (table.rank, "<i8"), (table.offsets, "<i8"))
     try:
         entry.parent.mkdir(parents=True, exist_ok=True)
+        for temp in entry.parent.glob(f".{entry.name}.*.partial"):
+            temp.unlink(missing_ok=True)
         with atomic_file(entry, "wb") as handle:
             handle.write(header.ljust(_PAGE, b"\x00"))
             for array, dtype in sections:

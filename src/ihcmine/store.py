@@ -1,12 +1,11 @@
 """Append-only JSONL run store with a manifest for idempotent resume.
 
-Each stage owns one JSONL file under the run directory. Record-wise stages
-append and flush per record so a killed run loses at most a partial
-trailing line, which is truncated away on reopen; the repair reads back
-from the end only the lines it checks. Every whole file (a whole-output
-stage, a quarantine rewrite, the manifest, a report, a dictionary cache
-entry) is written by ``atomic_file``, so it holds its old
-bytes or its new ones. A stage is marked done once its file is synced, and
+Each stage owns one JSONL file under the run directory. Record-wise stages append and
+flush per record, so a killed run leaves at most a partial trailing line. Every whole
+file (a whole-output stage, a quarantine rewrite, the manifest, a report, a dictionary
+cache entry) is written by ``atomic_file``: it holds its old bytes or its new ones,
+beside at most a ``.partial`` file. ``RunStore.recover`` removes both leftovers, once
+per command, before any stage file is read. A stage is marked done once its file is synced, and
 then rejects further appends. Each stage's manifest entry records the
 inputs it was built from: its own settings, the content hashes of its
 input files and its upstream stage's fingerprint. The CLI checks them
@@ -140,26 +139,24 @@ def _write_jsonl(path: Path, records: Iterable[dict[str, Any]]) -> int:
 
 
 def iter_jsonl(path: str | Path) -> Iterator[Any]:
-    """Records of a JSONL file; an absent file yields nothing and blank lines are skipped.
+    """Records of a JSONL file, read as a stream; an absent file yields nothing and blank lines are skipped.
 
-    Lines are decoded one at a time, so invalid UTF-8 counts as corruption of
-    its line. A corrupt last line (a write cut short by a crash) is ignored with
-    a warning; a corrupt line anywhere else raises ``StoreError`` naming ``path:line``.
+    Lines end at \\n, \\r\\n or \\r, and each is decoded by itself, so invalid UTF-8 counts as
+    corruption of its line. Any corrupt line, the last one too, raises ``StoreError`` naming ``path:line``.
     """
-    path = Path(path)
-    if not path.exists():
+    if not os.path.exists(path):
         return
-    lines = path.read_bytes().splitlines()  # the line breaks of text mode: \n, \r\n and \r
-    for idx, line in enumerate(lines):
-        if not line:
-            continue
-        try:
-            yield json.loads(line.decode("utf-8"))
-        except ValueError as exc:  # UnicodeDecodeError is a ValueError
-            if idx == len(lines) - 1:
-                logger.warning("ignoring corrupt trailing line in %s", path)
-                return
-            raise StoreError(f"{path}:{idx + 1}: corrupt record mid-file") from exc
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:  # a byte that is not UTF-8 -> a surrogate
+        for lineno, line in enumerate(handle, 1):
+            if line == "\n":
+                continue
+            try:
+                if not line.isascii():
+                    line.encode("utf-8")  # raises on a surrogate
+                record = json.loads(line)
+            except ValueError as exc:  # UnicodeError is a ValueError
+                raise StoreError(f"{path}:{lineno}: corrupt record") from exc
+            yield record
 
 
 class RunStore:
@@ -232,6 +229,14 @@ class RunStore:
 
     # -- recovery ------------------------------------------------------------
 
+    def recover(self) -> None:
+        """Deletes killed writers' ``.partial`` files and the torn tails of the quarantine and of stages not done."""
+        for temp in self.run_dir.glob(".*.partial"):
+            logger.warning("removing %s left by an interrupted write", temp)
+            temp.unlink(missing_ok=True)
+        for name in (*AUX_FILES, *(stage for stage in STAGES if not self.stage_done(stage))):
+            self.repair_tail(name)
+
     def repair_tail(self, stage: str) -> None:
         """Drop a partial or non-JSON trailing line left by a crash, reading only the lines it inspects."""
         path = self.path(stage)
@@ -258,7 +263,6 @@ class RunStore:
         info = self.stage_info(stage)
         if info.status == "done":
             raise StageStateError(f"stage {stage!r} is already done")
-        self.repair_tail(stage)
         info.status = "running"
         if info.started_at is None:
             info.started_at = _utc_now()
@@ -354,9 +358,6 @@ class RunLock:
                     os.close(fd)
         os.ftruncate(self._fd, 0)
         os.write(self._fd, str(os.getpid()).encode("ascii"))
-        for temp in self.path.parent.glob(".*.partial"):  # left by a writer killed inside atomic_file
-            logger.warning("removing %s left by an interrupted write", temp)
-            temp.unlink(missing_ok=True)
 
     def release(self) -> None:
         self.path.unlink(missing_ok=True)  # before the close, so a waiter that opened this file tries again

@@ -212,11 +212,14 @@ class _Connection:
         options = {token.strip() for token in fields.get(b"connection", b"").lower().split(b",")}
         close = b"close" in options or (version == b"HTTP/1.0" and b"keep-alive" not in options)
         coding = fields.get(b"transfer-encoding")
+        if coding is not None and (coding.lower() != b"chunked" or b"content-length" in fields):
+            length = fields.get(b"content-length")
+            raise ProtocolError(f"refused framing: Transfer-Encoding {coding[:40]!r}, Content-Length {length!r:.40}")
         if method == "HEAD" or status in (204, 304):
             body = b""
-        elif coding is not None and coding.rpartition(b",")[2].strip().lower() == b"chunked":
+        elif coding is not None:
             body = _chunked_body(reader)
-        elif coding is None and b"content-length" in fields:
+        elif b"content-length" in fields:
             body = _read_exact(reader, _content_length(fields[b"content-length"]))
         else:
             body, close = reader.read(), True
@@ -318,8 +321,13 @@ def _status_line(line: bytes) -> tuple[bytes, int]:
 
 
 def _header_fields(reader) -> dict[bytes, bytes]:
-    """The header section (or chunked trailer) up to its empty line: lower-cased name to value."""
+    """The header section (or chunked trailer) up to its empty line: lower-cased name to value.
+
+    An obs-fold line (one that starts with SP or HTAB) continues the previous field's value
+    after one SP. A line without a colon, or with whitespace before it, is refused (RFC 9112 §5).
+    """
     fields: dict[bytes, bytes] = {}
+    name = None
     for _ in range(MAX_HEADERS + 1):
         line = reader.readline(MAX_LINE + 1)
         if len(line) > MAX_LINE:
@@ -328,8 +336,13 @@ def _header_fields(reader) -> dict[bytes, bytes]:
             return fields
         if not line:
             raise ProtocolError("connection closed inside the answer's head")
-        name, _, value = line.partition(b":")
-        name, value = name.strip().lower(), value.strip()
+        if line.startswith((b" ", b"\t")) and name is not None:
+            fields[name] += b" " + line.strip()
+            continue
+        name, colon, value = line.partition(b":")
+        if not colon or not name or name != name.strip():
+            raise ProtocolError(f"malformed header line {line[:40]!r}")
+        name, value = name.lower(), value.strip()
         fields[name] = fields[name] + b", " + value if name in fields else value
     raise ProtocolError(f"got more than {MAX_HEADERS} headers")
 

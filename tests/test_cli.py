@@ -16,7 +16,9 @@ from ihcmine.codec import encode
 from ihcmine.config import build_config, load_config_file
 from ihcmine.errors import ConfigError
 from ihcmine.normalize import NormalizedRecord
-from ihcmine.store import RunStore
+from ihcmine.store import RunLock, RunStore
+
+from mockservers import default_classify
 
 
 def read_jsonl(path: Path) -> list[dict]:
@@ -177,6 +179,22 @@ class TestFullChain:
         classified = read_jsonl(run_dir / "classified.jsonl")
         assert victim in {c["pmid"] for c in classified}
         assert len(classified) == 50
+
+    def test_retry_quarantined_after_a_kill_mid_append_to_the_quarantine(self, demo_env, tmp_path):
+        run_dir = tmp_path / "run"
+        quarantine_under_every_tag(demo_env.llm_state)
+        assert main(demo_env.fetch_args(run_dir)) == 0
+        assert main(demo_env.classify_args(run_dir)) == 0
+        assert [q["pmid"] for q in read_jsonl(run_dir / "quarantine.jsonl")] == list(QUARANTINED["classify"])
+        # killed while appending the second quarantine entry: classify is still running
+        cut_inside_line(run_dir / "quarantine.jsonl", 1)
+        set_status(run_dir, "classified", "running")
+
+        demo_env.llm_state.classify_fn = default_classify
+        assert main([*demo_env.classify_args(run_dir), "--retry-quarantined"]) == 0
+        assert read_jsonl(run_dir / "quarantine.jsonl") == []
+        assert {c["pmid"] for c in read_jsonl(run_dir / "classified.jsonl")} >= set(QUARANTINED["classify"])
+        assert stage_info(run_dir, "classified")["count"] == 50
 
     def test_retry_quarantined_after_extract_is_refused(self, demo_env, tmp_path, capsys):
         run_dir = tmp_path / "run"
@@ -384,6 +402,17 @@ class TestResume:
         prompts = [r["body"]["messages"][-1]["content"] for r in demo_env.llm_state.requests[seen:]]
         asked = [_TITLE_PMID.search(prompt).group(1) for prompt in prompts]
         assert sorted(asked) == sorted(pending - written)
+
+
+def test_every_command_recovers_the_run_once_after_taking_its_lock(tmp_path, monkeypatch):
+    events = []
+    acquire, recover = RunLock.acquire, RunStore.recover
+    monkeypatch.setattr(RunLock, "acquire", lambda self: events.append("lock") or acquire(self))
+    monkeypatch.setattr(RunStore, "recover", lambda self: events.append("recover") or recover(self))
+    gold = tmp_path / "gold.jsonl"
+    gold.write_text('{"pmid": "1", "label": "Include"}\n', encoding="utf-8")
+    assert main(["eval-classify", "--run-dir", str(tmp_path / "r"), "--gold", str(gold), "--pred", str(gold)]) == 0
+    assert events == ["lock", "recover"]
 
 
 class TestProvenance:
@@ -759,27 +788,49 @@ class TestEvalCommands:
         gold.write_bytes(b'{"pmid": "1", "label": "Include"}\n\xff\xfe\n{"pmid": "3", "label": "Exclude"}\n')
         assert main(["eval-classify", "--run-dir", str(tmp_path / "r"), "--gold", str(gold), "--pred", str(gold)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "gold.jsonl:2: corrupt record mid-file" in err
+        assert err.startswith("error: ") and "gold.jsonl:2: corrupt record" in err
 
-    def test_last_line_cut_inside_a_multibyte_character_is_ignored(self, tmp_path):
-        gold = tmp_path / "gold.jsonl"
-        cut = '{"pmid": "3", "label": "Exclude", "note": "caf'.encode("utf-8") + "é".encode("utf-8")[:1]
-        gold.write_bytes(b'{"pmid": "1", "label": "Include"}\n{"pmid": "2", "label": "Exclude"}\n' + cut)
-        run_dir = tmp_path / "r"
-        assert main(["eval-classify", "--run-dir", str(run_dir), "--gold", str(gold), "--pred", str(gold)]) == 0
-        assert json.loads((run_dir / "metrics.json").read_text())["n"] == 2
+    @pytest.mark.parametrize(
+        "command, cut",
+        [
+            ("eval-classify", "--gold"),
+            ("eval-classify", "--pred"),
+            ("eval-tables", "--gold"),
+            ("eval-tables", "--pred"),
+            ("eval-tables", "--abstracts"),
+        ],
+    )
+    def test_cut_last_line_of_an_eval_input_fails(self, tmp_path, capsys, command, cut):
+        """An input file is not the run's own, so no recovery step may mend it: a cut last line is an error."""
+        records = [
+            {"pmid": pmid, "label": "Include", "header": [], "rows": [], "title": "t", "abstract_text": "a",
+             "source_markers": ["ER"], "retrieved_at": ""}
+            for pmid in ("1", "2", "3")
+        ]
+        lines = [json.dumps(record) + "\n" for record in records]
+        files = {flag: tmp_path / f"{flag[2:]}.jsonl" for flag in ("--gold", "--pred", "--abstracts")}
+        for path in files.values():
+            path.write_text("".join(lines), encoding="utf-8")
+        # the last line cut inside a multibyte character, as a killed writer leaves it
+        files[cut].write_bytes("".join(lines[:2]).encode("utf-8") + '{"pmid": "3", "note": "caf\u00e9'.encode("utf-8")[:-1])
+        args = [command, "--run-dir", str(tmp_path / "r"), "--gold", str(files["--gold"]), "--pred", str(files["--pred"])]
+        if command == "eval-tables":
+            args += ["--abstracts", str(files["--abstracts"])]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{files[cut].name}:3: corrupt record" in err
 
     @pytest.mark.parametrize(
         "command, gold_lines, message",
         [
             ("eval-classify", ['{"pmid": "1", "label": "Include"}', '{"pmid": "2", "lab', '{"pmid": "3", "label": "Exclude"}'],
-             ":2: corrupt record mid-file"),
+             ":2: corrupt record"),
             ("eval-classify", ['{"pmid": "1", "label": "Include"}', '{"pmid": "2", "label": "Maybe"}'],
              "'Maybe' is not a valid ClassificationLabel"),
             ("eval-classify", ['{"pmid": "1", "label": "Include"}', '{"label": "Exclude"}'],
              "missing required key 'pmid'"),
             ("eval-tables", ['{"pmid": "1", "header": [], "rows": []}', '{"pm', '{"pmid": "3", "header": [], "rows": []}'],
-             ":2: corrupt record mid-file"),
+             ":2: corrupt record"),
             ("eval-tables", ['{"header": ["Tumor type", "Tumor site"], "rows": []}'],
              "KeyError: 'pmid'"),
         ],

@@ -150,6 +150,25 @@ class TestEmbed:
             gateway.embed(["a", "b"])
 
 
+@pytest.mark.parametrize(
+    "call, answer",
+    [
+        ("chat", {"choices": [{"message": {"content": 5}}]}),
+        ("chat", {"choices": [{"message": {"content": ["Include"]}}]}),
+        ("embed", {"data": [{"index": 0, "embedding": ["abc", 1.0]}, {"index": 1, "embedding": [0.0, 1.0]}]}),
+        ("embed", {"data": [{"index": 0, "embedding": [math.nan, 1.0]}, {"index": 1, "embedding": [0.0, 1.0]}]}),
+        ("embed", {"data": [{"index": 0, "embedding": [10**400, 1.0]}, {"index": 1, "embedding": [0.0, 1.0]}]}),
+        ("embed", {"data": [{"index": 1, "embedding": [1.0, 1.0]}, {"index": 1, "embedding": [0.0, 1.0]}]}),
+    ],
+    ids=["chat-number", "chat-list", "embed-string", "embed-nan", "embed-huge-integer", "embed-repeated-index"],
+)
+def test_answer_of_the_wrong_shape_is_a_protocol_error(monkeypatch, call, answer):
+    gateway = LlmGateway("http://127.0.0.1:9", model_id="m")
+    monkeypatch.setattr(gateway, "_post", lambda url, body: answer)
+    with pytest.raises(GatewayProtocolError):
+        gateway.chat(chat_request()) if call == "chat" else gateway.embed(["a", "b"])
+
+
 class TestEmbeddingVector:
     def test_values_become_floats(self):
         vector = EmbeddingVector.of([1, "2.5", 3.0, True])

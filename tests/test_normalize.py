@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import json
 import logging
 import math
 import os
@@ -18,6 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ihcmine import normalize as normalize_mod
+from ihcmine.cli import main
 from ihcmine.codec import decode, encode
 from ihcmine.errors import DictionaryLoadError, GatewayError, NormalizationError, ValidationError
 from ihcmine.gateway import EmbeddingVector
@@ -33,6 +35,7 @@ from ihcmine.normalize import (
 )
 from ihcmine.tables import parse_markdown_table
 
+import mockservers
 from mockservers import fake_embedding
 
 
@@ -396,6 +399,23 @@ class TestDictionaryCache:
         assert [p.name for p in self.entries(cache_home)] == sorted([other.name, stale.with_suffix(".bin").name])
         warm = load_index(dictionary)
         assert len(parses) == 1 and warm._matrix.tobytes() == cold._matrix.tobytes()
+
+    def test_publishing_deletes_what_a_killed_writer_of_the_entry_left(self, dictionary, cache_home):
+        entry = normalize_mod._cache_entry(dictionary)
+        entry.parent.mkdir(parents=True)
+        other = entry.parent / ".dictionary-0123456789abcdef0123456789abcdef.bin.x.partial"  # another dictionary's
+        other.write_bytes(b"half")
+        code = (
+            "import os, sys; from ihcmine.store import atomic_file\n"
+            "with atomic_file(sys.argv[1], 'wb') as handle:\n"
+            "    handle.write(b'x' * 3000); handle.flush(); os._exit(3)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")}
+        assert subprocess.run([sys.executable, "-c", code, str(entry)], env=env).returncode == 3
+        (temp,) = entry.parent.glob(f".{entry.name}.*.partial")
+        assert temp.stat().st_size == 3000
+        load_index(dictionary)
+        assert sorted(p.name for p in entry.parent.iterdir()) == sorted([other.name, entry.name])
 
     def test_warm_load_builds_only_the_concepts_a_search_returns(self, dictionary, parses, monkeypatch):
         cold = load_index(dictionary)
@@ -769,3 +789,16 @@ class TestPrefetch:
         # two chunk requests; the failed chunk's 63 good surfaces once each; the failing
         # surface once per lookup (its row has two count cells), as without prefetching
         assert gateway.calls == 2 + (EMBED_CHUNK - 1) + 2
+
+    def test_non_finite_vector_from_the_endpoint_unmaps_its_surface(self, demo_env, tmp_path, monkeypatch):
+        run_dir = tmp_path / "run"
+        for args in demo_env.all_stage_args(run_dir)[:3]:
+            assert main(args) == 0, args
+        monkeypatch.setattr(  # the server's json.dumps writes NaN, which json.loads reads back
+            mockservers, "fake_embedding", lambda text, dim=8: [math.nan] * dim if text == "melanoma" else fake_embedding(text, dim)
+        )
+        assert main(demo_env.normalize_args(run_dir)) == 0
+        records = [decode(NormalizedRecord, json.loads(line)) for line in (run_dir / "normalized.jsonl").read_text().splitlines()]
+        melanoma = [r for r in records if r.tumour_type == "melanoma"]
+        assert melanoma and all(r.tumour_type_cui is None and "unmapped_tumour_type" in r.flags for r in melanoma)
+        assert all(r.tumour_type_cui for r in records if r.tumour_type != "melanoma")

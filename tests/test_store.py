@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from ihcmine import store as store_mod
 from ihcmine.errors import StageStateError, StoreError
 from ihcmine.store import RunLock, RunStore, atomic_file, file_sha256
 
@@ -76,9 +77,12 @@ class TestProcessedIds:
             store.append("classified", {"pmid": str(i)})
         assert store.processed_ids("classified") == {"0", "1", "2", "3", "4"}
 
-    def test_partial_trailing_line_ignored(self, store):
+    def test_partial_trailing_line_raises_until_recovered(self, store):
         path = store.path("classified")
         path.write_text('{"pmid": "1"}\n{"pmid": "2"}\n{"pmid": "3"', encoding="utf-8")
+        with pytest.raises(StoreError, match=r"classified\.jsonl:3: corrupt record$"):
+            store.processed_ids("classified")
+        store.recover()
         assert store.processed_ids("classified") == {"1", "2"}
 
     def test_corrupt_mid_file_raises(self, store):
@@ -90,12 +94,15 @@ class TestProcessedIds:
     def test_invalid_utf8_mid_file_raises_naming_the_line(self, store):
         path = store.path("classified")
         path.write_bytes(b'{"pmid": "1"}\n\xff\xfe\n{"pmid": "3"}\n')
-        with pytest.raises(StoreError, match=r"classified\.jsonl:2: corrupt record mid-file"):
+        with pytest.raises(StoreError, match=r"classified\.jsonl:2: corrupt record$"):
             store.processed_ids("classified")
 
-    def test_last_line_cut_inside_a_multibyte_character_ignored(self, store):
+    def test_multibyte_cut_last_line_raises_until_recovered(self, store):
         path = store.path("classified")
         path.write_bytes('{"pmid": "1"}\n{"pmid": "2", "note": "caf'.encode("utf-8") + "é".encode("utf-8")[:1])
+        with pytest.raises(StoreError, match=r"classified\.jsonl:2: corrupt record$"):
+            store.processed_ids("classified")
+        store.recover()
         assert store.processed_ids("classified") == {"1"}
 
     def test_crlf_and_cr_line_breaks_read_as_before(self, store):
@@ -103,21 +110,56 @@ class TestProcessedIds:
         path.write_bytes(b'{"pmid": "1"}\r\n{"pmid": "2"}\r{"pmid": "3"}\n')
         assert store.processed_ids("classified") == {"1", "2", "3"}
 
+    def test_iterator_dropped_after_its_first_record_leaves_no_open_file(self, store, monkeypatch):
+        store.path("classified").write_text('{"pmid": "1"}\n{"pmid": "2"}\n', encoding="utf-8")
+        opened = []
+
+        def recording_open(*args, **kwargs):
+            opened.append(open(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(store_mod, "open", recording_open, raising=False)
+        records = store.iter_records("classified")
+        assert next(records) == {"pmid": "1"}
+        (handle,) = opened
+        assert not handle.closed
+        del records
+        assert handle.closed
+
 
 class TestRecovery:
-    def test_start_stage_truncates_partial_tail(self, store):
+    def test_recover_truncates_partial_tail(self, store):
         path = store.path("classified")
         path.write_text('{"pmid": "1"}\n{"pmid": "2"', encoding="utf-8")
-        store.start_stage("classified")
+        store.recover()
         assert path.read_text() == '{"pmid": "1"}\n'
+        store.start_stage("classified")
         store.append("classified", {"pmid": "2"})
         assert store.processed_ids("classified") == {"1", "2"}
 
     def test_repair_handles_complete_but_invalid_tail(self, store):
         path = store.path("classified")
         path.write_text('{"pmid": "1"}\ngarbage line\n', encoding="utf-8")
-        store.start_stage("classified")
+        store.recover()
         assert path.read_text() == '{"pmid": "1"}\n'
+
+    def test_recover_repairs_the_quarantine_and_stages_not_done_only(self, store):
+        store.start_stage("classified")
+        store.append("classified", {"pmid": "1"})
+        store.mark_done("classified")
+        torn = {name: '{"pmid": "1"}\n{"pmid": "2"' for name in ("classified", "tables_raw", "quarantine")}
+        for name, text in torn.items():
+            store.path(name).write_text(text, encoding="utf-8")
+        store.recover()
+        assert store.path("classified").read_text() == torn["classified"]  # done: synced whole, so not a crash's tail
+        assert store.path("tables_raw").read_text() == store.path("quarantine").read_text() == '{"pmid": "1"}\n'
+
+    def test_open_writes_nothing(self, store):
+        store.path("classified").write_text('{"pmid": "1"}\n{"pmid": "2"', encoding="utf-8")
+        (store.run_dir / ".report.csv.x.partial").write_bytes(b"half")
+        before = {path.name: path.read_bytes() for path in store.run_dir.iterdir()}
+        RunStore.open(store.run_dir).close()
+        assert {path.name: path.read_bytes() for path in store.run_dir.iterdir()} == before
 
     def test_repair_that_cannot_write_keeps_complete_records(self, store, monkeypatch):
         path = store.path("classified")
@@ -133,7 +175,7 @@ class TestRecovery:
 
         monkeypatch.setattr(Path, "open", open_then_disk_full)
         with contextlib.suppress(OSError):  # the repair may fail, but must not lose what it keeps
-            store.repair_tail("classified")
+            store.recover()
         monkeypatch.undo()
         assert store.processed_ids("classified") == {"1", "2"}
 
@@ -171,7 +213,7 @@ class TestRecovery:
             text = "".join(rng.choice(pieces)() for _ in range(rng.randint(0, 6)))
             data = text.encode("utf-8", "surrogateescape")
             path.write_bytes(data)
-            store.repair_tail("classified")
+            store.recover()
             assert path.read_bytes() == data[: self.whole_file_repair(data)], repr(data[-200:])
 
     def test_repair_reads_a_bounded_tail(self, store):
@@ -183,7 +225,7 @@ class TestRecovery:
         assert size >= 8 * 1024 * 1024
         tracemalloc.start()
         try:
-            store.repair_tail("classified")
+            store.recover()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -235,7 +277,7 @@ class TestAtomicFile:
 
     def test_killed_writer_leaves_old_target_and_next_lock_holder_sweeps(self, tmp_path):
         run_dir = tmp_path / "run"
-        run_dir.mkdir()
+        RunStore.create(run_dir)
         target = run_dir / "comparison_report.csv"
         target.write_bytes(b"old\n")
         code = (
@@ -250,7 +292,8 @@ class TestAtomicFile:
         assert temp.name.startswith(".comparison_report.csv.") and temp.stat().st_size == 3000
         lock = RunLock(run_dir)
         lock.acquire()
-        assert sorted(p.name for p in run_dir.iterdir()) == [".lock", "comparison_report.csv"]
+        RunStore.open(run_dir).recover()  # what every command does once it holds the lock
+        assert sorted(p.name for p in run_dir.iterdir()) == [".lock", "comparison_report.csv", "manifest.json"]
         lock.release()
 
 

@@ -315,6 +315,34 @@ def test_malformed_head_costs_an_attempt(answer, error):
 
 
 @pytest.mark.parametrize(
+    "fields, error",
+    [
+        (b"Content-Length : 2\r\n", "malformed header line"),  # RFC 9112 §5.1
+        (b"X-No-Colon\r\n", "malformed header line"),
+        (b" X-Folded: before any field\r\n", "malformed header line"),  # §2.2
+        (b"Transfer-Encoding: gzip, chunked\r\n", "refused framing"),  # §6.1
+        (b"Transfer-Encoding: identity\r\n", "refused framing"),
+        (b"Transfer-Encoding: chunked\r\nContent-Length: 2\r\n", "refused framing"),  # §6.3
+    ],
+    ids=["space-before-colon", "no-colon", "fold-first", "gzip-chunked", "identity", "chunked-and-length"],
+)
+def test_ambiguous_framing_is_refused_and_closes_the_connection(fields, error):
+    answer = b"HTTP/1.1 200 OK\r\n" + fields + b"\r\n0\r\n\r\n"
+    with pytest.raises(TransportError, match=f"ProtocolError: {error}"):
+        exchange(ScriptedState([[answer]]))
+    state = ScriptedState([[answer, OK], [OK]])  # a kept connection would get the first connection's OK
+    assert exchange(state, retries=2) == [(200, b"ok")]
+    assert connection_of_each_request(state) == [0, 1]
+
+
+def test_obs_fold_continues_the_previous_field():
+    folded = b"HTTP/1.1 200 OK\r\nContent-Length:\r\n 2\r\nX-Note: a\r\n\tb\r\n\r\nok"  # RFC 9112 §5.2
+    state = ScriptedState([[folded, OK]])
+    assert exchange(state, 2) == [(200, b"ok"), (200, b"ok")]
+    assert connection_of_each_request(state) == [0, 0]
+
+
+@pytest.mark.parametrize(
     "url_suffix, headers, error",
     [
         ("/", {"Authorization": "Bearer abc\r\nX-Injected: 1"}, "header 'Authorization' contains CR, LF or NUL"),
