@@ -376,9 +376,9 @@ def cmd_extract(config: PipelineConfig, store: RunStore, args: argparse.Namespac
 
     if not store.stage_done("tables_parsed"):
 
-        def parse_one(raw: dict[str, Any]) -> dict[str, Any] | classify_mod.QuarantineEntry:
+        def parse_one(raw: dict[str, Any]) -> ProfileTable | classify_mod.QuarantineEntry:
             try:
-                return parse_markdown_table(raw["markdown"], pmid=raw["pmid"]).to_dict()
+                return parse_markdown_table(raw["markdown"], pmid=raw["pmid"])
             except TableNotFoundError as exc:
                 return classify_mod.QuarantineEntry(
                     pmid=raw["pmid"], stage="parse", reason=str(exc), raw_output=raw["markdown"]
@@ -401,7 +401,7 @@ def cmd_normalize(config: PipelineConfig, store: RunStore, args: argparse.Namesp
     normalizer = normalize_mod.TermNormalizer(gateway, index, max_distance=config.max_distance)
 
     def tables():
-        return (ProfileTable.from_dict(d) for d in store.iter_records("tables_parsed"))
+        return (decode(ProfileTable, d) for d in store.iter_records("tables_parsed"))
 
     try:
         normalizer.prefetch(surface for table in tables() for surface in normalize_mod.table_surfaces(table))
@@ -502,11 +502,15 @@ class _LabelLine:
 
 
 def _read_by_pmid(path: Path, decode_record: Callable[[Any], Any]) -> dict[str, Any]:
-    """Decoded records of an evaluation input file, by PMID; a bad record names the file."""
+    """Decoded records of an evaluation input file, by PMID; a bad or repeated record names the file."""
+    records: dict[str, Any] = {}
     try:
-        return {record.pmid: record for record in map(decode_record, iter_jsonl(path))}
+        for record in map(decode_record, iter_jsonl(path)):
+            if records.setdefault(record.pmid, record) is not record:
+                raise ValidationError(f"PMID {record.pmid} appears more than once")
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None
+    return records
 
 
 def _gold_and_pred(
@@ -557,7 +561,8 @@ def cmd_eval_tables(config: PipelineConfig, store: RunStore, args: argparse.Name
 
     from . import table_eval
 
-    golds, preds = _gold_and_pred(args, store, "tables_parsed", ProfileTable.from_dict, "predicted table")
+    tables = functools.partial(decode, ProfileTable)
+    golds, preds = _gold_and_pred(args, store, "tables_parsed", tables, "predicted table")
 
     abstracts_path = Path(args.abstracts) if args.abstracts else _require_stage(store, "corpus")
     abstracts = _read_by_pmid(abstracts_path, functools.partial(decode, AbstractRecord))

@@ -3,8 +3,11 @@
 Rules follow the field types, never the caller: fields in declaration order,
 enums as their ``.value``, sets sorted; nested dataclasses and ``list`` /
 ``dict`` / ``X | None`` of them recurse; ``int`` fields decode with ``int()``;
-a missing key takes the field's default. Bad input raises ``ValidationError``
-and ``__post_init__`` checks still run. Per-field converters are cached per class.
+a missing key takes the field's default. A field typed
+``Annotated[X, Text(render, parse)]`` is written as the string ``render``
+returns and read back by ``parse``, once the value is checked to be a ``str``.
+Bad input raises ``ValidationError`` and ``__post_init__`` checks still run.
+Per-field converters are cached per class.
 """
 
 from __future__ import annotations
@@ -20,6 +23,14 @@ from .errors import ValidationError
 
 T = TypeVar("T")
 Encoder = Optional[Callable[[Any], Any]]  # None writes the value as it is
+
+
+@dataclasses.dataclass(frozen=True)
+class Text:
+    """``Annotated`` marker of a field stored as text: ``render`` writes it, ``parse`` reads it back."""
+
+    render: Callable[[Any], str]
+    parse: Callable[[str], Any]
 
 
 def encode(obj: Any) -> dict[str, Any]:
@@ -50,7 +61,7 @@ def decode(cls: type[T], d: Any) -> T:
 @functools.cache
 def _plan(cls: type) -> tuple[tuple[str, Encoder, Callable[[Any], Any], bool], ...]:
     """Per field: name, encoder, decoder and whether the key is required."""
-    hints = typing.get_type_hints(cls)
+    hints = typing.get_type_hints(cls, include_extras=True)
     plan = []
     for f in dataclasses.fields(cls):
         required = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
@@ -61,6 +72,8 @@ def _plan(cls: type) -> tuple[tuple[str, Encoder, Callable[[Any], Any], bool], .
 def _converters(tp: Any) -> tuple[Encoder, Callable[[Any], Any]]:
     """(encoder, decoder) for a field type; a decoder raises TypeError or ValueError on bad input."""
     origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is typing.Annotated:  # Annotated[X, Text(render, parse)]
+        return args[1].render, _of(str, args[1].parse)
     if origin in (types.UnionType, typing.Union):
         (inner,) = [a for a in args if a is not type(None)]
         enc, dec = _converters(inner)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING
 
-from .errors import InvalidCountError, ValidationError
+from .errors import ValidationError
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -28,8 +28,8 @@ class PositivityCount:
     """An X/Y cell: X positive cases out of Y tested.
 
     Instances may hold out-of-range values (e.g. parsed from a malformed
-    model table); use :meth:`checked` or :attr:`is_valid` where the
-    invariant positives <= total, total >= 1 matters.
+    model table); use :attr:`is_valid` where the invariant
+    positives <= total, total >= 1 matters.
     """
 
     positives: int
@@ -38,15 +38,6 @@ class PositivityCount:
     @property
     def is_valid(self) -> bool:
         return self.total >= 1 and 0 <= self.positives <= self.total
-
-    @classmethod
-    def checked(cls, positives: int, total: int) -> "PositivityCount":
-        count = cls(positives, total)
-        if not count.is_valid:
-            raise InvalidCountError(
-                f"invalid count {positives}/{total}: need 0 <= positives <= total and total >= 1"
-            )
-        return count
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,6 @@ class ValidationError(PipelineError):
     """Input violated a precondition or invariant."""
 
 
-class InvalidCountError(ValidationError):
-    """A positives/total pair was out of range (total = 0 or positives > total)."""
-
-
 class ConfigError(PipelineError):
     """Bad configuration value or unreadable config file."""
 

@@ -145,9 +145,14 @@ class EntrezClient:
                 context,
             )
             root = _xml_root(body, "esearch", context)
-            count_node = root.find("Count")
-            if count_node is not None and count_node.text:
-                total_hits = int(count_node.text)
+            error = root.findtext("ERROR")
+            if error is not None and root.find("IdList") is None:
+                raise EntrezParseError(f"esearch error ({context}): {error}")
+            count = root.findtext("Count")
+            if count:
+                if not (count.isascii() and count.isdigit()):
+                    raise EntrezParseError(f"esearch Count {count!r} is not a number ({context})")
+                total_hits = int(count)
             page = [node.text for node in root.findall(".//IdList/Id") if node.text]
             if not page:
                 break

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Annotated
 
+from .codec import Text
 from .domain import MISSING, CellValue, PositivityCount
-from .errors import TableNotFoundError, ValidationError
+from .errors import TableNotFoundError
 
 if TYPE_CHECKING:
     from .domain import AbstractRecord
@@ -42,8 +43,8 @@ class MarkerColumn:
 @dataclass
 class ProfileRow:
     tumour_type: str
-    tumour_site: str | None  # None encodes NA
-    cells: dict[str, CellValue] = field(default_factory=dict)
+    tumour_site: Annotated[str | None, _SITE]  # None encodes NA
+    cells: dict[str, Annotated[CellValue, _CELL]] = field(default_factory=dict)
 
 
 @dataclass
@@ -57,48 +58,14 @@ class ProfileTable:
     def marker_columns(self) -> list[str]:
         return self.header[2:]
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "pmid": self.pmid,
-            "header": list(self.header),
-            "rows": [
-                {
-                    "tumour_type": row.tumour_type,
-                    "tumour_site": row.tumour_site if row.tumour_site is not None else "NA",
-                    "cells": {name: cell.render() for name, cell in row.cells.items()},
-                }
-                for row in self.rows
-            ],
-            "violations": list(self.violations),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "ProfileTable":
-        """Inverse of ``to_dict``; a record of the wrong shape raises ``ValidationError``."""
-        try:
-            rows = []
-            for r in d["rows"]:
-                site = r["tumour_site"]
-                cells = {name: parse_cell(text)[0] for name, text in r["cells"].items()}
-                rows.append(
-                    ProfileRow(
-                        tumour_type=r["tumour_type"],
-                        tumour_site=None if _is_na(site) else site,
-                        cells=cells,
-                    )
-                )
-            return cls(
-                pmid=d["pmid"],
-                header=list(d["header"]),
-                rows=rows,
-                violations=list(d.get("violations", [])),
-            )
-        except (KeyError, TypeError, AttributeError) as exc:
-            raise ValidationError(f"malformed profile table record ({type(exc).__name__}: {exc})") from None
-
 
 def _is_na(text: str) -> bool:
     return text.strip() == "" or _NA_RE.match(text.strip()) is not None
+
+
+# stored as the text a table shows; cell text keeps parse_cell's lenient reading
+_SITE = Text(lambda site: "NA" if site is None else site, lambda text: None if _is_na(text) else text)
+_CELL = Text(CellValue.render, lambda text: parse_cell(text)[0])
 
 
 def parse_cell(text: str) -> tuple[CellValue, str | None]:
@@ -219,7 +186,7 @@ def parse_markdown_table(text: str, pmid: str = "") -> ProfileTable:
         rows.append(
             ProfileRow(
                 tumour_type=tumour_type,
-                tumour_site=None if _is_na(site_raw) else site_raw,
+                tumour_site=_SITE.parse(site_raw),
                 cells=row_cells,
             )
         )
@@ -244,7 +211,7 @@ def render_markdown(table: ProfileTable) -> str:
     for row in table.rows:
         cells = [
             _escape_cell(row.tumour_type),
-            _escape_cell(row.tumour_site if row.tumour_site is not None else "NA"),
+            _escape_cell(_SITE.render(row.tumour_site)),
         ]
         cells.extend(row.cells.get(name, MISSING).render() for name in table.header[2:])
         out.append("| " + " | ".join(cells) + " |")

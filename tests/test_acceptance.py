@@ -6,9 +6,11 @@ independently computed oracles (decimal arithmetic, linear scans,
 brute-force confusion matrices), or hand-constructed fixtures.
 """
 
+import hashlib
 import json
 import os
 import random
+import re
 import shutil
 import signal
 import subprocess
@@ -247,6 +249,19 @@ def strip_timestamps(records: list[dict]) -> list[dict]:
     return [{k: v for k, v in record.items() if k != "retrieved_at"} for record in records]
 
 
+# sha256 of the demo chain's files whose bytes numpy does not touch; two runs of one commit
+# cannot show an encoding change between commits, this pin does
+PINNED_ARTIFACTS_SHA256 = "9b14946c2569fc2dcbb6a9d8339117260dc0243509420615d4f8d16a425868fc"
+
+
+def artifacts_sha256(run_dir: Path) -> str:
+    """Digest of the corpus (fetch times cut out) and the label and table stage files, as written."""
+    digest = hashlib.sha256(re.sub(rb', "retrieved_at": "[^"]*"', b"", (run_dir / "corpus.jsonl").read_bytes()))
+    for name in ("classified.jsonl", "tables_raw.jsonl", "tables_parsed.jsonl"):
+        digest.update((run_dir / name).read_bytes())
+    return digest.hexdigest()
+
+
 def run_chain(demo_env, run_dir: Path) -> None:
     from ihcmine.cli import main
 
@@ -273,6 +288,7 @@ def test_c8_pipeline_determinism_and_resume(demo_env, tmp_path):
         assert (run_a / name).read_bytes() == (run_b / name).read_bytes(), name
     for name in ("corpus_stats.json", "landscape_report.json", "comparison_report.csv", "marker_report.csv"):
         assert (run_a / name).read_bytes() == (run_b / name).read_bytes(), name
+    assert artifacts_sha256(run_a) == PINNED_ARTIFACTS_SHA256
 
     # kill mid-classify, then resume and compare against an uninterrupted sibling
     from ihcmine.cli import main

@@ -748,8 +748,8 @@ class TestEvalCommands:
         pred_table = parse_markdown_table((fixtures / "pred_correct.md").read_text(), pmid="21691200")
         gold_path = tmp_path / "gold.jsonl"
         pred_path = tmp_path / "pred.jsonl"
-        gold_path.write_text(json.dumps(gold_table.to_dict()) + "\n", encoding="utf-8")
-        pred_path.write_text(json.dumps(pred_table.to_dict()) + "\n", encoding="utf-8")
+        gold_path.write_text(json.dumps(encode(gold_table)) + "\n", encoding="utf-8")
+        pred_path.write_text(json.dumps(encode(pred_table)) + "\n", encoding="utf-8")
         abstracts = tmp_path / "corpus.jsonl"
         abstracts.write_text(
             json.dumps(
@@ -832,10 +832,21 @@ class TestEvalCommands:
             ("eval-tables", ['{"pmid": "1", "header": [], "rows": []}', '{"pm', '{"pmid": "3", "header": [], "rows": []}'],
              ":2: corrupt record"),
             ("eval-tables", ['{"header": ["Tumor type", "Tumor site"], "rows": []}'],
-             "KeyError: 'pmid'"),
+             "ProfileTable: missing required key 'pmid'"),
+            ("eval-tables", ['{"pmid": 1, "header": ["Tumor type", "Tumor site"], "rows": []}'],
+             "ProfileTable.pmid: expected str, got 1"),
+            ("eval-tables", ['{"pmid": "1", "header": ["Tumor type", "Tumor site"], '
+                             '"rows": [{"tumour_type": 7, "tumour_site": "NA", "cells": {}}]}'],
+             "ProfileRow.tumour_type: expected str, got 7"),
+            ("eval-tables", ['{"pmid": "1", "header": ["Tumor type", "Tumor site", "ER"], '
+                             '"rows": [{"tumour_type": "melanoma", "tumour_site": "NA", "cells": {"ER": 3}}]}'],
+             "ProfileRow.cells: expected str, got 3"),
+            ("eval-tables", ['{"pmid": "1", "header": "Tumor type", "rows": []}'],
+             "ProfileTable.header: expected list, got 'Tumor type'"),
         ],
         ids=["classify-corrupt-mid-file", "classify-unknown-label", "classify-missing-pmid",
-             "tables-corrupt-mid-file", "tables-missing-pmid"],
+             "tables-corrupt-mid-file", "tables-missing-pmid", "tables-integer-pmid",
+             "tables-non-string-tumour-type", "tables-non-string-cell", "tables-string-header"],
     )
     def test_malformed_gold_is_a_stage_failure(self, tmp_path, capsys, command, gold_lines, message):
         gold = tmp_path / "gold.jsonl"
@@ -844,7 +855,25 @@ class TestEvalCommands:
         preds.write_text("", encoding="utf-8")
         assert main([command, "--run-dir", str(tmp_path / "r"), "--gold", str(gold), "--pred", str(preds)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and message in err
+        assert err.startswith(f"error: {gold}") and message in err
+
+    @pytest.mark.parametrize("command", ["eval-classify", "eval-tables"])
+    def test_repeated_pmid_in_an_eval_input_fails(self, tmp_path, capsys, command):
+        """A gold file holding a PMID twice would be scored on one of its lines; it is refused instead."""
+        records = [
+            {"pmid": pmid, "label": label, "header": ["Tumor type", "Tumor site"], "rows": [], "title": "t",
+             "abstract_text": "a", "source_markers": ["ER"], "retrieved_at": ""}
+            for pmid, label in (("1", "Include"), ("1", "Exclude"), ("2", "Exclude"))
+        ]
+        gold = tmp_path / "gold.jsonl"
+        gold.write_text("".join(json.dumps(record) + "\n" for record in records), encoding="utf-8")
+        unique = tmp_path / "unique.jsonl"
+        unique.write_text("".join(json.dumps(record) + "\n" for record in records[1:]), encoding="utf-8")
+        args = [command, "--run-dir", str(tmp_path / "r"), "--gold", str(gold), "--pred", str(unique)]
+        if command == "eval-tables":
+            args += ["--abstracts", str(unique)]
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"error: {gold}: PMID 1 appears more than once\n"
 
 
 def test_benchmark_tracer_hooks_resolve():

@@ -111,7 +111,7 @@ class TestGoldenFormat:
             "| Clear cell RCC | NA | 17/155 | NA |\n| Oncocytoma | Kidney | 0/12 | 3/4 | extra |\n",
             pmid="21691200",
         )
-        assert json.dumps(table.to_dict(), ensure_ascii=False) == (
+        assert json.dumps(encode(table), ensure_ascii=False) == (
             '{"pmid": "21691200", "header": ["Tumor type", "Tumor site", "S100A4 (stromal)", "CD34"], '
             '"rows": [{"tumour_type": "Clear cell RCC", "tumour_site": "NA", '
             '"cells": {"S100A4 (stromal)": "17/155", "CD34": "NA"}}, '

@@ -91,7 +91,7 @@ def test_stages_that_call_no_endpoint_load_neither(tmp_path):
     reference.write_text("marker,tumour,kind,low,high\nER,melanoma,range,10,90\n", encoding="utf-8")
     table = parse_markdown_table((FIXTURES / "gold.md").read_text(), pmid="21691200")
     tables = tmp_path / "tables.jsonl"
-    tables.write_text(json.dumps(table.to_dict()) + "\n", encoding="utf-8")
+    tables.write_text(json.dumps(encode(table)) + "\n", encoding="utf-8")
     abstract = {
         "pmid": "21691200",
         "title": "t",

@@ -722,9 +722,12 @@ class TestNormalizeTable:
 
     def test_invalid_count_flagged(self):
         normalizer, _ = self.build()
-        text = "| Tumor type | Tumor site | S100A4 |\n| --- | --- | --- |\n| Clear cell renal cell carcinoma | Kidney | 73/22 |\n"
+        text = (
+            "| Tumor type | Tumor site | S100A4 |\n| --- | --- | --- |\n"
+            "| Clear cell renal cell carcinoma | Kidney | 73/22 |\n| Clear cell renal cell carcinoma | Kidney | 0/0 |\n"
+        )
         records = normalize_table(parse_markdown_table(text, pmid="1"), normalizer)
-        assert records[0].flags == ["invalid_count"]
+        assert [r.flags for r in records] == [["invalid_count"], ["invalid_count"]]
 
     def test_max_distance_flags_low_confidence(self):
         names = ["Clear cell renal cell carcinoma", "Kidney", "S100A4"]

@@ -119,6 +119,25 @@ class TestSearchPmids:
         with pytest.raises(ValidationError):
             client.search_pmids(build_query("ER"), cap=10_000)
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("<eSearchResult><Count>12x</Count><IdList><Id>1</Id></IdList></eSearchResult>",
+             "esearch Count '12x' is not a number (marker=ER retstart=0)"),
+            ("<eSearchResult><Count>\u0661\u0662</Count><IdList><Id>1</Id></IdList></eSearchResult>",
+             "esearch Count '\u0661\u0662' is not a number (marker=ER retstart=0)"),
+            ("<eSearchResult><ERROR>Invalid query syntax</ERROR></eSearchResult>",
+             "esearch error (marker=ER retstart=0): Invalid query syntax"),
+        ],
+        ids=["count-not-digits", "count-not-ascii", "error-element"],
+    )
+    def test_malformed_search_answer_raises_parse_error(self, monkeypatch, body, message):
+        client = EntrezClient(base_url="http://localhost:1", **FAST)
+        monkeypatch.setattr(client, "_get", lambda *a, **k: body.encode("utf-8"))
+        with pytest.raises(EntrezParseError) as raised:
+            client.search_pmids(build_query("ER"))
+        assert str(raised.value) == message
+
 
 class TestFetchAbstracts:
     def test_single_pmid_with_title_and_abstract(self):

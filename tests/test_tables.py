@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ihcmine.codec import decode, encode
 from ihcmine.domain import MISSING, CellValue, PositivityCount
 from ihcmine.errors import TableNotFoundError
 from ihcmine.tables import (
@@ -227,7 +228,7 @@ class TestRenderMarkdown:
         rng = random.Random(7)
         for _ in range(50):
             table = random_table(rng)
-            again = ProfileTable.from_dict(json.loads(json.dumps(table.to_dict())))
+            again = decode(ProfileTable, json.loads(json.dumps(encode(table))))
             assert again == table
 
 
