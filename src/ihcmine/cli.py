@@ -26,7 +26,7 @@ from .codec import decode, encode
 from .config import PipelineConfig, build_config
 from .domain import AbstractRecord, ClassificationLabel, NormalizedRecord, format_percent, round_percent
 from .errors import GatewayError, PipelineError, TableNotFoundError, ValidationError
-from .pubmed import CorpusStats, EntrezClient, build_query, dedup_merge
+from .pubmed import MAX_CAP, CorpusStats, EntrezClient, build_query, dedup_merge
 from .store import RunLock, RunStore, StageInfo, atomic_file, file_sha256, iter_jsonl
 from .tables import ProfileTable, extract_table, parse_markdown_table
 
@@ -71,11 +71,10 @@ def build_parser() -> _Parser:
     p = sub.add_parser("fetch", help="search PubMed per marker and build the deduplicated corpus")
     _add_common(p)
     p.add_argument("--markers", dest="markers_path", help="file with one marker name per line")
-    p.add_argument("--cap", dest="cap", type=int, help="max abstracts per marker (<= 9999)")
+    p.add_argument("--cap", dest="cap", type=int, help=f"max abstracts per marker (<= {MAX_CAP})")
     p.add_argument("--entrez-base", dest="entrez_base_url")
     p.add_argument("--ncbi-key", dest="ncbi_api_key")
     p.add_argument("--rps", dest="requests_per_second", type=float, help="request budget per second")
-    p.add_argument("--page-size", dest="esearch_page_size", type=int)
     p.add_argument("--batch-size", dest="efetch_batch_size", type=int)
     p.add_argument("--retries", dest="retries", type=int)
     p.add_argument("--backoff", dest="backoff_base", type=float)
@@ -263,7 +262,6 @@ def cmd_fetch(config: PipelineConfig, store: RunStore, args: argparse.Namespace)
         base_url=config.entrez_base_url,
         api_key=config.ncbi_api_key,
         requests_per_second=config.requests_per_second,
-        page_size=config.esearch_page_size,
         batch_size=config.efetch_batch_size,
         retries=config.retries,
         backoff_base=config.backoff_base,

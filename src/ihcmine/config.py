@@ -14,6 +14,7 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from .errors import ConfigError
+from .pubmed import DEFAULT_BASE_URL, MAX_CAP
 from .transport import MAX_RETRIES, MAX_WAIT_S
 
 ENV_VARS = {
@@ -32,12 +33,11 @@ class PipelineConfig:
     runs_root: str = "runs"
     run_dir: str | None = None
 
-    entrez_base_url: str = "https://eutils.ncbi.nlm.nih.gov/entrez/eutils"
+    entrez_base_url: str = DEFAULT_BASE_URL
     ncbi_api_key: str | None = None
     requests_per_second: float | None = None  # None: 3/s, or 10/s with an API key
-    esearch_page_size: int = 9999
     efetch_batch_size: int = 200
-    cap: int = 9999
+    cap: int = MAX_CAP
 
     llm_base_url: str = "http://localhost:8000"
     llm_model: str = "default"
@@ -63,8 +63,8 @@ class PipelineConfig:
     split_qualifiers: bool = False
 
     def validate(self) -> None:
-        if not 1 <= self.cap <= 9999:
-            raise ConfigError(f"cap must be in [1, 9999], got {self.cap}")
+        if not 1 <= self.cap <= MAX_CAP:
+            raise ConfigError(f"cap must be in [1, {MAX_CAP}], got {self.cap}")
         if not 0.0 <= self.wrong_f1_threshold <= 1.0:
             raise ConfigError(f"wrong_f1_threshold must be in [0, 1], got {self.wrong_f1_threshold}")
         if not 0.0 <= self.row_similarity_threshold <= 1.0:
@@ -88,10 +88,8 @@ class PipelineConfig:
                 f"requests_per_second must be at least 1/{MAX_WAIT_S:g} (one request per window of at most "
                 f"{MAX_WAIT_S:g} s), got {self.requests_per_second}"
             )
-        for name, high in (("esearch_page_size", 9999), ("efetch_batch_size", 500)):
-            value = getattr(self, name)
-            if not 1 <= value <= high:
-                raise ConfigError(f"{name} must be in [1, {high}], got {value}")
+        if not 1 <= self.efetch_batch_size <= 500:
+            raise ConfigError(f"efetch_batch_size must be in [1, 500], got {self.efetch_batch_size}")
         if self.backoff_base < 0:
             raise ConfigError(f"backoff_base must be >= 0, got {self.backoff_base}")
         if not 0 < self.timeout <= MAX_WAIT_S:

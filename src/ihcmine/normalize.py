@@ -421,7 +421,8 @@ def _publish(entry: Path, digest: str, table: _Table) -> None:
 class TermNormalizer:
     """Embeds surfaces through the gateway and maps them to nearest concepts.
 
-    Results are cached by surface string. Not thread-safe: the normalize
+    Results are cached by surface string, failures too: a surface the
+    endpoint failed is not asked for again. Not thread-safe: the normalize
     stage calls it from one thread.
     """
 
@@ -429,7 +430,7 @@ class TermNormalizer:
         self.gateway = gateway
         self.index = index
         self.max_distance = max_distance
-        self._cache: dict[str, NormalizedEntity] = {}
+        self._cache: dict[str, NormalizedEntity | None] = {}  # None: embedding failed
 
     def prefetch(self, surfaces: Iterable[str]) -> None:
         """Embed the distinct uncached surfaces in chunks of ``EMBED_CHUNK`` and cache their matches.
@@ -452,12 +453,15 @@ class TermNormalizer:
     def normalize_term(self, surface: str) -> NormalizedEntity:
         if not surface or not surface.strip():
             raise ValidationError("cannot normalize an empty surface form")
-        cached = self._cache.get(surface)
-        if cached is not None:
+        if surface in self._cache:
+            cached = self._cache[surface]
+            if cached is None:
+                raise NormalizationError(f"embedding failed earlier for {surface!r}")
             return cached
         try:
             vector = self.gateway.embed([surface])[0]
         except GatewayError as exc:
+            self._cache[surface] = None
             raise NormalizationError(f"embedding failed for {surface!r}: {exc}") from exc
         return self._remember(surface, self.index.nearest(vector, k=1))
 

@@ -91,7 +91,6 @@ class EntrezClient:
         base_url: str = DEFAULT_BASE_URL,
         api_key: str | None = None,
         requests_per_second: float | None = None,
-        page_size: int = MAX_CAP,
         batch_size: int = 200,
         retries: int = 3,
         backoff_base: float = 1.0,
@@ -105,7 +104,6 @@ class EntrezClient:
             RPS_WITH_KEY if api_key else RPS_WITHOUT_KEY
         )
         self.limiter = RateLimiter(rate)
-        self.page_size = page_size
         self.batch_size = batch_size
         self._http = HttpTransport(retries, backoff_base, timeout)
 
@@ -129,48 +127,25 @@ class EntrezClient:
         return body
 
     def search_pmids(self, query: MarkerQuery, cap: int = MAX_CAP) -> list[str]:
-        """Unique PMIDs for a marker query, service order, paginated, capped."""
+        """Unique PMIDs for a marker query, service order, capped: one esearch, as PubMed answers 10,000 hits at once."""
         if not 1 <= cap <= MAX_CAP:
             raise ValidationError(f"cap must be in [1, {MAX_CAP}], got {cap}")
-        pmids: list[str] = []
-        seen: set[str] = set()
-        retstart = 0
-        total_hits: int | None = None
-        while len(pmids) < cap:
-            retmax = min(self.page_size, cap - len(pmids))
-            context = f"marker={query.marker} retstart={retstart}"
-            body = self._get(
-                "esearch.fcgi",
-                {"db": "pubmed", "term": query.query, "retmax": retmax, "retstart": retstart},
-                context,
-            )
-            root = _xml_root(body, "esearch", context)
-            error = root.findtext("ERROR")
-            if error is not None and root.find("IdList") is None:
-                raise EntrezParseError(f"esearch error ({context}): {error}")
-            count = root.findtext("Count")
-            if count:
-                if not (count.isascii() and count.isdigit()):
-                    raise EntrezParseError(f"esearch Count {count!r} is not a number ({context})")
-                total_hits = int(count)
-            page = [node.text for node in root.findall(".//IdList/Id") if node.text]
-            if not page:
-                break
-            added = 0
-            for pmid in page:
-                if pmid not in seen and len(pmids) < cap:
-                    seen.add(pmid)
-                    pmids.append(pmid)
-                    added += 1
-            retstart += retmax
-            if total_hits is not None and retstart >= total_hits:
-                break
-            if total_hits is None and added == 0:
-                break  # server reports no total and repeats ids; stop paging
-        if total_hits is not None and total_hits > cap:
-            logger.warning(
-                "marker %s hit the %d-abstract cap (%d hits reported)", query.marker, cap, total_hits
-            )
+        context = f"marker={query.marker} retstart=0"
+        body = self._get("esearch.fcgi", {"db": "pubmed", "term": query.query, "retmax": cap, "retstart": 0}, context)
+        root = _xml_root(body, "esearch", context)
+        error = root.findtext("ERROR")
+        if error is not None and root.find("IdList") is None:
+            raise EntrezParseError(f"esearch error ({context}): {error}")
+        count = root.findtext("Count")
+        if count and not (count.isascii() and count.isdigit()):
+            raise EntrezParseError(f"esearch Count {count!r} is not a number ({context})")
+        pmids = list(dict.fromkeys(node.text for node in root.findall(".//IdList/Id") if node.text))[:cap]
+        if count:
+            hits = int(count)
+            if hits > cap:
+                logger.warning("marker %s hit the %d-abstract cap (%d hits reported)", query.marker, cap, hits)
+            if len(pmids) < min(cap, hits):  # a short answer would silently shrink the corpus
+                logger.warning("marker %s: esearch answered %d PMIDs of %d hits", query.marker, len(pmids), hits)
         return pmids
 
     def fetch_abstracts(

@@ -82,8 +82,11 @@ def parse_cell(text: str) -> tuple[CellValue, str | None]:
     if _NA_SLASH_RE.match(raw):
         return MISSING, f"NA numerator in cell {raw!r}"
     m = _COUNT_RE.match(raw)
-    if m:
-        count = PositivityCount(int(m.group(1)), int(m.group(2)))
+    try:
+        count = PositivityCount(int(m.group(1)), int(m.group(2))) if m else None
+    except ValueError:  # more digits than int() reads (sys.get_int_max_str_digits)
+        count = None
+    if count is not None:
         if count.total < 1:
             return CellValue(count), f"zero total in cell {raw!r}"
         if count.positives > count.total:

@@ -49,8 +49,6 @@ class DemoEnv:
             "500",
             "--backoff",
             "0.01",
-            "--page-size",
-            "40",
             "--batch-size",
             "20",
         ]

@@ -95,10 +95,8 @@ class _MockHandler(BaseHTTPRequestHandler):
 class EntrezState(ServerState):
     markers: dict[str, list[str]] = field(default_factory=dict)
     articles: dict[str, tuple[str, str | None]] = field(default_factory=dict)
-    explicit_pages: dict[str, list[list[str]]] = field(default_factory=dict)
     fail_next: int = 0
     requests: list[tuple[float, str, str]] = field(default_factory=list)
-    _page_calls: dict[str, int] = field(default_factory=dict)
 
 
 class _EntrezHandler(_MockHandler):
@@ -135,17 +133,9 @@ class _EntrezHandler(_MockHandler):
         marker = term.split(" ")[0] if term else ""
         retstart = int(params.get("retstart", "0"))
         retmax = int(params.get("retmax", "20"))
-        if marker in state.explicit_pages:
-            pages = state.explicit_pages[marker]
-            with state._lock:
-                call = state._page_calls.get(marker, 0)
-                state._page_calls[marker] = call + 1
-            ids = pages[call] if call < len(pages) else []
-            count = sum(len(p) for p in pages)
-        else:
-            all_ids = state.markers.get(marker, [])
-            ids = all_ids[retstart : retstart + retmax]
-            count = len(all_ids)
+        all_ids = state.markers.get(marker, [])
+        ids = all_ids[retstart : retstart + retmax]
+        count = len(all_ids)
         id_xml = "".join(f"<Id>{pmid}</Id>" for pmid in ids)
         self._send(
             f"<eSearchResult><Count>{count}</Count><RetMax>{len(ids)}</RetMax>"

@@ -375,10 +375,11 @@ def test_c9_ingest_contracts(tmp_path):
 
     # request-rate ceiling observed by a timestamping mock: at most n = 5 starts in any 1 s window
     rate, n = 5.0, 5
-    state = EntrezState(markers={"ER": [str(i) for i in range(60)]})
+    articles = {str(100 + i): (f"t{i}", f"body {i}") for i in range(60)}
+    state = EntrezState(articles=articles)
     with run_entrez(state) as url:
-        client = EntrezClient(base_url=url, page_size=6, requests_per_second=rate, backoff_base=0.01)
-        client.search_pmids(build_query("ER"), cap=9999)
+        client = EntrezClient(base_url=url, batch_size=6, requests_per_second=rate, backoff_base=0.01)
+        client.fetch_abstracts(dict.fromkeys(articles, {"ER"}))
     arrivals = sorted(ts for ts, _, _ in state.requests)
     assert len(arrivals) == 10
     # no window [t, t + 1 s - slack) holds n + 1 arrivals; i = 0 is arrival n + 1 against the first

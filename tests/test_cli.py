@@ -643,8 +643,6 @@ class TestConfigFile:
     @pytest.mark.parametrize(
         "flag, value, field",
         [
-            ("--page-size", "0", "esearch_page_size"),
-            ("--page-size", "10000", "esearch_page_size"),
             ("--batch-size", "0", "efetch_batch_size"),
             ("--batch-size", "501", "efetch_batch_size"),
             ("--backoff", "-0.5", "backoff_base"),
@@ -662,6 +660,12 @@ class TestConfigFile:
         assert main(["fetch", "--run-dir", str(tmp_path / "run"), *local, flag, value]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {field} must be") and "Traceback" not in err
+
+    def test_page_size_is_not_an_option(self, tmp_path, capsys):
+        # one esearch per marker answers every cap; PubMed returns up to 10,000 hits at once
+        assert main(["fetch", "--run-dir", str(tmp_path / "run"), "--page-size", "40"]) == 1
+        assert "unrecognized arguments: --page-size 40" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("key", ["abc\ndef", "abc\r\nX-Injected: 1", "abc\0def"])
     def test_llm_api_key_with_control_characters_rejected(self, tmp_path, capsys, key):

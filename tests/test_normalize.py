@@ -674,6 +674,16 @@ class TestTermNormalizer:
         with pytest.raises(NormalizationError):
             normalizer.normalize_term("naevus")
 
+    def test_failed_surface_asked_for_once(self):
+        index, _ = build_index(["melanoma"])
+        gateway = FakeEmbedGateway(fail_for={"naevus"})
+        normalizer = TermNormalizer(gateway, index)
+        for _ in range(3):
+            with pytest.raises(NormalizationError, match="naevus"):
+                normalizer.normalize_term("naevus")
+        normalizer.prefetch(["naevus", "melanoma"])
+        assert gateway.calls == 2  # one failed single embed, then one chunk holding melanoma alone
+
 
 class TestNormalizeTable:
     GOLD = (
@@ -790,8 +800,8 @@ class TestPrefetch:
         assert all(r.marker_cui and r.tumour_site_cui for r in records)
         assert all(r.tumour_type_cui for r in records if r.tumour_type != "tumour 1-7")
         # two chunk requests; the failed chunk's 63 good surfaces once each; the failing
-        # surface once per lookup (its row has two count cells), as without prefetching
-        assert gateway.calls == 2 + (EMBED_CHUNK - 1) + 2
+        # surface once, though its row has two count cells: the failure is cached
+        assert gateway.calls == 2 + (EMBED_CHUNK - 1) + 1
 
     def test_non_finite_vector_from_the_endpoint_unmaps_its_surface(self, demo_env, tmp_path, monkeypatch):
         run_dir = tmp_path / "run"

@@ -1,4 +1,4 @@
-"""Entrez client behavior against a mock server: caps, pagination, dedup, throttling."""
+"""Entrez client behavior against a mock server: caps, one search per marker, dedup, throttling."""
 
 import random
 import socket
@@ -61,22 +61,31 @@ class TestSearchPmids:
         assert len(pmids) == 9999
         assert len(set(pmids)) == 9999
 
-    def test_pagination_windows(self):
+    def test_one_request_per_search(self, caplog):
         state = EntrezState(markers={"ER": [str(i) for i in range(25)]})
         with run_entrez(state) as url:
-            client = EntrezClient(base_url=url, page_size=10, **FAST)
+            client = EntrezClient(base_url=url, **FAST)
             pmids = client.search_pmids(build_query("ER"), cap=9999)
         assert pmids == [str(i) for i in range(25)]
         searches = [q for _, path, q in state.requests if path.endswith("esearch.fcgi")]
-        assert len(searches) == 3
-        assert parse_qs(searches[1])["retstart"] == ["10"]
+        assert searches == ["db=pubmed&term=ER+immunohisto%2A&retmax=9999&retstart=0"]
+        assert not [r for r in caplog.records if r.levelname == "WARNING"]
 
-    def test_duplicate_id_across_pages_deduplicated(self):
-        state = EntrezState(explicit_pages={"ER": [["1", "2", "3"], ["3", "4"]]})
+    def test_duplicate_id_in_the_answer_deduplicated(self, caplog):
+        state = EntrezState(markers={"ER": ["1", "2", "3", "3", "4"]})
         with run_entrez(state) as url:
-            client = EntrezClient(base_url=url, page_size=3, **FAST)
+            client = EntrezClient(base_url=url, **FAST)
             pmids = client.search_pmids(build_query("ER"), cap=9999)
         assert pmids == ["1", "2", "3", "4"]
+        assert "marker ER: esearch answered 4 PMIDs of 5 hits" in caplog.text
+
+    def test_short_answer_warns_with_the_marker(self, monkeypatch, caplog):
+        body = "<eSearchResult><Count>40</Count><IdList><Id>1</Id><Id>2</Id></IdList></eSearchResult>"
+        client = EntrezClient(base_url="http://localhost:1", **FAST)
+        monkeypatch.setattr(client, "_get", lambda *a, **k: body.encode("utf-8"))
+        assert client.search_pmids(build_query("ER"), cap=30) == ["1", "2"]
+        assert "marker ER: esearch answered 2 PMIDs of 40 hits" in caplog.text
+        assert "marker ER hit the 30-abstract cap (40 hits reported)" in caplog.text
 
     def test_slash_url_escaped_at_transport(self):
         state = EntrezState(markers={"AE1/AE3": ["5"]})
@@ -323,12 +332,13 @@ class TestThrottle:
             EntrezClient(base_url="http://x", requests_per_second=rate)
 
     def test_rate_ceiling_observed_by_server(self):
-        state = EntrezState(markers={"ER": [str(i) for i in range(50)]})
+        articles = {str(100 + i): (f"t{i}", f"body {i}") for i in range(50)}
+        state = EntrezState(articles=articles)
         rate, n = 5.0, 5
         with run_entrez(state) as url:
-            client = EntrezClient(base_url=url, page_size=5, requests_per_second=rate, backoff_base=0.01)
-            client.search_pmids(build_query("ER"), cap=9999)
-        arrivals = sorted(ts for ts, path, _ in state.requests if path.endswith("esearch.fcgi"))
+            client = EntrezClient(base_url=url, batch_size=5, requests_per_second=rate, backoff_base=0.01)
+            client.fetch_abstracts(dict.fromkeys(articles, {"ER"}))
+        arrivals = sorted(ts for ts, path, _ in state.requests if path.endswith("efetch.fcgi"))
         assert len(arrivals) == 10
         assert most_in_window(arrivals, n / rate - 0.05) <= n
         assert arrivals[n] - arrivals[0] >= n / rate - 0.05

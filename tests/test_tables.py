@@ -91,6 +91,17 @@ class TestParseCell:
         assert value.is_missing
         assert "83%" in note
 
+    def test_count_past_the_int_digit_limit_is_unparseable(self):
+        text = "1" * 5000 + "/3"  # int() refuses over 4,300 digits
+        value, note = parse_cell(text)
+        assert value is MISSING
+        assert note.startswith("unparseable cell '111")
+        table = parse_markdown_table(f"| Tumor type | Tumor site | ER |\n| --- | --- | --- |\n| melanoma | skin | {text} |\n")
+        assert table.rows[0].cells["ER"] is MISSING
+        assert table.violations == [f"row 1, column 'ER': {note}"]
+        stored = {"pmid": "1", "header": table.header, "rows": [{"tumour_type": "melanoma", "tumour_site": "skin", "cells": {"ER": text}}]}
+        assert decode(ProfileTable, stored).rows[0].cells["ER"] is MISSING
+
     @given(st.text())
     def test_never_raises_on_arbitrary_text(self, text):
         value, note = parse_cell(text)

@@ -44,11 +44,13 @@ class TestConnectionReuse:
         assert state.connections == 1
 
     def test_entrez_calls_share_one_connection(self):
-        state = EntrezState(markers={"ER": [str(i) for i in range(25)]}, keep_alive=True)
+        articles = {str(100 + i): (f"t{i}", f"body {i}") for i in range(25)}
+        state = EntrezState(articles=articles, keep_alive=True)
         with run_entrez(state) as url:
-            client = EntrezClient(base_url=url, page_size=10, requests_per_second=500.0, backoff_base=0.01)
-            assert len(client.search_pmids(build_query("ER"))) == 25
+            client = EntrezClient(base_url=url, batch_size=10, requests_per_second=500.0, backoff_base=0.01)
+            records, _ = client.fetch_abstracts(dict.fromkeys(articles, {"ER"}))
             client.close()
+        assert len(records) == 25
         assert len(state.requests) == 3
         assert state.connections == 1
 
