@@ -26,7 +26,7 @@ from .codec import decode, encode
 from .config import PipelineConfig, build_config
 from .domain import AbstractRecord, ClassificationLabel, NormalizedRecord, format_percent, round_percent
 from .errors import GatewayError, PipelineError, TableNotFoundError, ValidationError
-from .pubmed import MAX_CAP, CorpusStats, EntrezClient, build_query, dedup_merge
+from .pubmed import MAX_CAP, CorpusStats, EntrezClient, dedup_merge
 from .store import RunLock, RunStore, StageInfo, atomic_file, file_sha256, iter_jsonl
 from .tables import ProfileTable, extract_table, parse_markdown_table
 
@@ -253,7 +253,7 @@ def _write_json(path: Path, payload: dict[str, Any]) -> None:
 
 def cmd_fetch(config: PipelineConfig, store: RunStore, args: argparse.Namespace) -> int:
     markers_file = Path(config.markers_path)
-    lines = (line.strip() for line in markers_file.read_text(encoding="utf-8").splitlines())
+    lines = (line.strip() for line in markers_file.read_text(encoding="utf-8-sig").splitlines())
     markers = list(dict.fromkeys(m for m in lines if m and not m.startswith("#")))
     if not markers:
         raise PipelineError(f"markers file {markers_file} is empty")
@@ -270,7 +270,7 @@ def cmd_fetch(config: PipelineConfig, store: RunStore, args: argparse.Namespace)
     try:
         hits = []
         for marker in markers:
-            pmids = client.search_pmids(build_query(marker), cap=config.cap)
+            pmids = client.search_pmids(marker, cap=config.cap)
             logger.info("marker %s: %d PMIDs", marker, len(pmids))
             hits.append((marker, pmids))
         sources = dedup_merge(hits)
@@ -463,7 +463,7 @@ def cmd_compare(config: PipelineConfig, store: RunStore, args: argparse.Namespac
         )
     report = landscape_mod.summary_report(results)
     _write_json(store.run_dir / "landscape_report.json", report)
-    landscape_mod.write_comparison_csv(results, store.run_dir / "comparison_report.csv")
+    landscape_mod.write_comparison_csv(report, store.run_dir / "comparison_report.csv")
     print(f"compared {len(results)} markers: " + json.dumps(report["histogram"], sort_keys=True))
     return 0
 

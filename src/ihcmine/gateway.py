@@ -39,18 +39,18 @@ class ChatRequest:
 @dataclass(frozen=True)
 class EmbeddingVector:
     values: tuple[float, ...]
-    dim: int
 
     def __post_init__(self) -> None:
-        if self.dim != len(self.values):
-            raise ValidationError(f"dim {self.dim} != len(values) {len(self.values)}")
         if not all(map(math.isfinite, self.values)):
             raise ValidationError("embedding contains non-finite values")
 
+    @property
+    def dim(self) -> int:
+        return len(self.values)
+
     @classmethod
     def of(cls, values) -> "EmbeddingVector":
-        vals = tuple(map(float, values))
-        return cls(values=vals, dim=len(vals))
+        return cls(tuple(map(float, values)))
 
 
 @functools.cache

@@ -221,7 +221,6 @@ class ReferenceTable:
     """Lookup of curated reference entries keyed by (marker, tumour), case-insensitive."""
 
     def __init__(self, entries: Sequence[ReferenceEntry]):
-        self.entries = list(entries)
         self._by_key = {(_norm(e.marker), _norm(e.tumour)): e for e in entries}
 
     def lookup(self, marker: str, tumour: str) -> ReferenceEntry:
@@ -236,9 +235,9 @@ def _norm(text: str) -> str:
 
 
 def load_reference_csv(path: str | Path) -> ReferenceTable:
-    """Read marker,tumour,kind,low,high rows (empty bounds for qualitative/no_data)."""
+    """Read marker,tumour,kind,low,high rows (empty bounds for qualitative/no_data), no (marker, tumour) twice."""
     path = Path(path)
-    entries = []
+    rows: dict[tuple[str, str], tuple[int, ReferenceEntry]] = {}  # key -> (line, entry)
     with path.open(encoding="utf-8", newline="") as handle:
         reader = csv.DictReader(handle)
         required = {"marker", "tumour", "kind", "low", "high"}
@@ -257,11 +256,15 @@ def load_reference_csv(path: str | Path) -> ReferenceTable:
             except ValueError:
                 raise ReferenceFileError(f"{where}: low and high must be integers or empty") from None
             marker, tumour = row["marker"].strip(), row["tumour"].strip()
+            key = (_norm(marker), _norm(tumour))
+            if key in rows:
+                line, earlier = rows[key]
+                raise ReferenceFileError(f"{where}: repeats {earlier.marker}/{earlier.tumour} from line {line}")
             try:
-                entries.append(ReferenceEntry(marker=marker, tumour=tumour, kind=kind, low=low, high=high))
+                rows[key] = reader.line_num, ReferenceEntry(marker=marker, tumour=tumour, kind=kind, low=low, high=high)
             except ReferenceFileError as exc:
                 raise ReferenceFileError(f"{where}: {exc}") from None
-    return ReferenceTable(entries)
+    return ReferenceTable([entry for _, entry in rows.values()])
 
 
 def select_reference_tumour(
@@ -367,8 +370,8 @@ def summary_report(results: Sequence[ConcordanceResult]) -> dict[str, Any]:
     return {"histogram": histogram, "rows": rows}
 
 
-def write_comparison_csv(results: Sequence[ConcordanceResult], path: str | Path) -> None:
-    report = summary_report(results)
+def write_comparison_csv(report: dict[str, Any], path: str | Path) -> None:
+    """The rows of a ``summary_report`` as CSV."""
     with atomic_file(path) as handle:
         writer = csv.DictWriter(
             handle,

@@ -68,7 +68,6 @@ class Concept:
 
 @dataclass(frozen=True)
 class NormalizedEntity:
-    surface: str
     cui: str
     matched_name: str
     distance: float
@@ -112,9 +111,7 @@ class _Concepts(Sequence):
     def __len__(self) -> int:
         return self._n
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(self._n)[i]]
+    def __getitem__(self, i: int) -> Concept:
         i = range(self._n)[i]  # a list's rules: from the end when negative, IndexError out of range
         at, text = self._offsets, self._text
         return Concept(cui=text[at[i] : at[i + 1]], name=text[at[self._n + i] : at[self._n + i + 1]])
@@ -467,7 +464,7 @@ class TermNormalizer:
 
     def _remember(self, surface: str, hits: list[tuple[Concept, float]]) -> NormalizedEntity:
         concept, distance = hits[0]
-        entity = NormalizedEntity(surface=surface, cui=concept.cui, matched_name=concept.name, distance=distance)
+        entity = NormalizedEntity(cui=concept.cui, matched_name=concept.name, distance=distance)
         self._cache[surface] = entity
         return entity
 

@@ -32,23 +32,10 @@ RPS_WITHOUT_KEY = 3.0
 RPS_WITH_KEY = 10.0
 
 
-@dataclass(frozen=True)
-class MarkerQuery:
-    marker: str
-    query: str
-
-
 @dataclass
 class CorpusStats:
     per_marker_counts: dict[str, int] = field(default_factory=dict)
     total_unique: int = 0
-
-
-def build_query(marker: str) -> MarkerQuery:
-    """Deterministic search term: the marker name, a space, then immunohisto*."""
-    if not marker or marker != marker.strip():
-        raise ValidationError(f"marker must be non-empty with no surrounding whitespace, got {marker!r}")
-    return MarkerQuery(marker=marker, query=f"{marker} {QUERY_SUFFIX}")
 
 
 class RateLimiter:
@@ -126,40 +113,42 @@ class EntrezClient:
             raise IngestError(f"{endpoint} HTTP {status} ({context})")
         return body
 
-    def search_pmids(self, query: MarkerQuery, cap: int = MAX_CAP) -> list[str]:
-        """Unique PMIDs for a marker query, service order, capped: one esearch, as PubMed answers 10,000 hits at once."""
+    def search_pmids(self, marker: str, cap: int = MAX_CAP) -> list[str]:
+        """Unique PMIDs for ``<marker> immunohisto*``, service order, capped: one esearch, as PubMed answers 10,000 hits at once."""
+        if not marker or marker != marker.strip():
+            raise ValidationError(f"marker must be non-empty with no surrounding whitespace, got {marker!r}")
         if not 1 <= cap <= MAX_CAP:
             raise ValidationError(f"cap must be in [1, {MAX_CAP}], got {cap}")
-        context = f"marker={query.marker} retstart=0"
-        body = self._get("esearch.fcgi", {"db": "pubmed", "term": query.query, "retmax": cap, "retstart": 0}, context)
+        context = f"marker={marker} retstart=0"
+        term = f"{marker} {QUERY_SUFFIX}"
+        body = self._get("esearch.fcgi", {"db": "pubmed", "term": term, "retmax": cap, "retstart": 0}, context)
         root = _xml_root(body, "esearch", context)
         error = root.findtext("ERROR")
         if error is not None and root.find("IdList") is None:
             raise EntrezParseError(f"esearch error ({context}): {error}")
         count = root.findtext("Count")
-        if count and not (count.isascii() and count.isdigit()):
-            raise EntrezParseError(f"esearch Count {count!r} is not a number ({context})")
+        try:
+            hits = int(count) if count and count.isascii() and count.isdigit() else None
+        except ValueError:  # more digits than int() reads (sys.get_int_max_str_digits)
+            hits = None
+        if count and hits is None:
+            raise EntrezParseError(f"esearch Count {count!r:.40} is not a number ({context})")
         pmids = list(dict.fromkeys(node.text for node in root.findall(".//IdList/Id") if node.text))[:cap]
-        if count:
-            hits = int(count)
+        if hits is not None:
             if hits > cap:
-                logger.warning("marker %s hit the %d-abstract cap (%d hits reported)", query.marker, cap, hits)
+                logger.warning("marker %s hit the %d-abstract cap (%d hits reported)", marker, cap, hits)
             if len(pmids) < min(cap, hits):  # a short answer would silently shrink the corpus
-                logger.warning("marker %s: esearch answered %d PMIDs of %d hits", query.marker, len(pmids), hits)
+                logger.warning("marker %s: esearch answered %d PMIDs of %d hits", marker, len(pmids), hits)
         return pmids
 
-    def fetch_abstracts(
-        self,
-        sources: Mapping[str, set[str]],
-        retrieved_at: str | None = None,
-    ) -> tuple[list[AbstractRecord], list[str]]:
+    def fetch_abstracts(self, sources: Mapping[str, set[str]]) -> tuple[list[AbstractRecord], list[str]]:
         """Fetch each PMID of ``sources`` once, in batches, as a record carrying its source markers.
 
         PMIDs lacking an abstract go to the skip list.
         """
         if not sources:
             raise ValidationError("fetch_abstracts needs at least one PMID")
-        timestamp = retrieved_at or time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime())
+        timestamp = time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime())
         pmids = list(sources)
         records: list[AbstractRecord] = []
         skipped: list[str] = []

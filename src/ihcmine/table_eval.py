@@ -48,12 +48,6 @@ class TableScore:
     verdict: Verdict
 
 
-@dataclass(frozen=True)
-class CellContext:
-    gold_percent_derived: bool = False
-    pred_percent_derived: bool = False
-
-
 def _norm(text: str) -> str:
     return " ".join(text.lower().split())
 
@@ -147,21 +141,13 @@ def _percent_derived(cell: CellValue, percents: Sequence[float]) -> bool:
     return any(abs(count.positives - p * count.total / 100.0) < 1.0 for p in percents)
 
 
-def cell_match(gold_cell: CellValue, pred_cell: CellValue, context: CellContext) -> bool:
+def cell_match(gold_cell: CellValue, pred_cell: CellValue, percent_derived: bool) -> bool:
     """Missing matches Missing only; counts match exactly, or within one
     positive case when either side is percent-derived and totals agree."""
     if gold_cell.is_missing or pred_cell.is_missing:
         return gold_cell.is_missing and pred_cell.is_missing
     g, p = gold_cell.count, pred_cell.count
-    if g == p:
-        return True
-    if (
-        (context.gold_percent_derived or context.pred_percent_derived)
-        and g.total == p.total
-        and abs(g.positives - p.positives) <= 1
-    ):
-        return True
-    return False
+    return g == p or (percent_derived and g.total == p.total and abs(g.positives - p.positives) <= 1)
 
 
 def _matched_cells(
@@ -178,11 +164,8 @@ def _matched_cells(
         for gname, pname in column_pairs:
             gcell = gold.rows[gi].cells.get(gname, CellValue())
             pcell = pred.rows[pi].cells.get(pname, CellValue())
-            ctx = CellContext(
-                gold_percent_derived=gold_flags.get((gi, gname), False),
-                pred_percent_derived=pred_flags.get((pi, pname), False),
-            )
-            matched += cell_match(gcell, pcell, ctx)
+            derived = gold_flags.get((gi, gname), False) or pred_flags.get((pi, pname), False)
+            matched += cell_match(gcell, pcell, derived)
     return matched
 
 

@@ -35,7 +35,6 @@ _SITE_HEADER_RE = re.compile(r"tum(?:o|ou)r[\s_:-]*site", re.IGNORECASE)
 class MarkerColumn:
     """A marker column header split into base name and optional qualifier."""
 
-    raw_name: str
     base_marker: str
     qualifier: str | None = None
 
@@ -101,8 +100,8 @@ def split_marker_column(raw_name: str) -> MarkerColumn:
     m = _QUALIFIER_RE.match(stripped)
     if m and m.group(1).strip():
         qualifier = m.group(2).strip()
-        return MarkerColumn(raw_name, m.group(1).strip(), qualifier or None)
-    return MarkerColumn(raw_name, stripped, None)
+        return MarkerColumn(m.group(1).strip(), qualifier or None)
+    return MarkerColumn(stripped, None)
 
 
 def _split_pipe_row(line: str) -> list[str]:

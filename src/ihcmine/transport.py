@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import logging
+import math
 import random
 import threading
 import time
@@ -51,6 +52,8 @@ class HttpTransport:
             raise ValidationError(f"retries must be >= 1, got {retries}")
         if retries > MAX_RETRIES:
             raise ValidationError(f"retries must be <= {MAX_RETRIES}, got {retries}")
+        if not (math.isfinite(backoff_base) and backoff_base >= 0):  # else the backoff sleep is negative or NaN
+            raise ValidationError(f"backoff_base must be finite and >= 0, got {backoff_base}")
         if not 0 < timeout <= MAX_WAIT_S:  # a longer one overflows the socket's timeout
             raise ValidationError(f"timeout must be in (0, {MAX_WAIT_S:g}] seconds, got {timeout}")
         self.retries = retries

@@ -338,14 +338,14 @@ def test_c8_pipeline_determinism_and_resume(demo_env, tmp_path):
 
 def test_c9_ingest_contracts(tmp_path):
     from ihcmine.cli import main
-    from ihcmine.pubmed import EntrezClient, build_query
+    from ihcmine.pubmed import EntrezClient
     from mockservers import EntrezState, run_entrez
 
     # per-marker cap at 9,999 against 12,000 mock hits
     state = EntrezState(markers={"BIG": [str(7_000_000 + i) for i in range(12_000)]})
     with run_entrez(state) as url:
         client = EntrezClient(base_url=url, requests_per_second=500.0, backoff_base=0.01)
-        pmids = client.search_pmids(build_query("BIG"), cap=9999)
+        pmids = client.search_pmids("BIG", cap=9999)
     assert len(pmids) == len(set(pmids)) == 9999
 
     # cross-marker dedup with union provenance, each PMID efetched once

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from urllib.parse import parse_qs
 
 import pytest
 
@@ -72,6 +73,14 @@ class TestFetch:
         corpus = read_jsonl(run_dir / "corpus.jsonl")
         stats = json.loads((run_dir / "corpus_stats.json").read_text())
         assert stats["per_marker_counts"] == {m: sum(m in r["source_markers"] for r in corpus) for m in ("ER", "PR")}
+
+    def test_markers_file_with_a_byte_order_mark(self, demo_env, tmp_path):
+        demo_env.markers_file.write_text("ER\nPR\n", encoding="utf-8-sig")  # as some editors save it
+        run_dir = tmp_path / "run"
+        assert main(demo_env.fetch_args(run_dir)) == 0
+        terms = [parse_qs(q)["term"][0] for _, path, q in demo_env.entrez_state.requests if path.endswith("esearch.fcgi")]
+        assert terms == ["ER immunohisto*", "PR immunohisto*"]
+        assert list(json.loads((run_dir / "corpus_stats.json").read_text())["per_marker_counts"]) == ["ER", "PR"]
 
     def test_rerun_skips_done_stage(self, demo_env, tmp_path, capsys):
         run_dir = tmp_path / "run"
@@ -279,8 +288,14 @@ def normalized(pmid, tumour_cui="C0000010", flags=()):
 class TestCompare:
     @pytest.mark.parametrize(
         "row",
-        ["ER,melanoma,range,ten,90", "ER,melanoma,range", "ER,melanoma,range,90,10", "ER,melanoma,positive,5,"],
-        ids=["non-integer-bound", "short-row", "low-above-high", "bound-on-qualitative"],
+        [
+            "ER,melanoma,range,ten,90",
+            "ER,melanoma,range",
+            "ER,melanoma,range,90,10",
+            "ER,melanoma,positive,5,",
+            "pr,Breast  Carcinoma,negative,,",
+        ],
+        ids=["non-integer-bound", "short-row", "low-above-high", "bound-on-qualitative", "repeated-key"],
     )
     def test_malformed_reference_row_is_a_stage_failure(self, demo_env, tmp_path, capsys, row):
         run_dir = tmp_path / "run"

@@ -186,12 +186,11 @@ class TestEmbeddingVector:
             EmbeddingVector.of([0.0, value])
 
     def test_direct_construction_checks_dim_and_values(self):
-        with pytest.raises(ValidationError, match="dim 3 != len"):
-            EmbeddingVector(values=(0.0, 1.0), dim=3)
+        assert EmbeddingVector(values=(0.0, 1.0, 2.0)).dim == 3  # dim is read off the values
         with pytest.raises(ValidationError, match="non-finite"):
-            EmbeddingVector(values=(0.0, math.inf), dim=2)
+            EmbeddingVector(values=(0.0, math.inf))
         with pytest.raises(TypeError):
-            EmbeddingVector(values=(0.0, "1.0"), dim=2)
+            EmbeddingVector(values=(0.0, "1.0"))
 
 
 class TestPromptTemplates:

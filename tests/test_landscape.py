@@ -201,6 +201,24 @@ class TestSelectReferenceTumour:
         assert entry.kind is ReferenceKind.NO_DATA
 
 
+class TestLoadReferenceCsv:
+    def test_repeated_key_refused_with_both_lines(self, tmp_path):
+        path = tmp_path / "reference.csv"
+        path.write_text(
+            "marker,tumour,kind,low,high\nER,breast carcinoma,range,60,80\nPR,melanoma,negative,,\n"
+            "ER,Breast  Carcinoma,negative,,\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ReferenceFileError) as raised:
+            load_reference_csv(path)
+        assert str(raised.value) == f"{path}:4: repeats ER/breast carcinoma from line 2"
+
+    def test_lookup_is_case_and_space_insensitive(self, tmp_path):
+        path = tmp_path / "reference.csv"
+        path.write_text("marker,tumour,kind,low,high\nER,breast carcinoma,range,60,80\n", encoding="utf-8")
+        assert load_reference_csv(path).lookup("er", "Breast  Carcinoma").low == 60
+
+
 class TestCompare:
     def test_within_range(self):
         result = compare(checked_rate(3410, 4315), ReferenceEntry("TTF1", "lung", ReferenceKind.RANGE, 65, 93))

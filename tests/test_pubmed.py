@@ -18,7 +18,6 @@ from ihcmine.pubmed import (
     RPS_WITHOUT_KEY,
     EntrezClient,
     RateLimiter,
-    build_query,
     dedup_merge,
 )
 
@@ -28,22 +27,33 @@ FAST = dict(requests_per_second=500.0, backoff_base=0.01)
 
 
 class TestBuildQuery:
+    """The esearch term ``search_pmids`` sends: the marker name, a space, then immunohisto*."""
+
+    @staticmethod
+    def sent_terms(marker):
+        state = EntrezState(markers={marker: ["1"]})
+        with run_entrez(state) as url:
+            EntrezClient(base_url=url, **FAST).search_pmids(marker)
+        return [parse_qs(query)["term"][0] for _, path, query in state.requests if path.endswith("esearch.fcgi")]
+
     def test_simple_marker(self):
-        assert build_query("BCL2").query == "BCL2 immunohisto*"
+        assert self.sent_terms("BCL2") == ["BCL2 immunohisto*"]
 
     def test_another_marker(self):
-        assert build_query("HMB45").query == "HMB45 immunohisto*"
+        assert self.sent_terms("HMB45") == ["HMB45 immunohisto*"]
 
     def test_slash_kept_in_stored_query(self):
-        assert build_query("AE1/AE3").query == "AE1/AE3 immunohisto*"
+        assert self.sent_terms("AE1/AE3") == ["AE1/AE3 immunohisto*"]
 
-    def test_empty_marker_rejected(self):
-        with pytest.raises(ValidationError):
-            build_query("")
+    def test_empty_marker_rejected(self, monkeypatch):
+        monkeypatch.setattr(EntrezClient, "_get", lambda *a: pytest.fail("a request was sent"))
+        with pytest.raises(ValidationError, match="marker must be non-empty"):
+            EntrezClient(base_url="http://localhost:1", **FAST).search_pmids("")
 
-    def test_surrounding_whitespace_rejected(self):
-        with pytest.raises(ValidationError):
-            build_query(" ER ")
+    def test_surrounding_whitespace_rejected(self, monkeypatch):
+        monkeypatch.setattr(EntrezClient, "_get", lambda *a: pytest.fail("a request was sent"))
+        with pytest.raises(ValidationError, match="no surrounding whitespace, got ' ER '"):
+            EntrezClient(base_url="http://localhost:1", **FAST).search_pmids(" ER ")
 
 
 class TestSearchPmids:
@@ -51,13 +61,13 @@ class TestSearchPmids:
         state = EntrezState(markers={"ER": ["1", "2", "3"]})
         with run_entrez(state) as url:
             client = EntrezClient(base_url=url, **FAST)
-            assert client.search_pmids(build_query("ER")) == ["1", "2", "3"]
+            assert client.search_pmids("ER") == ["1", "2", "3"]
 
     def test_cap_enforced_at_9999(self):
         state = EntrezState(markers={"BIG": [str(7_000_000 + i) for i in range(12_000)]})
         with run_entrez(state) as url:
             client = EntrezClient(base_url=url, **FAST)
-            pmids = client.search_pmids(build_query("BIG"), cap=9999)
+            pmids = client.search_pmids("BIG", cap=9999)
         assert len(pmids) == 9999
         assert len(set(pmids)) == 9999
 
@@ -65,7 +75,7 @@ class TestSearchPmids:
         state = EntrezState(markers={"ER": [str(i) for i in range(25)]})
         with run_entrez(state) as url:
             client = EntrezClient(base_url=url, **FAST)
-            pmids = client.search_pmids(build_query("ER"), cap=9999)
+            pmids = client.search_pmids("ER", cap=9999)
         assert pmids == [str(i) for i in range(25)]
         searches = [q for _, path, q in state.requests if path.endswith("esearch.fcgi")]
         assert searches == ["db=pubmed&term=ER+immunohisto%2A&retmax=9999&retstart=0"]
@@ -75,7 +85,7 @@ class TestSearchPmids:
         state = EntrezState(markers={"ER": ["1", "2", "3", "3", "4"]})
         with run_entrez(state) as url:
             client = EntrezClient(base_url=url, **FAST)
-            pmids = client.search_pmids(build_query("ER"), cap=9999)
+            pmids = client.search_pmids("ER", cap=9999)
         assert pmids == ["1", "2", "3", "4"]
         assert "marker ER: esearch answered 4 PMIDs of 5 hits" in caplog.text
 
@@ -83,7 +93,7 @@ class TestSearchPmids:
         body = "<eSearchResult><Count>40</Count><IdList><Id>1</Id><Id>2</Id></IdList></eSearchResult>"
         client = EntrezClient(base_url="http://localhost:1", **FAST)
         monkeypatch.setattr(client, "_get", lambda *a, **k: body.encode("utf-8"))
-        assert client.search_pmids(build_query("ER"), cap=30) == ["1", "2"]
+        assert client.search_pmids("ER", cap=30) == ["1", "2"]
         assert "marker ER: esearch answered 2 PMIDs of 40 hits" in caplog.text
         assert "marker ER hit the 30-abstract cap (40 hits reported)" in caplog.text
 
@@ -91,7 +101,7 @@ class TestSearchPmids:
         state = EntrezState(markers={"AE1/AE3": ["5"]})
         with run_entrez(state) as url:
             client = EntrezClient(base_url=url, **FAST)
-            pmids = client.search_pmids(build_query("AE1/AE3"))
+            pmids = client.search_pmids("AE1/AE3")
         assert pmids == ["5"]
         raw_query = next(q for _, path, q in state.requests if path.endswith("esearch.fcgi"))
         assert "AE1%2FAE3" in raw_query  # encoded on the wire
@@ -101,14 +111,14 @@ class TestSearchPmids:
         state = EntrezState(markers={"ER": ["1"]}, fail_next=2)
         with run_entrez(state) as url:
             client = EntrezClient(base_url=url, retries=3, **FAST)
-            assert client.search_pmids(build_query("ER")) == ["1"]
+            assert client.search_pmids("ER") == ["1"]
 
     def test_ingest_error_after_retries(self):
         state = EntrezState(markers={"ER": ["1"]}, fail_next=10)
         with run_entrez(state) as url:
             client = EntrezClient(base_url=url, retries=3, **FAST)
             with pytest.raises(IngestError, match="marker=ER"):
-                client.search_pmids(build_query("ER"))
+                client.search_pmids("ER")
 
     def test_api_key_never_logged_or_raised(self, caplog):
         with socket.socket() as sock:  # a port nothing listens on: bound, then released
@@ -116,7 +126,7 @@ class TestSearchPmids:
             port = sock.getsockname()[1]
         client = EntrezClient(base_url=f"http://127.0.0.1:{port}", api_key="SECRETKEY123", retries=2, backoff_base=0.01)
         with pytest.raises(IngestError) as raised:
-            client.search_pmids(build_query("ER"))
+            client.search_pmids("ER")
         assert sum(r.levelname == "WARNING" for r in caplog.records) == 2
         assert "SECRETKEY123" not in caplog.text + str(raised.value)
         assert "failed after 2 attempts (marker=ER retstart=0): ConnectionRefusedError" in str(raised.value)
@@ -124,9 +134,9 @@ class TestSearchPmids:
     def test_cap_bounds_validated(self):
         client = EntrezClient(base_url="http://localhost:1", requests_per_second=100.0)
         with pytest.raises(ValidationError):
-            client.search_pmids(build_query("ER"), cap=0)
+            client.search_pmids("ER", cap=0)
         with pytest.raises(ValidationError):
-            client.search_pmids(build_query("ER"), cap=10_000)
+            client.search_pmids("ER", cap=10_000)
 
     @pytest.mark.parametrize(
         "body, message",
@@ -135,16 +145,18 @@ class TestSearchPmids:
              "esearch Count '12x' is not a number (marker=ER retstart=0)"),
             ("<eSearchResult><Count>\u0661\u0662</Count><IdList><Id>1</Id></IdList></eSearchResult>",
              "esearch Count '\u0661\u0662' is not a number (marker=ER retstart=0)"),
+            (f"<eSearchResult><Count>{'1' * 5000}</Count><IdList><Id>1</Id></IdList></eSearchResult>",
+             f"esearch Count '{'1' * 39} is not a number (marker=ER retstart=0)"),
             ("<eSearchResult><ERROR>Invalid query syntax</ERROR></eSearchResult>",
              "esearch error (marker=ER retstart=0): Invalid query syntax"),
         ],
-        ids=["count-not-digits", "count-not-ascii", "error-element"],
+        ids=["count-not-digits", "count-not-ascii", "count-past-int-digit-limit", "error-element"],
     )
     def test_malformed_search_answer_raises_parse_error(self, monkeypatch, body, message):
         client = EntrezClient(base_url="http://localhost:1", **FAST)
         monkeypatch.setattr(client, "_get", lambda *a, **k: body.encode("utf-8"))
         with pytest.raises(EntrezParseError) as raised:
-            client.search_pmids(build_query("ER"))
+            client.search_pmids("ER")
         assert str(raised.value) == message
 
 
@@ -347,7 +359,7 @@ class TestThrottle:
         state = EntrezState(markers={"ER": ["1"]}, fail_next=2)
         with run_entrez(state) as url:
             client = EntrezClient(base_url=url, requests_per_second=2.0, retries=3, backoff_base=0.0)
-            assert client.search_pmids(build_query("ER")) == ["1"]
+            assert client.search_pmids("ER") == ["1"]
         assert len(state.requests) == 3  # one search, three attempts
         assert clock.sleeps == [1.0]  # the third attempt waited for the first to leave the window
 

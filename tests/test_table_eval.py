@@ -9,7 +9,6 @@ import pytest
 from ihcmine.domain import MISSING, CellValue, PositivityCount
 from ihcmine.errors import ValidationError
 from ihcmine.table_eval import (
-    CellContext,
     Verdict,
     align_rows,
     cell_match,
@@ -75,23 +74,23 @@ class TestAlignRows:
 class TestCellMatch:
     def test_equal_counts(self):
         cell = CellValue(PositivityCount(17, 155))
-        assert cell_match(cell, cell, CellContext())
+        assert cell_match(cell, cell, False)
 
     def test_percent_derived_tolerance(self):
         gold_cell = CellValue(PositivityCount(129, 155))
         pred_cell = CellValue(PositivityCount(128, 155))
-        assert not cell_match(gold_cell, pred_cell, CellContext())
-        assert cell_match(gold_cell, pred_cell, CellContext(gold_percent_derived=True))
+        assert not cell_match(gold_cell, pred_cell, False)
+        assert cell_match(gold_cell, pred_cell, True)
 
     def test_tolerance_requires_equal_totals(self):
         gold_cell = CellValue(PositivityCount(129, 155))
         pred_cell = CellValue(PositivityCount(128, 154))
-        assert not cell_match(gold_cell, pred_cell, CellContext(gold_percent_derived=True))
+        assert not cell_match(gold_cell, pred_cell, True)
 
     def test_missing_matches_missing_only(self):
-        assert cell_match(MISSING, MISSING, CellContext())
-        assert not cell_match(CellValue(PositivityCount(0, 13)), MISSING, CellContext())
-        assert not cell_match(MISSING, CellValue(PositivityCount(0, 13)), CellContext())
+        assert cell_match(MISSING, MISSING, False)
+        assert not cell_match(CellValue(PositivityCount(0, 13)), MISSING, False)
+        assert not cell_match(MISSING, CellValue(PositivityCount(0, 13)), False)
 
 
 class TestScore:

@@ -11,7 +11,7 @@ import pytest
 
 from ihcmine.errors import ValidationError
 from ihcmine.gateway import ChatRequest, LlmGateway
-from ihcmine.pubmed import EntrezClient, RateLimiter, build_query
+from ihcmine.pubmed import EntrezClient, RateLimiter
 from ihcmine.transport import (
     MAX_HEADERS,
     MAX_LINE,
@@ -92,7 +92,7 @@ class TestRetryAfter:
         with run_entrez(state) as url:
             client = EntrezClient(base_url=url, requests_per_second=500.0, backoff_base=0.01, timeout=0.3)
             start = time.monotonic()
-            assert client.search_pmids(build_query("ER")) == ["1"]
+            assert client.search_pmids("ER") == ["1"]
             elapsed = time.monotonic() - start
         assert len(state.requests) == 2
         assert 0.3 <= elapsed < 1.5
@@ -133,6 +133,12 @@ def test_retries_below_one_rejected():
 def test_retries_above_the_bound_rejected():
     with pytest.raises(ValidationError, match=f"retries must be <= {MAX_RETRIES}"):
         HttpTransport(retries=MAX_RETRIES + 1, backoff_base=1.0, timeout=1.0)
+
+
+@pytest.mark.parametrize("backoff", [-1.0, -1e-300, float("nan"), float("inf"), float("-inf")])
+def test_negative_or_non_finite_backoff_rejected(backoff):
+    with pytest.raises(ValidationError, match="backoff_base must be finite and >= 0"):
+        HttpTransport(retries=3, backoff_base=backoff, timeout=1.0)
 
 
 @pytest.mark.parametrize("backoff", [0.0, 1.0, 1e300])
@@ -195,7 +201,7 @@ def test_no_proxy_bypasses_the_proxy(proxy, monkeypatch):
         monkeypatch.setenv("NO_PROXY", "127.0.0.1")
         monkeypatch.setenv("no_proxy", "127.0.0.1")
         client = EntrezClient(base_url=url, requests_per_second=500.0, backoff_base=0.01, retries=1)
-        assert client.search_pmids(build_query("ER")) == ["1"]
+        assert client.search_pmids("ER") == ["1"]
     assert proxy == []
 
 
