@@ -102,10 +102,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("compare", help="compare aggregated rates against the curated reference")
     _add_common(p)
     p.add_argument("--reference", dest="reference_path", help="reference CSV (marker,tumour,kind,low,high)")
-    p.add_argument("--top-k", dest="top_k_tumours", type=int)
-    p.add_argument("--positive-min", dest="positive_concordant_min", type=int)
-    p.add_argument("--negative-max", dest="negative_concordant_max", type=int)
-    p.add_argument("--near-band", dest="near_band_points", type=int)
 
     p = sub.add_parser("report", help="write marker totals and comparison report files")
     _add_common(p)
@@ -120,8 +116,6 @@ def build_parser() -> _Parser:
     p.add_argument("--gold", required=True, help="gold tables JSONL")
     p.add_argument("--pred", help="predicted tables JSONL (default: run's tables_parsed.jsonl)")
     p.add_argument("--abstracts", help="corpus JSONL for percent-tolerance context (default: run's corpus.jsonl)")
-    p.add_argument("--wrong-f1", dest="wrong_f1_threshold", type=float)
-    p.add_argument("--row-sim", dest="row_similarity_threshold", type=float)
 
     return parser
 
@@ -448,19 +442,11 @@ def cmd_compare(config: PipelineConfig, store: RunStore, args: argparse.Namespac
         markers.setdefault(agg.marker_cui, agg.marker_name)
     results = []
     for marker_cui in sorted(markers, key=lambda cui: markers[cui]):
-        top = landscape_mod.top_tumours(marker_cui, aggregates, k=config.top_k_tumours)
+        top = landscape_mod.top_tumours(marker_cui, aggregates)
         if not top:
             continue
         chosen, entry = landscape_mod.select_reference_tumour(top, references)
-        results.append(
-            landscape_mod.compare(
-                chosen.rate,
-                entry,
-                positive_min=config.positive_concordant_min,
-                negative_max=config.negative_concordant_max,
-                near_band=config.near_band_points,
-            )
-        )
+        results.append(landscape_mod.compare(chosen.rate, entry))
     report = landscape_mod.summary_report(results)
     _write_json(store.run_dir / "landscape_report.json", report)
     landscape_mod.write_comparison_csv(report, store.run_dir / "comparison_report.csv")
@@ -555,8 +541,6 @@ def cmd_eval_classify(config: PipelineConfig, store: RunStore, args: argparse.Na
 
 
 def cmd_eval_tables(config: PipelineConfig, store: RunStore, args: argparse.Namespace) -> int:
-    from fractions import Fraction
-
     from . import table_eval
 
     tables = functools.partial(decode, ProfileTable)
@@ -567,12 +551,7 @@ def cmd_eval_tables(config: PipelineConfig, store: RunStore, args: argparse.Name
     texts = {pmid: record.abstract_text for pmid, record in abstracts.items()}
 
     pairs = [(golds[p], preds[p]) for p in sorted(golds)]
-    summary = table_eval.evaluate_set(
-        pairs,
-        source_texts=texts,
-        wrong_threshold=Fraction(config.wrong_f1_threshold).limit_denominator(10**6),
-        row_threshold=config.row_similarity_threshold,
-    )
+    summary = table_eval.evaluate_set(pairs, source_texts=texts)
     _write_json(store.run_dir / "eval_report.json", summary.to_dict())
     print(
         f"pairs={summary.count} " + " ".join(f"{k}={summary.percents[k]}%" for k in summary.percents)

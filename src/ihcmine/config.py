@@ -50,13 +50,6 @@ class PipelineConfig:
     backoff_base: float = 1.0
     timeout: float = 60.0
 
-    wrong_f1_threshold: float = 0.25
-    row_similarity_threshold: float = 0.8
-    positive_concordant_min: int = 50
-    negative_concordant_max: int = 20
-    near_band_points: int = 5
-    top_k_tumours: int = 5
-
     dictionary_path: str | None = None
     reference_path: str = "data/reference.csv"
     max_distance: float | None = None
@@ -65,20 +58,8 @@ class PipelineConfig:
     def validate(self) -> None:
         if not 1 <= self.cap <= MAX_CAP:
             raise ConfigError(f"cap must be in [1, {MAX_CAP}], got {self.cap}")
-        if not 0.0 <= self.wrong_f1_threshold <= 1.0:
-            raise ConfigError(f"wrong_f1_threshold must be in [0, 1], got {self.wrong_f1_threshold}")
-        if not 0.0 <= self.row_similarity_threshold <= 1.0:
-            raise ConfigError(
-                f"row_similarity_threshold must be in [0, 1], got {self.row_similarity_threshold}"
-            )
-        for name in ("positive_concordant_min", "negative_concordant_max", "near_band_points"):
-            value = getattr(self, name)
-            if not 0 <= value <= 100:
-                raise ConfigError(f"{name} must be in [0, 100], got {value}")
         if self.llm_concurrency < 1:
             raise ConfigError(f"llm_concurrency must be >= 1, got {self.llm_concurrency}")
-        if self.top_k_tumours < 1:
-            raise ConfigError(f"top_k_tumours must be >= 1, got {self.top_k_tumours}")
         for name in ("requests_per_second", "backoff_base", "timeout", "max_distance"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):

@@ -115,8 +115,8 @@ class AbstractRecord:
     retrieved_at: str = ""
 
     def __post_init__(self) -> None:
-        if not self.pmid or not self.pmid.isdigit():
-            raise ValidationError(f"pmid must be a non-empty digit string, got {self.pmid!r}")
+        if not (self.pmid.isascii() and self.pmid.isdigit()):
+            raise ValidationError(f"pmid must be a non-empty string of ASCII digits, got {self.pmid!r}")
         if not self.source_markers:
             raise ValidationError(f"record {self.pmid}: source_markers must be non-empty")
 

@@ -178,7 +178,7 @@ class LlmGateway:
             vectors = [EmbeddingVector.of(item["embedding"]) for item in items]
         except (KeyError, TypeError, ValueError, OverflowError, ValidationError) as exc:  # what float() or the vector refuse
             raise GatewayProtocolError(f"unexpected embeddings response ({exc}): {data!r:.200}") from exc
-        if indices != list(range(len(texts))):
+        if any(type(i) is not int for i in indices) or indices != list(range(len(texts))):  # not True, not 1.0
             raise GatewayProtocolError(f"asked for {len(texts)} embeddings, got indices {indices!r:.200}")
         dims = {v.dim for v in vectors}
         if len(dims) > 1:

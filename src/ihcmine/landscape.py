@@ -2,8 +2,8 @@
 
 Qualitative concordance bands (positive concordant at >= 50%, negative at
 < 20%, indeterminate between) and the 5-point near/notable split for
-out-of-range rates are pipeline conventions, surfaced as flags; observed
-rates are rounded to integer percent (half-up) before any comparison.
+out-of-range rates are pipeline conventions, kept in the constants below;
+observed rates are rounded to integer percent (half-up) before any comparison.
 """
 
 from __future__ import annotations
@@ -73,6 +73,8 @@ class ReferenceEntry:
                 )
             if self.low > self.high:
                 raise ReferenceFileError(f"{self.marker}/{self.tumour}: low {self.low} > high {self.high}")
+            if self.low < 0 or self.high > 100:
+                raise ReferenceFileError(f"{self.marker}/{self.tumour}: bounds {self.low}-{self.high} outside 0-100")
             if self.kind is ReferenceKind.POINT and self.low != self.high:
                 raise ReferenceFileError(f"{self.marker}/{self.tumour}: point entry with low != high")
         elif self.low is not None or self.high is not None:
@@ -289,18 +291,12 @@ def select_reference_tumour(
     return looked_up[0]
 
 
-def compare(
-    observed: RateStat,
-    reference: ReferenceEntry,
-    positive_min: int = POSITIVE_CONCORDANT_MIN,
-    negative_max: int = NEGATIVE_CONCORDANT_MAX,
-    near_band: int = NEAR_BAND_POINTS,
-) -> ConcordanceResult:
+def compare(observed: RateStat, reference: ReferenceEntry) -> ConcordanceResult:
     """Classify an observed rate against one reference entry.
 
     The observed rate is rounded to an integer percent first. Range/point
     references are within-range inclusive of the bounds; misses within
-    near_band points of the closest bound are near, the rest notable.
+    NEAR_BAND_POINTS of the closest bound are near, the rest notable.
     """
     if reference.kind is ReferenceKind.NO_DATA:
         return ConcordanceResult(
@@ -322,20 +318,20 @@ def compare(
             distance = reference.low - r if r < reference.low else r - reference.high
             category = (
                 ConcordanceCategory.OUT_OF_RANGE_NEAR
-                if distance <= near_band
+                if distance <= NEAR_BAND_POINTS
                 else ConcordanceCategory.OUT_OF_RANGE_NOTABLE
             )
     elif reference.kind is ReferenceKind.POSITIVE:
-        if r >= positive_min:
+        if r >= POSITIVE_CONCORDANT_MIN:
             category = ConcordanceCategory.QUALITATIVE_CONCORDANT
-        elif r >= negative_max:
+        elif r >= NEGATIVE_CONCORDANT_MAX:
             category = ConcordanceCategory.QUALITATIVE_INDETERMINATE
         else:
             category = ConcordanceCategory.QUALITATIVE_DISCORDANT
     else:  # NEGATIVE
         category = (
             ConcordanceCategory.QUALITATIVE_CONCORDANT
-            if r < negative_max
+            if r < NEGATIVE_CONCORDANT_MAX
             else ConcordanceCategory.QUALITATIVE_DISCORDANT
         )
     return ConcordanceResult(

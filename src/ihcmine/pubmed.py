@@ -133,7 +133,11 @@ class EntrezClient:
             hits = None
         if count and hits is None:
             raise EntrezParseError(f"esearch Count {count!r:.40} is not a number ({context})")
-        pmids = list(dict.fromkeys(node.text for node in root.findall(".//IdList/Id") if node.text))[:cap]
+        ids = [node.text for node in root.findall(".//IdList/Id") if node.text]
+        for pmid in ids:
+            if not (pmid.isascii() and pmid.isdigit()):
+                raise EntrezParseError(f"esearch Id {pmid!r:.40} is not a PMID ({context})")
+        pmids = list(dict.fromkeys(ids))[:cap]
         if hits is not None:
             if hits > cap:
                 logger.warning("marker %s hit the %d-abstract cap (%d hits reported)", marker, cap, hits)
@@ -197,7 +201,7 @@ def _xml_root(body: str, what: str, context: str):
 
     try:
         return ET.fromstring(body)
-    except ET.ParseError as exc:
+    except (ET.ParseError, LookupError, ValueError) as exc:  # the last two: an encoding expat cannot read
         raise EntrezParseError(f"{what} response not well-formed ({context})") from exc
 
 

@@ -2,9 +2,8 @@
 
 The verdict is an automatic proxy for a three-level human judgment and is
 labelled as such in reports: Correct means every gold cell matched with no
-spurious cells; Wrong means cell-F1 below a threshold (default 0.25, kept
-in one constant and surfaced as a flag); everything between is
-PartiallyCorrect.
+spurious cells; Wrong means cell-F1 below WRONG_F1_THRESHOLD (0.25);
+everything between is PartiallyCorrect.
 
 Counts that were derived from a percentage in the source abstract get a
 +/-1 tolerance on the positives (same total), mirroring how a human reader
@@ -85,16 +84,12 @@ def _row_string(table: ProfileTable, idx: int) -> str:
     return f"{row.tumour_type} {site}".strip()
 
 
-def align_rows(
-    gold: ProfileTable,
-    pred: ProfileTable,
-    threshold: float = ROW_SIMILARITY_THRESHOLD,
-) -> list[tuple[int, int]]:
+def align_rows(gold: ProfileTable, pred: ProfileTable) -> list[tuple[int, int]]:
     """One-to-one partial matching of gold rows to pred rows.
 
     Pass 1 pairs rows whose normalized (tumour_type, tumour_site) are
     equal; pass 2 pairs leftovers greedily by descending similarity, at or
-    above the threshold. Unmatched rows stay unpaired.
+    above ROW_SIMILARITY_THRESHOLD. Unmatched rows stay unpaired.
     """
     pairs: list[tuple[int, int]] = []
     free_gold = list(range(len(gold.rows)))
@@ -121,7 +116,7 @@ def align_rows(
         ),
     )
     for neg_sim, gi, pi in candidates:
-        if -neg_sim < threshold:
+        if -neg_sim < ROW_SIMILARITY_THRESHOLD:
             break
         if gi in free_gold and pi in free_pred:
             pairs.append((gi, pi))
@@ -230,13 +225,7 @@ def _percent_flags(table: ProfileTable, percents: Sequence[float]) -> dict[tuple
     return flags
 
 
-def score(
-    gold: ProfileTable,
-    pred: ProfileTable,
-    source_text: str | None = None,
-    wrong_threshold: Fraction = WRONG_F1_THRESHOLD,
-    row_threshold: float = ROW_SIMILARITY_THRESHOLD,
-) -> TableScore:
+def score(gold: ProfileTable, pred: ProfileTable, source_text: str | None = None) -> TableScore:
     """Cell-level score of one predicted table against its gold table.
 
     When the source abstract is supplied, counts that a percentage in it
@@ -247,7 +236,7 @@ def score(
     gold_flags = _percent_flags(gold, percents)
     pred_flags = _percent_flags(pred, percents)
 
-    row_pairs = align_rows(gold, pred, threshold=row_threshold)
+    row_pairs = align_rows(gold, pred)
     column_pairs = _pair_columns(gold, pred, row_pairs, gold_flags, pred_flags)
 
     matched = _matched_cells(gold, pred, row_pairs, column_pairs, gold_flags, pred_flags)
@@ -260,7 +249,7 @@ def score(
 
     if exact:
         verdict = Verdict.CORRECT
-    elif f1 < wrong_threshold:
+    elif f1 < WRONG_F1_THRESHOLD:
         verdict = Verdict.WRONG
     else:
         verdict = Verdict.PARTIALLY_CORRECT
@@ -309,8 +298,6 @@ class EvalSummary:
 def evaluate_set(
     pairs: Sequence[tuple[ProfileTable, ProfileTable]],
     source_texts: dict[str, str] | None = None,
-    wrong_threshold: Fraction = WRONG_F1_THRESHOLD,
-    row_threshold: float = ROW_SIMILARITY_THRESHOLD,
 ) -> EvalSummary:
     """Verdict histogram (percentages at one decimal) and mean F1 over pairs."""
     from .domain import format_percent
@@ -324,7 +311,7 @@ def evaluate_set(
         if gold.pmid != pred.pmid:
             raise ValidationError(f"pmid mismatch in pair: {gold.pmid!r} vs {pred.pmid!r}")
         text = (source_texts or {}).get(gold.pmid)
-        result = score(gold, pred, source_text=text, wrong_threshold=wrong_threshold, row_threshold=row_threshold)
+        result = score(gold, pred, source_text=text)
         histogram[result.verdict.value] += 1
         total_f1 += result.f1
         scores.append((gold.pmid, result))

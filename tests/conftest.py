@@ -1,8 +1,10 @@
 import contextlib
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from mockservers import (
     EntrezState,
@@ -13,6 +15,11 @@ from mockservers import (
     write_demo_dictionary,
     write_demo_reference,
 )
+
+# HYPOTHESIS_PROFILE=ci runs every property test without its own example count on ten
+# times the default; print_blob lets a CI failure be replayed locally.
+settings.register_profile("ci", max_examples=1000, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(autouse=True)

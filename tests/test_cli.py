@@ -294,8 +294,18 @@ class TestCompare:
             "ER,melanoma,range,90,10",
             "ER,melanoma,positive,5,",
             "pr,Breast  Carcinoma,negative,,",
+            "ER,melanoma,range,-5,200",
+            "ER,melanoma,point,101,101",
         ],
-        ids=["non-integer-bound", "short-row", "low-above-high", "bound-on-qualitative", "repeated-key"],
+        ids=[
+            "non-integer-bound",
+            "short-row",
+            "low-above-high",
+            "bound-on-qualitative",
+            "repeated-key",
+            "range-outside-percent",  # loaded, displayed as -5-200 and scored WithinRange
+            "point-outside-percent",
+        ],
     )
     def test_malformed_reference_row_is_a_stage_failure(self, demo_env, tmp_path, capsys, row):
         run_dir = tmp_path / "run"
@@ -432,12 +442,6 @@ def test_every_command_recovers_the_run_once_after_taking_its_lock(tmp_path, mon
 
 class TestProvenance:
     """Each stage records the inputs it was built from; the gate reuses, re-runs or refuses."""
-
-    def test_compare_thresholds_need_no_new_run(self, demo_env, tmp_path):
-        run_dir = tmp_path / "run"
-        finish_run(demo_env, run_dir)
-        assert main([*demo_env.compare_args(run_dir), "--top-k", "3"]) == 0
-        assert main([*demo_env.compare_args(run_dir), "--near-band", "10"]) == 0
 
     def test_aggregate_reruns_when_its_setting_changes(self, demo_env, tmp_path, capsys):
         run_dir = tmp_path / "run"
@@ -652,8 +656,6 @@ class TestConfigFile:
     def test_validation_bounds(self):
         with pytest.raises(ConfigError):
             build_config(flag_values={"cap": 10_000}, env={})
-        with pytest.raises(ConfigError):
-            build_config(flag_values={"wrong_f1_threshold": 1.5}, env={})
 
     @pytest.mark.parametrize(
         "flag, value, field",
@@ -680,6 +682,29 @@ class TestConfigFile:
         # one esearch per marker answers every cap; PubMed returns up to 10,000 hits at once
         assert main(["fetch", "--run-dir", str(tmp_path / "run"), "--page-size", "40"]) == 1
         assert "unrecognized arguments: --page-size 40" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
+        "command, flag, key",
+        [
+            ("eval-tables", "--wrong-f1", "wrong_f1_threshold"),
+            ("eval-tables", "--row-sim", "row_similarity_threshold"),
+            ("compare", "--positive-min", "positive_concordant_min"),
+            ("compare", "--negative-max", "negative_concordant_max"),
+            ("compare", "--near-band", "near_band_points"),
+            ("compare", "--top-k", "top_k_tumours"),
+        ],
+    )
+    def test_analysis_thresholds_are_not_settings(self, tmp_path, capsys, command, flag, key):
+        # the concordance bands and the table verdict are constants in landscape and table_eval
+        run_dir = str(tmp_path / "run")
+        gold = ["--gold", "g.jsonl"] if command == "eval-tables" else []
+        assert main([command, "--run-dir", run_dir, *gold, flag, "1"]) == 1
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+        config_file = tmp_path / "pipeline.conf"
+        config_file.write_text(f"{key} = 1\n", encoding="utf-8")
+        assert main(["compare", "--run-dir", run_dir, "--config", str(config_file)]) == 2
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("key", ["abc\ndef", "abc\r\nX-Injected: 1", "abc\0def"])

@@ -129,6 +129,10 @@ class TestSerialization:
         with pytest.raises(ValidationError):
             AbstractRecord(pmid="abc", title="", abstract_text="x", source_markers={"ER"})
 
+    def test_pmid_must_be_ascii_digits(self):
+        with pytest.raises(ValidationError):  # Arabic-Indic digits, which str.isdigit() accepts
+            AbstractRecord(pmid="\u0661\u0662", title="", abstract_text="x", source_markers={"ER"})
+
     def test_source_markers_must_be_non_empty(self):
         with pytest.raises(ValidationError):
             AbstractRecord(pmid="123", title="", abstract_text="x", source_markers=set())

@@ -6,6 +6,8 @@ import math
 import shutil
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ihcmine import gateway
 from ihcmine.classify import iter_classified
@@ -159,14 +161,76 @@ class TestEmbed:
         ("embed", {"data": [{"index": 0, "embedding": [math.nan, 1.0]}, {"index": 1, "embedding": [0.0, 1.0]}]}),
         ("embed", {"data": [{"index": 0, "embedding": [10**400, 1.0]}, {"index": 1, "embedding": [0.0, 1.0]}]}),
         ("embed", {"data": [{"index": 1, "embedding": [1.0, 1.0]}, {"index": 1, "embedding": [0.0, 1.0]}]}),
+        ("embed", {"data": [{"index": True, "embedding": [1.0, 1.0]}, {"index": False, "embedding": [0.0, 1.0]}]}),
+        ("embed", {"data": [{"index": 0.0, "embedding": [1.0, 1.0]}, {"index": 1.0, "embedding": [0.0, 1.0]}]}),
+        ("embed", {"data": [{"index": 0, "embedding": [1.0, 1.0]}, {"index": True, "embedding": [0.0, 1.0]}]}),
     ],
-    ids=["chat-number", "chat-list", "embed-string", "embed-nan", "embed-huge-integer", "embed-repeated-index"],
+    ids=[
+        "chat-number",
+        "chat-list",
+        "embed-string",
+        "embed-nan",
+        "embed-huge-integer",
+        "embed-repeated-index",
+        "embed-boolean-indices",  # [False, True] == [0, 1] accepted them, reordered
+        "embed-float-indices",
+        "embed-one-boolean-index",
+    ],
 )
 def test_answer_of_the_wrong_shape_is_a_protocol_error(monkeypatch, call, answer):
     gateway = LlmGateway("http://127.0.0.1:9", model_id="m")
     monkeypatch.setattr(gateway, "_post", lambda url, body: answer)
     with pytest.raises(GatewayProtocolError):
         gateway.chat(chat_request()) if call == "chat" else gateway.embed(["a", "b"])
+
+
+# Any value json.loads can return (NaN and the infinities included), with keys that often
+# name the real answer's fields, plus answers of the real shape with odd leaves.
+_keys = st.sampled_from(["choices", "message", "content", "data", "index", "embedding"]) | st.text(max_size=3)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_keys, inner, max_size=3),
+    max_leaves=12,
+)
+chat_answers = st.fixed_dictionaries(
+    {"choices": st.lists(st.fixed_dictionaries({"message": st.fixed_dictionaries({"content": json_values})}), max_size=2)}
+)
+
+
+@st.composite
+def embedding_answers(draw):
+    """A valid answer for two texts, in any order, with at most one kind of part replaced."""
+    vectors = st.lists(st.floats(-1e6, 1e6) | st.integers(-9, 9), min_size=2, max_size=2)
+    items = draw(st.permutations([{"index": i, "embedding": draw(vectors)} for i in range(2)]))
+    odd_index = st.sampled_from([0, 1, -1, 2, False, True, 0.0, 1.0]) | json_values
+    change = draw(st.sampled_from(["none", "index", "indices", "embedding", "length"]))
+    if change == "index":
+        draw(st.sampled_from(items))["index"] = draw(odd_index)
+    elif change == "indices":
+        items[0]["index"], items[1]["index"] = draw(odd_index), draw(odd_index)
+    elif change == "embedding":
+        draw(st.sampled_from(items))["embedding"] = draw(json_values)
+    elif change == "length":
+        items = draw(st.sampled_from([[], items[:1], items + items[:1]]))
+    return {"data": items}
+
+
+@settings(deadline=None)
+@given(answer=json_values | chat_answers | embedding_answers(), call=st.sampled_from(["chat", "embed"]))
+def test_any_json_answer_is_a_result_or_a_gateway_error(answer, call):
+    llm = LlmGateway("http://127.0.0.1:9", model_id="m")
+    llm._post = lambda url, body: answer  # nothing is sent
+    try:
+        result = llm.chat(chat_request()) if call == "chat" else llm.embed(["a", "b"])
+    except GatewayError:  # GatewayProtocolError and EmptyOutputError among them; nothing else may escape
+        return
+    if call == "chat":
+        assert result == answer["choices"][0]["message"]["content"].rstrip() and result
+    else:
+        by_index = {item["index"]: item["embedding"] for item in answer["data"]}
+        assert sorted(by_index) == [0, 1] and all(type(i) is int for i in by_index)  # not True, not 1.0
+        assert result == [EmbeddingVector.of(by_index[0]), EmbeddingVector.of(by_index[1])]
+        assert result[0].dim == result[1].dim
 
 
 class TestEmbeddingVector:

@@ -149,8 +149,31 @@ class TestSearchPmids:
              f"esearch Count '{'1' * 39} is not a number (marker=ER retstart=0)"),
             ("<eSearchResult><ERROR>Invalid query syntax</ERROR></eSearchResult>",
              "esearch error (marker=ER retstart=0): Invalid query syntax"),
+            ('<?xml version="1.0" encoding="x-unknown"?><eSearchResult><Count>0</Count></eSearchResult>',
+             "esearch response not well-formed (marker=ER retstart=0)"),
+            ('<?xml version="1.0" encoding="shift_jis"?><eSearchResult><Count>0</Count></eSearchResult>',
+             "esearch response not well-formed (marker=ER retstart=0)"),
+            ('<?xml version="1.0" encoding="idna"?><eSearchResult><Count>0</Count></eSearchResult>',
+             "esearch response not well-formed (marker=ER retstart=0)"),
+            ("<eSearchResult><Count>2</Count><IdList><Id>1</Id><Id>12a</Id></IdList></eSearchResult>",
+             "esearch Id '12a' is not a PMID (marker=ER retstart=0)"),
+            ("<eSearchResult><Count>1</Count><IdList><Id> 7</Id></IdList></eSearchResult>",
+             "esearch Id ' 7' is not a PMID (marker=ER retstart=0)"),
+            ("<eSearchResult><Count>1</Count><IdList><Id>\u0661\u0662</Id></IdList></eSearchResult>",
+             "esearch Id '\u0661\u0662' is not a PMID (marker=ER retstart=0)"),
         ],
-        ids=["count-not-digits", "count-not-ascii", "count-past-int-digit-limit", "error-element"],
+        ids=[
+            "count-not-digits",
+            "count-not-ascii",
+            "count-past-int-digit-limit",
+            "error-element",
+            "unknown-encoding",  # LookupError escaped
+            "multi-byte-encoding",  # ValueError escaped
+            "encoding-that-fails-to-decode",  # UnicodeError escaped
+            "id-not-digits",
+            "id-with-space",
+            "id-not-ascii",
+        ],
     )
     def test_malformed_search_answer_raises_parse_error(self, monkeypatch, body, message):
         client = EntrezClient(base_url="http://localhost:1", **FAST)
@@ -231,6 +254,68 @@ class TestFetchAbstracts:
         monkeypatch.setattr(client, "_get", lambda *a, **k: "<PubmedArticleSet><oops></PubmedArticleSet>")
         with pytest.raises(EntrezParseError):
             client.fetch_abstracts({"11": {"ER"}})
+
+    def test_unknown_xml_encoding_raises_parse_error(self, monkeypatch):
+        # the declaration's encoding used to escape as LookupError
+        body = b'<?xml version="1.0" encoding="x-unknown"?><PubmedArticleSet></PubmedArticleSet>'
+        client = EntrezClient(base_url="http://localhost:1", **FAST)
+        monkeypatch.setattr(client, "_get", lambda *a, **k: body)
+        with pytest.raises(EntrezParseError, match=r"^efetch response not well-formed \(batch=11\.\.11\)$"):
+            client.fetch_abstracts({"11": {"ER"}})
+
+
+ESEARCH_ANSWER = (
+    b'<?xml version="1.0" encoding="UTF-8" ?>\n<eSearchResult><Count>2</Count><RetMax>2</RetMax>'
+    b"<RetStart>0</RetStart><IdList><Id>11</Id><Id>12</Id></IdList></eSearchResult>"
+)
+EFETCH_ANSWER = (
+    b'<?xml version="1.0" encoding="UTF-8" ?>\n<PubmedArticleSet>'
+    b"<PubmedArticle><MedlineCitation><PMID>11</PMID><Article><ArticleTitle>t</ArticleTitle><Abstract>"
+    b"<AbstractText>body</AbstractText></Abstract></Article></MedlineCitation></PubmedArticle>"
+    b"<PubmedArticle><MedlineCitation><PMID>12</PMID><Article><ArticleTitle>u</ArticleTitle><Abstract>"
+    b"<AbstractText>more</AbstractText></Abstract></Article></MedlineCitation></PubmedArticle></PubmedArticleSet>"
+)
+_odd_parts = st.sampled_from(
+    [b"<", b">", b"&", b"&#x661;", "\u0661\u0662".encode(), b" 7", b"12a", b"", b"<Id>", b"</Id>", b"<ERROR>x</ERROR>",
+     b"x-unknown", b"shift_jis", b"idna", b"utf-16", b"rot13", b"latin-1"]
+)
+
+
+@st.composite
+def mutated_entrez_answers(draw):
+    """An esearch or efetch answer with a few spans, or one of its field values, replaced."""
+    body = draw(st.sampled_from([ESEARCH_ANSWER, EFETCH_ANSWER]))
+    parts = _odd_parts | st.binary(max_size=6) | st.text(max_size=6).map(str.encode)
+    if draw(st.booleans()):
+        fields = [(b'encoding="', b"UTF-8"), (b"<Count>", b"2"), (b"<Id>", b"11"), (b"<PMID>", b"12")]
+        start, value = draw(st.sampled_from([*fields, (b"<AbstractText>", b"body")]))
+        return body.replace(start + value, start + draw(parts), 1)
+    body = bytearray(body)
+    for _ in range(draw(st.integers(1, 3))):
+        start = draw(st.integers(0, len(body)))
+        end = draw(st.integers(start, min(start + 12, len(body))))
+        body[start:end] = draw(parts)
+    return bytes(body)
+
+
+@settings(deadline=None)
+@given(body=st.binary() | mutated_entrez_answers())
+def test_any_entrez_answer_is_a_result_or_a_parse_error(body):
+    client = EntrezClient(base_url="http://localhost:1", **FAST)
+    client._get = lambda *a, **k: body  # nothing is sent
+    try:
+        pmids = client.search_pmids("ER")
+    except EntrezParseError:  # nothing else may escape
+        pass
+    else:
+        assert all(p.isascii() and p.isdigit() for p in pmids) and len(set(pmids)) == len(pmids)
+    sources = {"11": {"ER"}, "12": {"PR"}}
+    try:
+        records, skipped = client.fetch_abstracts(sources)
+    except EntrezParseError:
+        return
+    assert sorted([r.pmid for r in records] + skipped) == ["11", "12"]  # each PMID fetched or skipped, once
+    assert all(r.source_markers == sources[r.pmid] and r.abstract_text for r in records)
 
 
 class FakeClock:
