@@ -177,20 +177,22 @@ def _resolve_run_dir(command: str, config: PipelineConfig) -> Path:
         if not runs:
             raise PipelineError(f"no run under {root}; run fetch")
         return runs[-1]
-    fingerprint = StageInfo(inputs=_inputs("corpus", config, None)).fingerprint()
+    inputs = _inputs("corpus", config, None)
     for run in reversed(runs):
-        if RunStore.open(run).manifest.stages["corpus"].fingerprint() == fingerprint:
+        if RunStore.open(run).manifest.stages["corpus"].inputs == inputs:
             return run
-    return root / f"run-{time.strftime('%Y%m%d-%H%M%S')}-{fingerprint[:6]}"
+    return root / f"run-{time.strftime('%Y%m%d-%H%M%S')}-{StageInfo(inputs=inputs).fingerprint()[:6]}"
 
 
 def _require_stage(store: RunStore, stage: str) -> Path:
-    """Path of a stage's output that may be read: done, and built from its upstream's current output."""
+    """Path of a stage's output that may be read: done, of its recorded size, built from its upstream's current output."""
     spec, info, path = _STAGES[stage], store.stage_info(stage), store.path(stage)
     if not path.exists():
         raise PipelineError(f"{stage}.jsonl not found; run {spec.producer}")
     if info.status != "done":
         raise PipelineError(f"{stage} is not done; run {spec.producer}")
+    if info.bytes is not None and path.stat().st_size != info.bytes:
+        raise PipelineError(f"{stage}.jsonl changed after {spec.producer} finished it")
     if spec.upstream and info.inputs and info.inputs.get(spec.upstream) != store.stage_info(spec.upstream).fingerprint():
         raise PipelineError(f"{stage} was built from an earlier {spec.upstream}; run {spec.producer}")
     return path
@@ -367,6 +369,7 @@ def cmd_extract(config: PipelineConfig, store: RunStore, args: argparse.Namespac
         store.mark_done("tables_raw")
 
     if not store.stage_done("tables_parsed"):
+        store.stage_info("tables_parsed").inputs = _inputs("tables_parsed", config, store)  # with tables_raw's sha256
 
         def parse_one(raw: dict[str, Any]) -> ProfileTable | classify_mod.QuarantineEntry:
             try:

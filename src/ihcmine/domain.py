@@ -112,7 +112,6 @@ class AbstractRecord:
     title: str
     abstract_text: str
     source_markers: set[str] = field(default_factory=set)
-    retrieved_at: str = ""
 
     def __post_init__(self) -> None:
         if not (self.pmid.isascii() and self.pmid.isdigit()):

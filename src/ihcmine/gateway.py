@@ -175,7 +175,10 @@ class LlmGateway:
         try:
             items = sorted(data["data"], key=lambda item: item["index"])
             indices = [item["index"] for item in items]
-            vectors = [EmbeddingVector.of(item["embedding"]) for item in items]
+            embeddings = [item["embedding"] for item in items]
+            if not all(type(e) is list and {*map(type, e)} <= {int, float} for e in embeddings):  # not '12', {} or [true]
+                raise TypeError("an embedding is not an array of numbers")
+            vectors = [EmbeddingVector.of(e) for e in embeddings]
         except (KeyError, TypeError, ValueError, OverflowError, ValidationError) as exc:  # what float() or the vector refuse
             raise GatewayProtocolError(f"unexpected embeddings response ({exc}): {data!r:.200}") from exc
         if any(type(i) is not int for i in indices) or indices != list(range(len(texts))):  # not True, not 1.0

@@ -152,7 +152,6 @@ class EntrezClient:
         """
         if not sources:
             raise ValidationError("fetch_abstracts needs at least one PMID")
-        timestamp = time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime())
         pmids = list(sources)
         records: list[AbstractRecord] = []
         skipped: list[str] = []
@@ -189,7 +188,6 @@ class EntrezClient:
                         title=title,
                         abstract_text=abstract,
                         source_markers=set(sources[pmid]),
-                        retrieved_at=timestamp,
                     )
                 )
             skipped.extend(p for p in batch if p not in found)

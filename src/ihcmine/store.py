@@ -5,14 +5,14 @@ flush per record, so a killed run leaves at most a partial trailing line. Every 
 file (a whole-output stage, a quarantine rewrite, the manifest, a report, a dictionary
 cache entry) is written by ``atomic_file``: it holds its old bytes or its new ones,
 beside at most a ``.partial`` file. ``RunStore.recover`` removes both leftovers, once
-per command, before any stage file is read. A stage is marked done once its file is synced, and
-then rejects further appends. Each stage's manifest entry records the
-inputs it was built from: its own settings, the content hashes of its
-input files and its upstream stage's fingerprint. The CLI checks them
-before it reuses, re-runs or reads a stage.
+per command, before any stage file is read. A stage is marked done once its file is synced; its
+manifest entry then records the file's line count, size and sha256, from one pass over the bytes,
+and the stage rejects further appends. The entry also records the stage's inputs: its own settings,
+the content hashes of its input files and its upstream stage's fingerprint, which covers that
+stage's inputs and output sha256. The CLI checks them before it reuses, re-runs or reads a stage.
 
 ``iter_jsonl`` is the one JSONL reader, for stage files and for the
-evaluation commands' gold and prediction files alike, and ``file_sha256``
+evaluation commands' gold and prediction files alike, and ``file_digest``
 the one file hasher. ``RunLock`` lets one subcommand at a time use a run
 directory.
 """
@@ -52,15 +52,18 @@ def _utc_now() -> str:
 @dataclass
 class StageInfo:
     status: str = "pending"  # pending | running | done
-    count: int | None = None
+    count: int | None = None  # count, bytes and sha256: the stage file's lines, size and digest once done
+    bytes: int | None = None
+    sha256: str | None = None
     started_at: str | None = None
     finished_at: str | None = None
     note: str | None = None
     inputs: dict[str, str] | None = None  # None: recorded before stages kept their inputs
 
     def fingerprint(self) -> str:
-        """sha256 of the recorded inputs; a downstream stage records it as its upstream input."""
-        return hashlib.sha256(json.dumps(self.inputs, sort_keys=True).encode("utf-8")).hexdigest()
+        """sha256 of the inputs and, once recorded, the output's sha256; a downstream stage records it as its upstream."""
+        key = self.inputs if self.sha256 is None else [self.inputs, self.sha256]
+        return hashlib.sha256(json.dumps(key, sort_keys=True).encode("utf-8")).hexdigest()
 
 
 @dataclass
@@ -107,14 +110,22 @@ def atomic_file(path: str | Path, mode: str = "w") -> Iterator[IO]:
         os.close(directory)
 
 
-def file_sha256(path: str | Path) -> str:
-    """The hex sha256 of a file's bytes, read in 1 MiB blocks into one reused buffer."""
-    digest = hashlib.sha256()
-    buffer = memoryview(bytearray(1 << 20))
+def file_digest(path: str | Path) -> tuple[int, int, str]:
+    """(newline count, size, hex sha256) of a file's bytes, read in 1 MiB blocks into one reused buffer."""
+    digest, lines, total = hashlib.sha256(), 0, 0
+    buffer = bytearray(1 << 20)
+    view = memoryview(buffer)
     with open(path, "rb", buffering=0) as handle:
         while size := handle.readinto(buffer):
-            digest.update(buffer[:size])
-    return digest.hexdigest()
+            digest.update(view[:size])
+            lines += buffer.count(b"\n", 0, size)
+            total += size
+    return lines, total, digest.hexdigest()
+
+
+def file_sha256(path: str | Path) -> str:
+    """The hex sha256 of a file's bytes."""
+    return file_digest(path)[2]
 
 
 def _line_start(handle: IO[bytes], end: int) -> int:
@@ -129,13 +140,9 @@ def _line_start(handle: IO[bytes], end: int) -> int:
     return 0
 
 
-def _write_jsonl(path: Path, records: Iterable[dict[str, Any]]) -> int:
-    """Writes ``records`` to ``path`` through ``atomic_file``; returns the record count."""
-    count = 0
+def _write_jsonl(path: Path, records: Iterable[dict[str, Any]]) -> None:
     with atomic_file(path) as handle:
-        for count, record in enumerate(records, 1):
-            handle.write(_jsonl_line(record))
-    return count
+        handle.writelines(map(_jsonl_line, records))
 
 
 def iter_jsonl(path: str | Path) -> Iterator[Any]:
@@ -272,7 +279,7 @@ class RunStore:
         """Deliberate done -> running transition (e.g. retrying quarantined records)."""
         info = self.stage_info(stage)
         info.status = "running"
-        info.finished_at = None
+        info.count = info.bytes = info.sha256 = info.finished_at = None
         self.save_manifest()
 
     def append(self, stage: str, record: dict[str, Any]) -> None:
@@ -293,12 +300,12 @@ class RunStore:
         """Syncs the stage file, creating it when no record was written, then records the stage done."""
         with self._handles.pop(stage, None) or self.path(stage).open("ab") as handle:  # appends are flushed
             os.fsync(handle.fileno())
-        self._finish(stage, sum(1 for _ in self.iter_records(stage)), note)
+        self._finish(stage, note)
 
-    def _finish(self, stage: str, count: int, note: str | None) -> None:
+    def _finish(self, stage: str, note: str | None) -> None:
         info = self.stage_info(stage)
         info.status = "done"
-        info.count = count
+        info.count, info.bytes, info.sha256 = file_digest(self.path(stage))
         info.finished_at = _utc_now()
         if note:
             info.note = note
@@ -309,16 +316,16 @@ class RunStore:
     def write_stage_atomic(self, stage: str, records: Iterable[dict[str, Any]], note: str | None = None) -> int:
         """Write a complete stage output via temp file + rename."""
         self.start_stage(stage)
-        count = _write_jsonl(self.path(stage), records)
-        self._finish(stage, count, note)
-        return count
+        _write_jsonl(self.path(stage), records)
+        self._finish(stage, note)
+        return self.stage_info(stage).count
 
-    def write_aux_atomic(self, name: str, records: Iterable[dict[str, Any]]) -> int:
+    def write_aux_atomic(self, name: str, records: Iterable[dict[str, Any]]) -> None:
         """Rewrite an auxiliary file (e.g. quarantine) without manifest bookkeeping."""
         handle = self._handles.pop(name, None)
         if handle is not None:
             handle.close()
-        return _write_jsonl(self.path(name), records)
+        _write_jsonl(self.path(name), records)
 
     # -- reads ---------------------------------------------------------------
 

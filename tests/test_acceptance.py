@@ -10,7 +10,6 @@ import hashlib
 import json
 import os
 import random
-import re
 import shutil
 import signal
 import subprocess
@@ -245,19 +244,15 @@ def test_c7_verdict_histogram_formatting():
     ok("C7", "62/28/8 over 98 pairs formats as 63.3 / 28.6 / 8.2")
 
 
-def strip_timestamps(records: list[dict]) -> list[dict]:
-    return [{k: v for k, v in record.items() if k != "retrieved_at"} for record in records]
-
-
 # sha256 of the demo chain's files whose bytes numpy does not touch; two runs of one commit
 # cannot show an encoding change between commits, this pin does
 PINNED_ARTIFACTS_SHA256 = "9b14946c2569fc2dcbb6a9d8339117260dc0243509420615d4f8d16a425868fc"
 
 
 def artifacts_sha256(run_dir: Path) -> str:
-    """Digest of the corpus (fetch times cut out) and the label and table stage files, as written."""
-    digest = hashlib.sha256(re.sub(rb', "retrieved_at": "[^"]*"', b"", (run_dir / "corpus.jsonl").read_bytes()))
-    for name in ("classified.jsonl", "tables_raw.jsonl", "tables_parsed.jsonl"):
+    """Digest of the corpus and the label and table stage files, as written."""
+    digest = hashlib.sha256()
+    for name in ("corpus.jsonl", "classified.jsonl", "tables_raw.jsonl", "tables_parsed.jsonl"):
         digest.update((run_dir / name).read_bytes())
     return digest.hexdigest()
 
@@ -278,12 +273,9 @@ def test_c8_pipeline_determinism_and_resume(demo_env, tmp_path):
 
     run_chain(demo_env, run_b)
     stage_files = [
-        "classified.jsonl", "tables_raw.jsonl", "tables_parsed.jsonl",
+        "corpus.jsonl", "classified.jsonl", "tables_raw.jsonl", "tables_parsed.jsonl",
         "normalized.jsonl", "aggregates.jsonl",
     ]
-    assert strip_timestamps(read_jsonl(run_a / "corpus.jsonl")) == strip_timestamps(
-        read_jsonl(run_b / "corpus.jsonl")
-    )
     for name in stage_files:
         assert (run_a / name).read_bytes() == (run_b / name).read_bytes(), name
     for name in ("corpus_stats.json", "landscape_report.json", "comparison_report.csv", "marker_report.csv"):

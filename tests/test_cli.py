@@ -1,6 +1,7 @@
 """Subcommand wiring: exit codes, stage ordering errors, artifacts, config handling."""
 
 import csv
+import hashlib
 import json
 import os
 import re
@@ -181,6 +182,7 @@ class TestFullChain:
         # plain rerun leaves the quarantined record alone
         assert main(demo_env.classify_args(run_dir)) == 0
         assert [q["pmid"] for q in read_jsonl(run_dir / "quarantine.jsonl")] == [victim]
+        before = stage_info(run_dir, "classified")
 
         demo_env.llm_state.classify_fn = original_fn
         assert main([*demo_env.classify_args(run_dir), "--retry-quarantined"]) == 0
@@ -188,6 +190,13 @@ class TestFullChain:
         classified = read_jsonl(run_dir / "classified.jsonl")
         assert victim in {c["pmid"] for c in classified}
         assert len(classified) == 50
+
+        # the stage record covers the bytes the retry added
+        data = (run_dir / "classified.jsonl").read_bytes()
+        after = stage_info(run_dir, "classified")
+        assert (before["count"], after["count"]) == (49, 50)
+        assert after["bytes"] == len(data) and after["sha256"] == hashlib.sha256(data).hexdigest() != before["sha256"]
+        assert main(demo_env.extract_args(run_dir)) == 0
 
     def test_retry_quarantined_after_a_kill_mid_append_to_the_quarantine(self, demo_env, tmp_path):
         run_dir = tmp_path / "run"
@@ -581,6 +590,27 @@ class TestProvenance:
         assert "tables_parsed is not done; run extract" in capsys.readouterr().err
         assert not (run_dir / "normalized.jsonl").exists()
 
+    def test_extract_refuses_a_classified_file_cut_after_classify_finished(self, demo_env, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        assert main(demo_env.fetch_args(run_dir)) == 0
+        assert main(demo_env.classify_args(run_dir)) == 0
+        lines = (run_dir / "classified.jsonl").read_text().splitlines(keepends=True)
+        (run_dir / "classified.jsonl").write_text("".join(lines[:20]))
+        assert main(demo_env.extract_args(run_dir)) == 2
+        assert "error: classified.jsonl changed after classify finished it" in capsys.readouterr().err
+        assert stage_info(run_dir, "tables_raw")["status"] == "pending"
+
+    def test_normalize_refuses_a_line_appended_to_done_tables(self, demo_env, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        for args in demo_env.all_stage_args(run_dir)[:3]:
+            assert main(args) == 0
+        first = (run_dir / "tables_parsed.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)[0]
+        with (run_dir / "tables_parsed.jsonl").open("a", encoding="utf-8") as handle:
+            handle.write(first)  # a whole record: nothing for recovery to cut
+        assert main(demo_env.normalize_args(run_dir)) == 2
+        assert "error: tables_parsed.jsonl changed after extract finished it" in capsys.readouterr().err
+        assert not (run_dir / "normalized.jsonl").exists()
+
     def test_manifest_without_inputs_counts_as_current(self, demo_env, tmp_path, capsys):
         run_dir = tmp_path / "run"
         finish_run(demo_env, run_dir)
@@ -802,7 +832,6 @@ class TestEvalCommands:
                     "title": "t",
                     "abstract_text": (fixtures / "abstract.txt").read_text(),
                     "source_markers": ["S100"],
-                    "retrieved_at": "",
                 }
             )
             + "\n",
@@ -848,7 +877,7 @@ class TestEvalCommands:
         """An input file is not the run's own, so no recovery step may mend it: a cut last line is an error."""
         records = [
             {"pmid": pmid, "label": "Include", "header": [], "rows": [], "title": "t", "abstract_text": "a",
-             "source_markers": ["ER"], "retrieved_at": ""}
+             "source_markers": ["ER"]}
             for pmid in ("1", "2", "3")
         ]
         lines = [json.dumps(record) + "\n" for record in records]
@@ -906,7 +935,7 @@ class TestEvalCommands:
         """A gold file holding a PMID twice would be scored on one of its lines; it is refused instead."""
         records = [
             {"pmid": pmid, "label": label, "header": ["Tumor type", "Tumor site"], "rows": [], "title": "t",
-             "abstract_text": "a", "source_markers": ["ER"], "retrieved_at": ""}
+             "abstract_text": "a", "source_markers": ["ER"]}
             for pmid, label in (("1", "Include"), ("1", "Exclude"), ("2", "Exclude"))
         ]
         gold = tmp_path / "gold.jsonl"

@@ -113,7 +113,6 @@ class TestSerialization:
             title="S100A4 in renal tumours",
             abstract_text="Stromal staining was seen in 83% of cases.",
             source_markers={"S100", "CD34"},
-            retrieved_at="2024-05-01T12:00:00+00:00",
         )
         reloaded = decode(AbstractRecord, json.loads(json.dumps(encode(record))))
         assert reloaded == record

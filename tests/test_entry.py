@@ -43,10 +43,7 @@ def artifacts(run_dir: Path) -> dict[str, object]:
     """Every file of a run, timestamps aside."""
     found: dict[str, object] = {}
     for path in sorted(run_dir.iterdir()):
-        if path.name == "corpus.jsonl":
-            lines = path.read_text(encoding="utf-8").splitlines()
-            found[path.name] = [{k: v for k, v in json.loads(line).items() if k != "retrieved_at"} for line in lines]
-        elif path.name == "manifest.json":
+        if path.name == "manifest.json":
             manifest = json.loads(path.read_text(encoding="utf-8"))
             del manifest["created_at"]
             for info in manifest["stages"].values():

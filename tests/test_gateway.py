@@ -164,6 +164,10 @@ class TestEmbed:
         ("embed", {"data": [{"index": True, "embedding": [1.0, 1.0]}, {"index": False, "embedding": [0.0, 1.0]}]}),
         ("embed", {"data": [{"index": 0.0, "embedding": [1.0, 1.0]}, {"index": 1.0, "embedding": [0.0, 1.0]}]}),
         ("embed", {"data": [{"index": 0, "embedding": [1.0, 1.0]}, {"index": True, "embedding": [0.0, 1.0]}]}),
+        ("embed", {"data": [{"index": 0, "embedding": "12"}, {"index": 1, "embedding": [0.0, 1.0]}]}),
+        ("embed", {"data": [{"index": 0, "embedding": {"3": 1, "4": 2}}, {"index": 1, "embedding": [0.0, 1.0]}]}),
+        ("embed", {"data": [{"index": 0, "embedding": [True, False]}, {"index": 1, "embedding": [0.0, 1.0]}]}),
+        ("embed", {"data": [{"index": 0, "embedding": ["1", "2"]}, {"index": 1, "embedding": [0.0, 1.0]}]}),
     ],
     ids=[
         "chat-number",
@@ -175,6 +179,10 @@ class TestEmbed:
         "embed-boolean-indices",  # [False, True] == [0, 1] accepted them, reordered
         "embed-float-indices",
         "embed-one-boolean-index",
+        "embed-string-of-digits",  # float() over its characters read (1.0, 2.0)
+        "embed-object",  # float() over its keys read (3.0, 4.0)
+        "embed-booleans",  # read (1.0, 0.0)
+        "embed-numeric-strings",
     ],
 )
 def test_answer_of_the_wrong_shape_is_a_protocol_error(monkeypatch, call, answer):
@@ -229,14 +237,16 @@ def test_any_json_answer_is_a_result_or_a_gateway_error(answer, call):
     else:
         by_index = {item["index"]: item["embedding"] for item in answer["data"]}
         assert sorted(by_index) == [0, 1] and all(type(i) is int for i in by_index)  # not True, not 1.0
+        assert all(type(e) is list and all(type(x) in (int, float) for x in e) for e in by_index.values())
         assert result == [EmbeddingVector.of(by_index[0]), EmbeddingVector.of(by_index[1])]
         assert result[0].dim == result[1].dim
 
 
 class TestEmbeddingVector:
     def test_values_become_floats(self):
-        vector = EmbeddingVector.of([1, "2.5", 3.0, True])
-        assert vector.values == (1.0, 2.5, 3.0, 1.0) and vector.dim == 4
+        """What ``embed`` passes on, a list of JSON numbers, is stored as floats."""
+        vector = EmbeddingVector.of([1, 2.5, 3.0, -4])
+        assert vector.values == (1.0, 2.5, 3.0, -4.0) and vector.dim == 4
         assert all(type(v) is float for v in vector.values)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "nan", "-inf", 1e400])

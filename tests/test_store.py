@@ -16,7 +16,7 @@ import pytest
 
 from ihcmine import store as store_mod
 from ihcmine.errors import StageStateError, StoreError
-from ihcmine.store import RunLock, RunStore, atomic_file, file_sha256
+from ihcmine.store import RunLock, RunStore, StageInfo, atomic_file, file_digest, file_sha256
 
 
 @pytest.fixture
@@ -57,8 +57,17 @@ class TestAppend:
         for i in range(5):
             store.append("classified", {"pmid": str(i)})
         store.mark_done("classified")
-        assert store.manifest.stages["classified"].count == 5
+        info, data = store.manifest.stages["classified"], store.path("classified").read_bytes()
+        assert (info.count, info.bytes, info.sha256) == (5, len(data), hashlib.sha256(data).hexdigest())
         assert store.stage_done("classified")
+
+    def test_reopen_clears_the_output_record(self, store):
+        store.start_stage("classified")
+        store.append("classified", {"pmid": "1"})
+        store.mark_done("classified")
+        store.reopen_stage("classified")
+        info = store.manifest.stages["classified"]
+        assert (info.status, info.count, info.bytes, info.sha256, info.finished_at) == ("running", None, None, None, None)
 
     def test_flush_visible_before_done(self, store):
         store.start_stage("classified")
@@ -303,6 +312,7 @@ def test_file_sha256_equals_hashlib_across_block_edges(tmp_path, size):
     path = tmp_path / "blob"
     path.write_bytes(data)
     assert file_sha256(path) == hashlib.sha256(data).hexdigest()
+    assert file_digest(path) == (data.count(b"\n"), size, hashlib.sha256(data).hexdigest())
 
 
 class TestManifest:
@@ -313,6 +323,17 @@ class TestManifest:
         again = RunStore.open_or_create(run_dir)
         assert again.manifest.run_id == first.manifest.run_id
         assert again.manifest.stages["corpus"] == first.manifest.stages["corpus"]
+
+    def test_fingerprint_covers_the_output_sha256_once_recorded(self, store):
+        inputs = {"cap": "5", "markers_path": "ab12"}
+        inputs_only = hashlib.sha256(json.dumps(inputs, sort_keys=True).encode("utf-8")).hexdigest()
+        assert StageInfo(inputs=inputs).fingerprint() == inputs_only  # as manifests without sha256 recorded it
+        assert StageInfo(status="done", count=1, inputs=inputs).fingerprint() == inputs_only
+        store.stage_info("corpus").inputs = inputs
+        store.write_stage_atomic("corpus", [{"pmid": "1"}])
+        done = store.stage_info("corpus").fingerprint()
+        assert done != inputs_only
+        assert StageInfo(inputs=inputs, sha256=hashlib.sha256(b'{"pmid": "2"}\n').hexdigest()).fingerprint() != done
 
     def test_open_missing_manifest(self, tmp_path):
         with pytest.raises(StoreError):
