@@ -43,7 +43,9 @@ def run(workdir: Path) -> int:
         entrez_url = stack.enter_context(run_entrez(demo_entrez_state(n=50)))
         llm_url = stack.enter_context(run_llm(LlmState()))
         common = ["--run-dir", str(run_dir)]
-        gateway = ["--llm-base", llm_url, "--backoff", "0.01"]
+        llm_args = workdir / "llm.args"  # the flags the three LLM stages share, read where @llm.args stands
+        llm_args.write_text(f"# the mock gateway\n--llm-base {llm_url}\n--backoff 0.01\n", encoding="utf-8")
+        gateway = [f"@{llm_args}"]
         stages = [
             ["fetch", *common, "--markers", str(markers), "--entrez-base", entrez_url,
              "--rps", "200", "--backoff", "0.01"],

@@ -44,9 +44,15 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # argparse default exits 2; we reserve 2 for stage failures
         raise UsageError(f"{self.prog}: {message}")
 
+    def convert_arg_line_to_args(self, arg_line: str) -> list[str]:
+        """One line of an ``@file``, split as a POSIX shell would, ``#`` comments dropped."""
+        import shlex
+
+        arg_line.encode()  # 3.12+ reads with surrogateescape; a byte that is not UTF-8 fails here, as on 3.10 and 3.11
+        return shlex.split(arg_line, comments=True)
+
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="flat key = value config file")
     parser.add_argument("--run-dir", dest="run_dir", help="run directory (default: derived under --runs-root)")
     parser.add_argument("--runs-root", dest="runs_root", help="root for auto-created run directories")
     parser.add_argument("-v", "--verbose", action="store_true", help="debug logging")
@@ -65,7 +71,7 @@ def _add_gateway_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="ihcmine", description=__doc__)
+    parser = _Parser(prog="ihcmine", description=__doc__, fromfile_prefix_chars="@")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fetch", help="search PubMed per marker and build the deduplicated corpus")
@@ -75,7 +81,6 @@ def build_parser() -> _Parser:
     p.add_argument("--entrez-base", dest="entrez_base_url")
     p.add_argument("--ncbi-key", dest="ncbi_api_key")
     p.add_argument("--rps", dest="requests_per_second", type=float, help="request budget per second")
-    p.add_argument("--batch-size", dest="efetch_batch_size", type=int)
     p.add_argument("--retries", dest="retries", type=int)
     p.add_argument("--backoff", dest="backoff_base", type=float)
     p.add_argument("--timeout", dest="timeout", type=float)
@@ -118,11 +123,6 @@ def build_parser() -> _Parser:
     p.add_argument("--abstracts", help="corpus JSONL for percent-tolerance context (default: run's corpus.jsonl)")
 
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
-    flag_values = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
-    return build_config(flag_values=flag_values, config_path=args.config)
 
 
 class _Stage(NamedTuple):  # what a stage's output is built from, besides its upstream's output
@@ -184,6 +184,12 @@ def _resolve_run_dir(command: str, config: PipelineConfig) -> Path:
     return root / f"run-{time.strftime('%Y%m%d-%H%M%S')}-{StageInfo(inputs=inputs).fingerprint()[:6]}"
 
 
+def _changed(store: RunStore, stage: str) -> bool:
+    """Whether a stage's file is gone or no longer of the size recorded when its producer finished it."""
+    info, path = store.stage_info(stage), store.path(stage)
+    return not path.exists() or (info.bytes is not None and path.stat().st_size != info.bytes)
+
+
 def _require_stage(store: RunStore, stage: str) -> Path:
     """Path of a stage's output that may be read: done, of its recorded size, built from its upstream's current output."""
     spec, info, path = _STAGES[stage], store.stage_info(stage), store.path(stage)
@@ -191,7 +197,7 @@ def _require_stage(store: RunStore, stage: str) -> Path:
         raise PipelineError(f"{stage}.jsonl not found; run {spec.producer}")
     if info.status != "done":
         raise PipelineError(f"{stage} is not done; run {spec.producer}")
-    if info.bytes is not None and path.stat().st_size != info.bytes:
+    if _changed(store, stage):
         raise PipelineError(f"{stage}.jsonl changed after {spec.producer} finished it")
     if spec.upstream and info.inputs and info.inputs.get(spec.upstream) != store.stage_info(spec.upstream).fingerprint():
         raise PipelineError(f"{stage} was built from an earlier {spec.upstream}; run {spec.producer}")
@@ -201,8 +207,9 @@ def _require_stage(store: RunStore, stage: str) -> Path:
 def _gate(command: str, config: PipelineConfig, store: RunStore) -> bool:
     """Checks the stages ``command`` writes against their recorded inputs; True when all are done and current.
 
-    A done stage recorded without inputs counts as current. Changed inputs restart a ``rerun``
-    stage and are refused for any other, whose records cannot be mixed with records of other inputs.
+    A done stage recorded without inputs counts as current. Changed inputs, or a done file that
+    changed since, restart a ``rerun`` stage and are refused for any other, whose records cannot
+    be mixed with records of other inputs.
     """
     outputs = [stage for stage, spec in _STAGES.items() if spec.producer == command]
     if outputs and _STAGES[outputs[0]].upstream:
@@ -210,6 +217,11 @@ def _gate(command: str, config: PipelineConfig, store: RunStore) -> bool:
     current = bool(outputs)
     for stage in outputs:
         info, inputs = store.stage_info(stage), _inputs(stage, config, store)
+        if info.status == "done" and _changed(store, stage):
+            if not _STAGES[stage].rerun:
+                raise PipelineError(f"{stage}.jsonl changed after {command} finished it")
+            logger.info("%s.jsonl changed after %s finished it; re-running", stage, command)
+            info = store.manifest.stages[stage] = StageInfo()
         if info.inputs is None or info.status == "pending":
             if info.status != "done":
                 info.inputs, current = inputs, False
@@ -258,7 +270,6 @@ def cmd_fetch(config: PipelineConfig, store: RunStore, args: argparse.Namespace)
         base_url=config.entrez_base_url,
         api_key=config.ncbi_api_key,
         requests_per_second=config.requests_per_second,
-        batch_size=config.efetch_batch_size,
         retries=config.retries,
         backoff_base=config.backoff_base,
         timeout=config.timeout,
@@ -576,11 +587,14 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
+        return 1
+    except ValueError as exc:  # an @file with an unbalanced quote or an undecodable byte (see _Parser)
+        print(f"ihcmine: cannot read {' '.join(a for a in argv if a.startswith('@'))}: {exc}", file=sys.stderr)
         return 1
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
@@ -589,7 +603,7 @@ def main(argv: list[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        config = _config_from_args(args)
+        config = build_config(vars(args))
         run_dir = _resolve_run_dir(args.command, config)
         lock = RunLock(run_dir)
         lock.acquire()

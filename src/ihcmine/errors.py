@@ -10,7 +10,7 @@ class ValidationError(PipelineError):
 
 
 class ConfigError(PipelineError):
-    """Bad configuration value or unreadable config file."""
+    """Bad configuration value."""
 
 
 class IngestError(PipelineError):

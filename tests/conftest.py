@@ -56,8 +56,6 @@ class DemoEnv:
             "500",
             "--backoff",
             "0.01",
-            "--batch-size",
-            "20",
         ]
 
     def classify_args(self, run_dir: Path) -> list[str]:

@@ -351,7 +351,7 @@ def test_c9_ingest_contracts(tmp_path):
     run_dir = tmp_path / "run"
     with run_entrez(state) as url:
         args = ["fetch", "--run-dir", str(run_dir), "--markers", str(markers), "--entrez-base", url]
-        assert main([*args, "--rps", "500", "--backoff", "0.01", "--batch-size", "7"]) == 0
+        assert main([*args, "--rps", "500", "--backoff", "0.01"]) == 0
     stats = json.loads((run_dir / "corpus_stats.json").read_text())
     assert stats["total_unique"] == 30
     corpus = read_jsonl(run_dir / "corpus.jsonl")

@@ -1,5 +1,6 @@
-"""Subcommand wiring: exit codes, stage ordering errors, artifacts, config handling."""
+"""Subcommand wiring: exit codes, stage ordering errors, artifacts, settings."""
 
+import argparse
 import csv
 import hashlib
 import json
@@ -8,14 +9,15 @@ import re
 import subprocess
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 from urllib.parse import parse_qs
 
 import pytest
 
-from ihcmine.cli import main
+from ihcmine.cli import build_parser, main
 from ihcmine.codec import encode
-from ihcmine.config import build_config, load_config_file
+from ihcmine.config import PipelineConfig, build_config
 from ihcmine.errors import ConfigError
 from ihcmine.normalize import NormalizedRecord
 from ihcmine.store import RunLock, RunStore
@@ -600,6 +602,28 @@ class TestProvenance:
         assert "error: classified.jsonl changed after classify finished it" in capsys.readouterr().err
         assert stage_info(run_dir, "tables_raw")["status"] == "pending"
 
+    def test_classify_refuses_its_own_file_cut_after_it_finished(self, demo_env, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        assert main(demo_env.fetch_args(run_dir)) == 0
+        assert main(demo_env.classify_args(run_dir)) == 0
+        lines = (run_dir / "classified.jsonl").read_text().splitlines(keepends=True)
+        (run_dir / "classified.jsonl").write_text("".join(lines[:20]))
+        assert main(demo_env.classify_args(run_dir)) == 2  # it used to skip the stage as done
+        assert "error: classified.jsonl changed after classify finished it" in capsys.readouterr().err
+        assert len(read_jsonl(run_dir / "classified.jsonl")) == 20
+
+    def test_normalize_rewrites_its_own_file_cut_after_it_finished(self, demo_env, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        for args in demo_env.all_stage_args(run_dir)[:4]:
+            assert main(args) == 0
+        whole = (run_dir / "normalized.jsonl").read_bytes()
+        (run_dir / "normalized.jsonl").write_bytes(b"".join(whole.splitlines(keepends=True)[:5]))
+        capsys.readouterr()
+        assert main(demo_env.normalize_args(run_dir)) == 0
+        assert "already done" not in capsys.readouterr().out
+        assert (run_dir / "normalized.jsonl").read_bytes() == whole
+        assert main(demo_env.aggregate_args(run_dir)) == 0
+
     def test_normalize_refuses_a_line_appended_to_done_tables(self, demo_env, tmp_path, capsys):
         run_dir = tmp_path / "run"
         for args in demo_env.all_stage_args(run_dir)[:3]:
@@ -661,27 +685,66 @@ class TestRunDirResolution:
         assert err.startswith("error: ") and str(Path("run-a") / "manifest.json") in err
 
 
+COMMANDS = ("fetch", "classify", "extract", "normalize", "aggregate", "compare", "report", "eval-classify", "eval-tables")
+
+
+def config_of(argv: list[str]) -> PipelineConfig:
+    return build_config(vars(build_parser().parse_args(argv)), env={})
+
+
 class TestConfigFile:
-    def test_values_loaded_and_flags_win(self, tmp_path):
-        config_file = tmp_path / "pipeline.conf"
-        config_file.write_text("cap = 50\nllm_model = local-model\n# comment\n", encoding="utf-8")
-        config = build_config(flag_values={"cap": 25}, config_path=config_file, env={})
-        assert config.cap == 25  # flag wins
-        assert config.llm_model == "local-model"
+    def test_flags_over_env_over_defaults(self):
+        config = build_config({"llm_model": "from-flag", "cap": 25}, env={"LLM_MODEL": "env", "EMB_MODEL": "emb-env"})
+        assert (config.llm_model, config.emb_model, config.cap) == ("from-flag", "emb-env", 25)
+        assert build_config(env={"LLM_MODEL": ""}).llm_model == PipelineConfig().llm_model
 
-    def test_env_below_config_file(self, tmp_path):
-        config_file = tmp_path / "pipeline.conf"
-        config_file.write_text("llm_model = from-file\n", encoding="utf-8")
-        config = build_config(config_path=config_file, env={"LLM_MODEL": "from-env"})
-        assert config.llm_model == "from-file"
-        config = build_config(env={"LLM_MODEL": "from-env"})
-        assert config.llm_model == "from-env"
+    def test_every_setting_has_a_flag(self):
+        # a field no flag sets could only be set in code: no file of settings reaches it
+        subcommands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        dests = {action.dest for parser in subcommands.choices.values() for action in parser._actions}
+        assert {f.name for f in fields(PipelineConfig)} <= dests
 
-    def test_unknown_key_rejected(self, tmp_path):
-        config_file = tmp_path / "pipeline.conf"
-        config_file.write_text("caps = 50\n", encoding="utf-8")
-        with pytest.raises(ConfigError, match="unknown config key"):
-            load_config_file(config_file)
+    def test_at_file_reads_the_flags_it_holds(self, tmp_path):
+        args_file = tmp_path / "llm.args"
+        args_file.write_text(
+            "# the local gateway\n\n--llm-base http://127.0.0.1:9 --llm-model 'my model'\n--retries 2  # fewer\n",
+            encoding="utf-8",
+        )
+        run = ["classify", "--run-dir", str(tmp_path / "run")]
+        from_file = config_of([*run, f"@{args_file}"])
+        assert from_file == config_of([*run, "--llm-base", "http://127.0.0.1:9", "--llm-model", "my model", "--retries", "2"])
+        assert from_file.llm_model == "my model"
+        assert config_of([*run, f"@{args_file}", "--retries", "5"]).retries == 5  # a later flag wins
+        assert config_of([*run, "--llm-key=@secret"]).llm_api_key == "@secret"  # not a file
+
+    @pytest.mark.parametrize(
+        "command, content, message",
+        [
+            ("fetch", b"--llm-base http://127.0.0.1:9\n", "unrecognized arguments: --llm-base"),
+            ("classify", b"--llm-model 'my model\n", "No closing quotation"),
+            ("classify", b"--llm-model \xff\n", "'utf-8' codec can't"),
+            ("classify", None, "No such file"),
+        ],
+        ids=["flags-of-another-command", "unbalanced-quote", "not-utf-8", "missing"],
+    )
+    def test_at_file_refused_as_a_usage_error(self, tmp_path, capsys, command, content, message):
+        args_file = tmp_path / "llm.args"
+        if content is not None:
+            args_file.write_bytes(content)
+        assert main([command, "--run-dir", str(tmp_path / "run"), f"@{args_file}"]) == 1
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert command == "fetch" or str(args_file) in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
+        "command, flag", [*((command, "--config") for command in COMMANDS), ("fetch", "--batch-size")]
+    )
+    def test_deleted_settings_are_not_options(self, tmp_path, capsys, command, flag):
+        gold = ["--gold", "g.jsonl"] if command.startswith("eval-") else []
+        assert main([command, "--run-dir", str(tmp_path / "run"), *gold, flag, "x"]) == 1
+        assert f"unrecognized arguments: {flag} x" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_validation_bounds(self):
         with pytest.raises(ConfigError):
@@ -690,8 +753,6 @@ class TestConfigFile:
     @pytest.mark.parametrize(
         "flag, value, field",
         [
-            ("--batch-size", "0", "efetch_batch_size"),
-            ("--batch-size", "501", "efetch_batch_size"),
             ("--backoff", "-0.5", "backoff_base"),
             ("--timeout", "0", "timeout"),
             ("--timeout", "1e10", "timeout"),  # overflowed the socket's timeout
@@ -731,10 +792,7 @@ class TestConfigFile:
         gold = ["--gold", "g.jsonl"] if command == "eval-tables" else []
         assert main([command, "--run-dir", run_dir, *gold, flag, "1"]) == 1
         assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
-        config_file = tmp_path / "pipeline.conf"
-        config_file.write_text(f"{key} = 1\n", encoding="utf-8")
-        assert main(["compare", "--run-dir", run_dir, "--config", str(config_file)]) == 2
-        assert f"unknown config key {key!r}" in capsys.readouterr().err
+        assert key not in {f.name for f in fields(PipelineConfig)}
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("key", ["abc\ndef", "abc\r\nX-Injected: 1", "abc\0def"])
@@ -771,11 +829,6 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {field} must be") and "Traceback" not in err
         assert not (tmp_path / "run").exists()
-
-    def test_boolean_coercion(self, tmp_path):
-        config_file = tmp_path / "pipeline.conf"
-        config_file.write_text("split_qualifiers = true\n", encoding="utf-8")
-        assert build_config(config_path=config_file, env={}).split_qualifiers is True
 
 
 class TestEvalCommands:

@@ -460,8 +460,8 @@ class TestThrottle:
         marker_file.write_text("\n".join(markers) + "\n", encoding="utf-8")
         with run_entrez(state) as url:
             args = ["fetch", "--run-dir", str(tmp_path / "run"), "--markers", str(marker_file), "--entrez-base", url]
-            assert main([*args, "--rps", "10", "--batch-size", "20"]) == 0
-        assert len(state.requests) == 8  # six searches, two fetches
+            assert main([*args, "--rps", "10"]) == 0
+        assert len(state.requests) == 7  # six searches, one fetch
         assert recorder.sleeps == []
 
 
