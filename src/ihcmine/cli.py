@@ -44,12 +44,21 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # argparse default exits 2; we reserve 2 for stage failures
         raise UsageError(f"{self.prog}: {message}")
 
-    def convert_arg_line_to_args(self, arg_line: str) -> list[str]:
-        """One line of an ``@file``, split as a POSIX shell would, ``#`` comments dropped."""
+    def parse_known_args(self, args: list[str] | None = None, namespace: argparse.Namespace | None = None):
+        """Replaces each ``@file`` argument by its flags: UTF-8 lines, split as a POSIX shell would, ``#`` comments dropped."""
         import shlex
 
-        arg_line.encode()  # 3.12+ reads with surrogateescape; a byte that is not UTF-8 fails here, as on 3.10 and 3.11
-        return shlex.split(arg_line, comments=True)
+        expanded = []
+        for arg in sys.argv[1:] if args is None else args:
+            if not arg.startswith("@"):
+                expanded.append(arg)
+                continue
+            try:
+                lines = Path(arg[1:]).read_text(encoding="utf-8").splitlines()
+                expanded.extend(word for line in lines for word in shlex.split(line, comments=True))
+            except (OSError, ValueError) as exc:  # ValueError: an unbalanced quote, or bytes that are not UTF-8
+                raise UsageError(f"{self.prog}: cannot read {arg}: {exc}") from None
+        return super().parse_known_args(expanded, namespace)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -71,7 +80,7 @@ def _add_gateway_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="ihcmine", description=__doc__, fromfile_prefix_chars="@")
+    parser = _Parser(prog="ihcmine", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fetch", help="search PubMed per marker and build the deduplicated corpus")
@@ -261,7 +270,11 @@ def _write_json(path: Path, payload: dict[str, Any]) -> None:
 
 def cmd_fetch(config: PipelineConfig, store: RunStore, args: argparse.Namespace) -> int:
     markers_file = Path(config.markers_path)
-    lines = (line.strip() for line in markers_file.read_text(encoding="utf-8-sig").splitlines())
+    try:
+        text = markers_file.read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise PipelineError(f"{markers_file}: not valid UTF-8: {exc}") from None
+    lines = (line.strip() for line in text.splitlines())
     markers = list(dict.fromkeys(m for m in lines if m and not m.startswith("#")))
     if not markers:
         raise PipelineError(f"markers file {markers_file} is empty")
@@ -587,14 +600,10 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
     try:
         args = build_parser().parse_args(argv)
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
-        return 1
-    except ValueError as exc:  # an @file with an unbalanced quote or an undecodable byte (see _Parser)
-        print(f"ihcmine: cannot read {' '.join(a for a in argv if a.startswith('@'))}: {exc}", file=sys.stderr)
         return 1
     except SystemExit as exc:  # --help
         return int(exc.code or 0)

@@ -45,10 +45,6 @@ class DictionaryLoadError(PipelineError):
     """Concept dictionary file was malformed."""
 
 
-class NormalizationError(PipelineError):
-    """A term could not be normalized (usually a gateway failure)."""
-
-
 class ReferenceFileError(PipelineError):
     """Reference CSV row was malformed."""
 

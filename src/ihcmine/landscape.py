@@ -9,6 +9,7 @@ observed rates are rounded to integer percent (half-up) before any comparison.
 from __future__ import annotations
 
 import csv
+import io
 import logging
 from dataclasses import dataclass
 from enum import Enum
@@ -239,8 +240,17 @@ def _norm(text: str) -> str:
 def load_reference_csv(path: str | Path) -> ReferenceTable:
     """Read marker,tumour,kind,low,high rows (empty bounds for qualitative/no_data), no (marker, tumour) twice."""
     path = Path(path)
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ReferenceFileError(f"{path}:{line}: not valid UTF-8") from None
+    if "\0" in text:  # Python 3.10's csv module fails on it, later ones read it into a field
+        line = text.count("\n", 0, text.index("\0")) + 1
+        raise ReferenceFileError(f"{path}:{line}: contains a NUL byte")
     rows: dict[tuple[str, str], tuple[int, ReferenceEntry]] = {}  # key -> (line, entry)
-    with path.open(encoding="utf-8", newline="") as handle:
+    with io.StringIO(text, newline="") as handle:
         reader = csv.DictReader(handle)
         required = {"marker", "tumour", "kind", "low", "high"}
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):

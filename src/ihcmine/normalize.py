@@ -39,7 +39,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 import numpy as np
 
 from .domain import NormalizedRecord
-from .errors import DictionaryLoadError, GatewayError, NormalizationError, ValidationError
+from .errors import DictionaryLoadError, GatewayError, ValidationError
 from .gateway import EmbeddingVector, LlmGateway
 from .store import atomic_file, file_sha256
 from .tables import ProfileTable, split_marker_column
@@ -416,7 +416,7 @@ def _publish(entry: Path, digest: str, table: _Table) -> None:
 
 
 class TermNormalizer:
-    """Embeds surfaces through the gateway and maps them to nearest concepts.
+    """Maps surfaces to nearest concepts: ``prefetch`` embeds and searches them, ``normalize_term`` reads the result.
 
     Results are cached by surface string, failures too: a surface the
     endpoint failed is not asked for again. Not thread-safe: the normalize
@@ -430,43 +430,33 @@ class TermNormalizer:
         self._cache: dict[str, NormalizedEntity | None] = {}  # None: embedding failed
 
     def prefetch(self, surfaces: Iterable[str]) -> None:
-        """Embed the distinct uncached surfaces in chunks of ``EMBED_CHUNK`` and cache their matches.
+        """Embed the distinct uncached non-blank surfaces in chunks of ``EMBED_CHUNK`` and cache their matches.
 
-        Each embedded chunk is searched with one ``nearest_many`` call. A
-        chunk the gateway fails is left uncached, so ``normalize_term``
-        embeds its surfaces one at a time and only the failing ones go unmapped.
+        A chunk the gateway fails is embedded again one surface at a time,
+        so only the failing surfaces stay unmapped. The vectors a chunk got
+        are searched with one ``nearest_many`` call.
         """
         todo = [s for s in dict.fromkeys(surfaces) if s.strip() and s not in self._cache]
         for start in range(0, len(todo), EMBED_CHUNK):
             chunk = todo[start : start + EMBED_CHUNK]
             try:
-                vectors = self.gateway.embed(chunk)
+                vectors = dict(zip(chunk, self.gateway.embed(chunk)))
             except GatewayError as exc:
                 logger.warning("embedding %d surfaces failed, falling back to one at a time: %s", len(chunk), exc)
-                continue
-            for surface, hits in zip(chunk, self.index.nearest_many(vectors, k=1)):
-                self._remember(surface, hits)
+                vectors = {}
+                for surface in chunk:
+                    try:
+                        vectors[surface] = self.gateway.embed([surface])[0]
+                    except GatewayError as exc:
+                        logger.warning("embedding %r failed, it stays unmapped: %s", surface, exc)
+                        self._cache[surface] = None
+            for surface, hits in zip(vectors, self.index.nearest_many(list(vectors.values()), k=1)):
+                concept, distance = hits[0]
+                self._cache[surface] = NormalizedEntity(cui=concept.cui, matched_name=concept.name, distance=distance)
 
-    def normalize_term(self, surface: str) -> NormalizedEntity:
-        if not surface or not surface.strip():
-            raise ValidationError("cannot normalize an empty surface form")
-        if surface in self._cache:
-            cached = self._cache[surface]
-            if cached is None:
-                raise NormalizationError(f"embedding failed earlier for {surface!r}")
-            return cached
-        try:
-            vector = self.gateway.embed([surface])[0]
-        except GatewayError as exc:
-            self._cache[surface] = None
-            raise NormalizationError(f"embedding failed for {surface!r}: {exc}") from exc
-        return self._remember(surface, self.index.nearest(vector, k=1))
-
-    def _remember(self, surface: str, hits: list[tuple[Concept, float]]) -> NormalizedEntity:
-        concept, distance = hits[0]
-        entity = NormalizedEntity(cui=concept.cui, matched_name=concept.name, distance=distance)
-        self._cache[surface] = entity
-        return entity
+    def normalize_term(self, surface: str) -> NormalizedEntity | None:
+        """What ``prefetch`` resolved ``surface`` to; None for a blank surface, a failed one, or one never prefetched."""
+        return self._cache.get(surface)
 
 
 def table_surfaces(table: ProfileTable) -> Iterator[str]:
@@ -475,8 +465,7 @@ def table_surfaces(table: ProfileTable) -> Iterator[str]:
         for column_name, cell in row.cells.items():
             if cell.is_missing:
                 continue
-            if row.tumour_type.strip():
-                yield row.tumour_type
+            yield row.tumour_type
             if row.tumour_site:
                 yield row.tumour_site
             yield split_marker_column(column_name).base_marker
@@ -486,17 +475,17 @@ def normalize_table(table: ProfileTable, normalizer: TermNormalizer) -> list[Nor
     """One record per non-missing marker cell; failures flag, never drop.
 
     Missing (NA) cells produce no record, since aggregation has nothing to
-    sum for them. Terms the gateway cannot embed stay unnormalized with an
-    unmapped flag and the raw surface preserved.
+    sum for them. Blank terms, and terms the gateway cannot embed, stay
+    unnormalized with an unmapped flag and the raw surface preserved. It
+    prefetches the table's surfaces: no request after a stage-wide ``prefetch``.
     """
+    normalizer.prefetch(table_surfaces(table))
     records: list[NormalizedRecord] = []
     max_distance = normalizer.max_distance
 
     def lookup(surface: str, flag_name: str, flags: list[str]):
-        try:
-            entity = normalizer.normalize_term(surface)
-        except NormalizationError as exc:
-            logger.warning("normalization failed for %r: %s", surface, exc)
+        entity = normalizer.normalize_term(surface)
+        if entity is None:
             flags.append(f"unmapped_{flag_name}")
             return None, None
         if max_distance is not None and entity.distance > max_distance:
@@ -511,11 +500,7 @@ def normalize_table(table: ProfileTable, normalizer: TermNormalizer) -> list[Nor
             column = split_marker_column(column_name)
             if not cell.count.is_valid:
                 flags.append("invalid_count")
-            type_cui = type_name = None
-            if row.tumour_type.strip():
-                type_cui, type_name = lookup(row.tumour_type, "tumour_type", flags)
-            else:
-                flags.append("unmapped_tumour_type")
+            type_cui, type_name = lookup(row.tumour_type, "tumour_type", flags)
             site_cui = site_name = None
             if row.tumour_site:
                 site_cui, site_name = lookup(row.tumour_site, "tumour_site", flags)

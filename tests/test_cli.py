@@ -85,6 +85,12 @@ class TestFetch:
         assert terms == ["ER immunohisto*", "PR immunohisto*"]
         assert list(json.loads((run_dir / "corpus_stats.json").read_text())["per_marker_counts"]) == ["ER", "PR"]
 
+    def test_markers_file_that_is_not_utf_8(self, demo_env, tmp_path, capsys):
+        demo_env.markers_file.write_bytes(b"ER\nPR\xff\n")
+        assert main(demo_env.fetch_args(tmp_path / "run")) == 2
+        assert capsys.readouterr().err.startswith(f"error: {demo_env.markers_file}: not valid UTF-8")
+        assert demo_env.entrez_state.requests == []
+
     def test_rerun_skips_done_stage(self, demo_env, tmp_path, capsys):
         run_dir = tmp_path / "run"
         assert main(demo_env.fetch_args(run_dir)) == 0
@@ -274,6 +280,27 @@ class TestExtract:
         assert demo_env.llm_state.max_active == 2
         for name in ("tables_raw.jsonl", "tables_parsed.jsonl"):
             assert (overlapped / name).read_bytes() == (serial / name).read_bytes(), name
+
+
+class TestNormalize:
+    def test_empty_marker_header_is_an_unmapped_marker(self, demo_env, tmp_path):
+        run_dir = tmp_path / "run"
+        assert main(demo_env.fetch_args(run_dir)) == 0
+        assert main(demo_env.classify_args(run_dir)) == 0
+        pmid = next(r["pmid"] for r in read_jsonl(run_dir / "classified.jsonl") if r["label"] == "Include")
+        extract_fn = demo_env.llm_state.extract_fn
+        demo_env.llm_state.extract_fn = lambda content: (
+            "| Tumor type | Tumor site | |\n| --- | --- | --- |\n| melanoma | skin | 3/10 |\n"
+            if f"({pmid})" in content
+            else extract_fn(content)
+        )
+        assert main(demo_env.extract_args(run_dir)) == 0
+        assert main(demo_env.normalize_args(run_dir)) == 0
+        records = read_jsonl(run_dir / "normalized.jsonl")
+        blank = [r for r in records if r["pmid"] == pmid]
+        assert len(blank) == 1
+        assert (blank[0]["marker"], blank[0]["marker_cui"], blank[0]["flags"]) == ("", None, ["unmapped_marker"])
+        assert all(r["marker_cui"] for r in records if r["pmid"] != pmid)
 
 
 def normalized(pmid, tumour_cui="C0000010", flags=()):
@@ -716,6 +743,15 @@ class TestConfigFile:
         assert from_file.llm_model == "my model"
         assert config_of([*run, f"@{args_file}", "--retries", "5"]).retries == 5  # a later flag wins
         assert config_of([*run, "--llm-key=@secret"]).llm_api_key == "@secret"  # not a file
+
+    def test_at_file_is_utf_8_under_an_ascii_locale(self, tmp_path):
+        args_file = tmp_path / "llm.args"
+        args_file.write_text("--llm-model café\n", encoding="utf-8")
+        code = "import sys; from ihcmine.cli import build_parser; print(ascii(build_parser().parse_args(sys.argv[1:]).llm_model))"
+        env = {**os.environ, "PYTHONPATH": "src", "LC_ALL": "POSIX", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+        argv = [sys.executable, "-c", code, "classify", f"@{args_file}"]
+        result = subprocess.run(argv, cwd=Path(__file__).parent.parent, env=env, capture_output=True, text=True, timeout=60)
+        assert (result.returncode, result.stdout) == (0, ascii("café") + "\n"), result.stderr
 
     @pytest.mark.parametrize(
         "command, content, message",

@@ -213,6 +213,18 @@ class TestLoadReferenceCsv:
             load_reference_csv(path)
         assert str(raised.value) == f"{path}:4: repeats ER/breast carcinoma from line 2"
 
+    @pytest.mark.parametrize(
+        "row, problem",
+        [(b"ER,naevus\xff,negative,,\r\n", "not valid UTF-8"), (b"ER,nae\0vus,negative,,\r\n", "contains a NUL byte")],
+        ids=["not-utf-8", "nul"],
+    )
+    def test_bad_bytes_refused_with_their_line(self, tmp_path, row, problem):
+        path = tmp_path / "reference.csv"
+        path.write_bytes(b"marker,tumour,kind,low,high\r\nPR,melanoma,negative,,\r\n" + row)
+        with pytest.raises(ReferenceFileError) as raised:
+            load_reference_csv(path)
+        assert str(raised.value) == f"{path}:3: {problem}"
+
     def test_lookup_is_case_and_space_insensitive(self, tmp_path):
         path = tmp_path / "reference.csv"
         path.write_text("marker,tumour,kind,low,high\nER,breast carcinoma,range,60,80\n", encoding="utf-8")

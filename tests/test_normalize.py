@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from ihcmine import normalize as normalize_mod
 from ihcmine.cli import main
 from ihcmine.codec import decode, encode
-from ihcmine.errors import DictionaryLoadError, GatewayError, NormalizationError, ValidationError
+from ihcmine.errors import DictionaryLoadError, GatewayError, ValidationError
 from ihcmine.gateway import EmbeddingVector
 from ihcmine.normalize import (
     EMBED_CHUNK,
@@ -649,6 +649,7 @@ class TestTermNormalizer:
     def test_identity_surface_distance_zero(self):
         index, cuis = build_index(["melanoma", "breast carcinoma"])
         normalizer = TermNormalizer(FakeEmbedGateway(), index)
+        normalizer.prefetch(["melanoma"])
         entity = normalizer.normalize_term("melanoma")
         assert entity.cui == cuis["melanoma"]
         assert entity.matched_name == "melanoma"
@@ -658,31 +659,37 @@ class TestTermNormalizer:
         index, _ = build_index(["melanoma"])
         gateway = FakeEmbedGateway()
         normalizer = TermNormalizer(gateway, index)
-        normalizer.normalize_term("melanoma")
-        normalizer.normalize_term("melanoma")
+        normalizer.prefetch(["melanoma", "melanoma"])
+        normalizer.prefetch(["melanoma"])
+        assert normalizer.normalize_term("melanoma") is not None
         assert gateway.calls == 1
 
-    def test_empty_surface_rejected(self):
+    def test_blank_surfaces_send_no_request_and_read_none(self):
         index, _ = build_index(["melanoma"])
-        normalizer = TermNormalizer(FakeEmbedGateway(), index)
-        with pytest.raises(ValidationError):
-            normalizer.normalize_term("  ")
+        gateway = FakeEmbedGateway()
+        normalizer = TermNormalizer(gateway, index)
+        normalizer.prefetch(["", "  ", "\t"])
+        assert gateway.calls == 0
+        assert [normalizer.normalize_term(s) for s in ("", "  ", "\t")] == [None, None, None]
 
-    def test_gateway_failure_becomes_normalization_error(self):
+    def test_gateway_failure_reads_none(self):
         index, _ = build_index(["melanoma"])
         normalizer = TermNormalizer(FakeEmbedGateway(fail_for={"naevus"}), index)
-        with pytest.raises(NormalizationError):
-            normalizer.normalize_term("naevus")
+        assert normalizer.normalize_term("naevus") is None  # never prefetched
+        normalizer.prefetch(["naevus"])
+        assert normalizer.normalize_term("naevus") is None
 
     def test_failed_surface_asked_for_once(self):
-        index, _ = build_index(["melanoma"])
+        index, cuis = build_index(["melanoma"])
         gateway = FakeEmbedGateway(fail_for={"naevus"})
         normalizer = TermNormalizer(gateway, index)
-        for _ in range(3):
-            with pytest.raises(NormalizationError, match="naevus"):
-                normalizer.normalize_term("naevus")
         normalizer.prefetch(["naevus", "melanoma"])
-        assert gateway.calls == 2  # one failed single embed, then one chunk holding melanoma alone
+        assert gateway.calls == 3  # the chunk, then naevus and melanoma one at a time
+        for _ in range(3):
+            normalizer.prefetch(["naevus", "melanoma"])
+        assert gateway.calls == 3
+        assert normalizer.normalize_term("naevus") is None
+        assert normalizer.normalize_term("melanoma").cui == cuis["melanoma"]
 
 
 class TestNormalizeTable:
@@ -739,6 +746,14 @@ class TestNormalizeTable:
         records = normalize_table(parse_markdown_table(text, pmid="1"), normalizer)
         assert [r.flags for r in records] == [["invalid_count"], ["invalid_count"]]
 
+    def test_blank_tumour_type_flagged_without_a_request(self):
+        normalizer, cuis = self.build()
+        text = "| Tumor type | Tumor site | S100A4 |\n| --- | --- | --- |\n|  | Kidney | 73/22 |\n"
+        [record] = normalize_table(parse_markdown_table(text, pmid="1"), normalizer)
+        assert (record.tumour_type, record.tumour_type_cui, record.marker_cui) == ("", None, cuis["S100A4"])
+        assert record.flags == ["invalid_count", "unmapped_tumour_type"]
+        assert normalizer.gateway.calls == 1  # Kidney and S100A4, in one chunk
+
     def test_max_distance_flags_low_confidence(self):
         names = ["Clear cell renal cell carcinoma", "Kidney", "S100A4"]
         index, _ = build_index(names)
@@ -783,10 +798,11 @@ class TestPrefetch:
         assert gateway.calls == math.ceil(len(unique) / EMBED_CHUNK) == 2
 
     def test_same_records_as_one_surface_at_a_time(self):
+        """The stage-wide prefetch gives the records that normalizing each table on its own gives."""
         tables = self.tables()
-        per_surface, per_surface_gateway = self.build()
-        expected = [r for table in tables for r in normalize_table(table, per_surface)]
-        assert per_surface_gateway.calls == 105
+        per_table, per_table_gateway = self.build()
+        expected = [r for table in tables for r in normalize_table(table, per_table)]
+        assert per_table_gateway.calls == len(tables)  # each table's 25 distinct surfaces fit one chunk
         normalizer, _ = self.build()
         assert self.prefetched(normalizer, tables) == expected
 
