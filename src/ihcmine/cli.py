@@ -4,6 +4,11 @@ Exit codes: 0 success, 1 usage error, 2 stage failure. Each stage reads
 the previous stage's output from the run directory and writes its own; an
 upstream stage that is missing, unfinished or stale fails with its producer.
 
+Each setting is declared once, on its flag in ``build_parser``: its default,
+its environment variable and its bounds. A flag beats the environment
+variable, which beats the default; an empty variable is ignored. A value out
+of bounds exits 2 before any run directory exists.
+
 Every stage is its own process, so this module imports at load time only
 what every command uses, plus the names a tracer patches here
 (``dedup_merge``, ``extract_table``, ``parse_markdown_table``); a command
@@ -16,6 +21,8 @@ import argparse
 import functools
 import json
 import logging
+import math
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -23,12 +30,12 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, NamedTuple
 
 from .codec import decode, encode
-from .config import PipelineConfig, build_config
 from .domain import AbstractRecord, ClassificationLabel, NormalizedRecord, format_percent, round_percent
-from .errors import GatewayError, PipelineError, TableNotFoundError, ValidationError
-from .pubmed import MAX_CAP, CorpusStats, EntrezClient, dedup_merge
+from .errors import ConfigError, GatewayError, PipelineError, TableNotFoundError, ValidationError
+from .pubmed import DEFAULT_BASE_URL, MAX_CAP, CorpusStats, EntrezClient, dedup_merge
 from .store import RunLock, RunStore, StageInfo, atomic_file, file_sha256, iter_jsonl
 from .tables import ProfileTable, extract_table, parse_markdown_table
+from .transport import MAX_RETRIES, MAX_WAIT_S
 
 if TYPE_CHECKING:
     from .gateway import LlmGateway
@@ -61,38 +68,75 @@ class _Parser(argparse.ArgumentParser):
         return super().parse_known_args(expanded, namespace)
 
 
+def _checked(name: str, convert: Callable[[str], Any], ok: Callable[[Any], bool], bound: str) -> Callable[[str], Any]:
+    """A flag type: ``convert``, then ``ConfigError`` for a float that is not finite or a value not ``ok``."""
+
+    def check(text: str) -> Any:
+        value = convert(text)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{name} must be a finite number, got {value}")
+        if not ok(value):
+            raise ConfigError(f"{name} must be {bound}, got {value}")
+        return value
+
+    check.__name__ = convert.__name__  # what argparse names in "invalid int value"
+    return check
+
+
+def _api_key(text: str) -> str:
+    if any(c in text for c in "\r\n\0"):
+        raise ConfigError("llm_api_key must not contain CR, LF or NUL")  # the key itself stays out of the message
+    return text
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--run-dir", dest="run_dir", help="run directory (default: derived under --runs-root)")
-    parser.add_argument("--runs-root", dest="runs_root", help="root for auto-created run directories")
+    parser.add_argument("--runs-root", dest="runs_root", default="runs", help="root for auto-created run directories")
     parser.add_argument("-v", "--verbose", action="store_true", help="debug logging")
 
 
+def _add_transport_flags(parser: argparse.ArgumentParser) -> None:
+    retries = _checked("retries", int, lambda n: 1 <= n <= MAX_RETRIES, f"in [1, {MAX_RETRIES}]")
+    parser.add_argument("--retries", dest="retries", type=retries, default=3)
+    backoff = _checked("backoff_base", float, lambda s: s >= 0, ">= 0")
+    parser.add_argument("--backoff", dest="backoff_base", type=backoff, default=1.0)
+    timeout = _checked("timeout", float, lambda s: 0 < s <= MAX_WAIT_S, f"in (0, {MAX_WAIT_S:g}] seconds")
+    parser.add_argument("--timeout", dest="timeout", type=timeout, default=60.0)
+
+
 def _add_gateway_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--llm-base", dest="llm_base_url", help="chat-completions base URL")
-    parser.add_argument("--llm-model", dest="llm_model")
-    parser.add_argument("--llm-key", dest="llm_api_key")
-    parser.add_argument("--emb-base", dest="emb_base_url", help="embeddings base URL")
-    parser.add_argument("--emb-model", dest="emb_model")
-    parser.add_argument("--concurrency", dest="llm_concurrency", type=int)
-    parser.add_argument("--retries", dest="retries", type=int)
-    parser.add_argument("--backoff", dest="backoff_base", type=float)
-    parser.add_argument("--timeout", dest="timeout", type=float)
+    llm_base_url = os.environ.get("LLM_BASE_URL") or "http://localhost:8000"
+    parser.add_argument("--llm-base", dest="llm_base_url", default=llm_base_url, help="chat-completions base URL")
+    parser.add_argument("--llm-model", dest="llm_model", default=os.environ.get("LLM_MODEL") or "default")
+    parser.add_argument("--llm-key", dest="llm_api_key", type=_api_key, default=os.environ.get("LLM_API_KEY") or None)
+    emb_base_url = os.environ.get("EMB_BASE_URL") or None  # None: the chat endpoint's
+    parser.add_argument("--emb-base", dest="emb_base_url", default=emb_base_url, help="embeddings base URL")
+    parser.add_argument("--emb-model", dest="emb_model", default=os.environ.get("EMB_MODEL") or None)
+    concurrency = _checked("llm_concurrency", int, lambda n: n >= 1, ">= 1")
+    parser.add_argument("--concurrency", dest="llm_concurrency", type=concurrency, default=4)
+    _add_transport_flags(parser)
 
 
 def build_parser() -> _Parser:
+    """The command line. A setting's flag holds its default, its environment variable and its bounds."""
     parser = _Parser(prog="ihcmine", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fetch", help="search PubMed per marker and build the deduplicated corpus")
     _add_common(p)
-    p.add_argument("--markers", dest="markers_path", help="file with one marker name per line")
-    p.add_argument("--cap", dest="cap", type=int, help=f"max abstracts per marker (<= {MAX_CAP})")
-    p.add_argument("--entrez-base", dest="entrez_base_url")
-    p.add_argument("--ncbi-key", dest="ncbi_api_key")
-    p.add_argument("--rps", dest="requests_per_second", type=float, help="request budget per second")
-    p.add_argument("--retries", dest="retries", type=int)
-    p.add_argument("--backoff", dest="backoff_base", type=float)
-    p.add_argument("--timeout", dest="timeout", type=float)
+    p.add_argument(
+        "--markers", dest="markers_path", default="data/markers.txt", help="file with one marker name per line"
+    )
+    cap = _checked("cap", int, lambda n: 1 <= n <= MAX_CAP, f"in [1, {MAX_CAP}]")
+    p.add_argument("--cap", dest="cap", type=cap, default=MAX_CAP, help=f"max abstracts per marker (<= {MAX_CAP})")
+    entrez_base_url = os.environ.get("ENTREZ_BASE_URL") or DEFAULT_BASE_URL
+    p.add_argument("--entrez-base", dest="entrez_base_url", default=entrez_base_url)
+    p.add_argument("--ncbi-key", dest="ncbi_api_key", default=os.environ.get("NCBI_API_KEY") or None)
+    window = f"at least 1/{MAX_WAIT_S:g} (one request per window of at most {MAX_WAIT_S:g} s)"
+    rps = _checked("requests_per_second", float, lambda r: r >= 1 / MAX_WAIT_S, window)
+    # unset: 3/s, or 10/s with an API key
+    p.add_argument("--rps", dest="requests_per_second", type=rps, help="request budget per second")
+    _add_transport_flags(p)
 
     p = sub.add_parser("classify", help="label corpus abstracts Include/Exclude via the LLM")
     _add_common(p)
@@ -107,15 +151,17 @@ def build_parser() -> _Parser:
     _add_common(p)
     _add_gateway_flags(p)
     p.add_argument("--dictionary", dest="dictionary_path", help="concept dictionary TSV")
-    p.add_argument("--max-dist", dest="max_distance", type=float, help="flag mappings beyond this distance")
+    max_distance = _checked("max_distance", float, lambda d: True, "")
+    p.add_argument("--max-dist", dest="max_distance", type=max_distance, help="flag mappings beyond this distance")
 
     p = sub.add_parser("aggregate", help="sum positives/cohorts per (marker, tumour)")
     _add_common(p)
-    p.add_argument("--split-qualifiers", dest="split_qualifiers", action="store_const", const=True)
+    p.add_argument("--split-qualifiers", dest="split_qualifiers", action="store_true")
 
     p = sub.add_parser("compare", help="compare aggregated rates against the curated reference")
     _add_common(p)
-    p.add_argument("--reference", dest="reference_path", help="reference CSV (marker,tumour,kind,low,high)")
+    reference_help = "reference CSV (marker,tumour,kind,low,high)"
+    p.add_argument("--reference", dest="reference_path", default="data/reference.csv", help=reference_help)
 
     p = sub.add_parser("report", help="write marker totals and comparison report files")
     _add_common(p)
@@ -137,8 +183,8 @@ def build_parser() -> _Parser:
 class _Stage(NamedTuple):  # what a stage's output is built from, besides its upstream's output
     producer: str  # the command that writes it
     upstream: str | None
-    settings: tuple[str, ...] = ()  # config fields, recorded as str(value)
-    files: tuple[str, ...] = ()  # config fields naming files, recorded by content hash
+    settings: tuple[str, ...] = ()  # flag dests, recorded as str(value)
+    files: tuple[str, ...] = ()  # flag dests naming files, recorded by content hash
     template: str | None = None  # name of a gateway prompt-template constant, recorded by content hash
     rerun: bool = False  # re-run on changed inputs: whole output, nothing record-wise downstream
 
@@ -162,11 +208,11 @@ def _file_sha256(name: str, path: str | None) -> str:
         raise PipelineError(f"{name}: cannot read {path}: {exc.strerror}") from None
 
 
-def _inputs(stage: str, config: PipelineConfig, store: RunStore | None) -> dict[str, str]:
+def _inputs(stage: str, args: argparse.Namespace, store: RunStore | None) -> dict[str, str]:
     """The inputs ``stage`` would be built from now: settings, file hashes, upstream fingerprint."""
     spec = _STAGES[stage]
-    inputs = {name: str(getattr(config, name)) for name in spec.settings}
-    inputs.update((name, _file_sha256(name, getattr(config, name))) for name in spec.files)
+    inputs = {name: str(getattr(args, name)) for name in spec.settings}
+    inputs.update((name, _file_sha256(name, getattr(args, name))) for name in spec.files)
     if spec.template:
         from . import gateway
 
@@ -176,17 +222,17 @@ def _inputs(stage: str, config: PipelineConfig, store: RunStore | None) -> dict[
     return inputs
 
 
-def _resolve_run_dir(command: str, config: PipelineConfig) -> Path:
+def _resolve_run_dir(args: argparse.Namespace) -> Path:
     """--run-dir, else under --runs-root: fetch's run with the same corpus inputs, or the newest run."""
-    if config.run_dir:
-        return Path(config.run_dir)
-    root = Path(config.runs_root)
+    if args.run_dir:
+        return Path(args.run_dir)
+    root = Path(args.runs_root)
     runs = sorted(manifest.parent for manifest in root.glob("*/manifest.json"))
-    if command != "fetch":
+    if args.command != "fetch":
         if not runs:
             raise PipelineError(f"no run under {root}; run fetch")
         return runs[-1]
-    inputs = _inputs("corpus", config, None)
+    inputs = _inputs("corpus", args, None)
     for run in reversed(runs):
         if RunStore.open(run).manifest.stages["corpus"].inputs == inputs:
             return run
@@ -213,19 +259,20 @@ def _require_stage(store: RunStore, stage: str) -> Path:
     return path
 
 
-def _gate(command: str, config: PipelineConfig, store: RunStore) -> bool:
-    """Checks the stages ``command`` writes against their recorded inputs; True when all are done and current.
+def _gate(args: argparse.Namespace, store: RunStore) -> bool:
+    """Checks the stages the command writes against their recorded inputs; True when all are done and current.
 
     A done stage recorded without inputs counts as current. Changed inputs, or a done file that
     changed since, restart a ``rerun`` stage and are refused for any other, whose records cannot
     be mixed with records of other inputs.
     """
+    command = args.command
     outputs = [stage for stage, spec in _STAGES.items() if spec.producer == command]
     if outputs and _STAGES[outputs[0]].upstream:
         _require_stage(store, _STAGES[outputs[0]].upstream)
     current = bool(outputs)
     for stage in outputs:
-        info, inputs = store.stage_info(stage), _inputs(stage, config, store)
+        info, inputs = store.stage_info(stage), _inputs(stage, args, store)
         if info.status == "done" and _changed(store, stage):
             if not _STAGES[stage].rerun:
                 raise PipelineError(f"{stage}.jsonl changed after {command} finished it")
@@ -245,18 +292,18 @@ def _gate(command: str, config: PipelineConfig, store: RunStore) -> bool:
     return current
 
 
-def _make_gateway(config: PipelineConfig) -> LlmGateway:
+def _make_gateway(args: argparse.Namespace) -> LlmGateway:
     from .gateway import LlmGateway
 
     return LlmGateway(
-        llm_base_url=config.llm_base_url,
-        model_id=config.llm_model,
-        emb_base_url=config.emb_base_url,
-        emb_model_id=config.emb_model,
-        api_key=config.llm_api_key,
-        retries=config.retries,
-        backoff_base=config.backoff_base,
-        timeout=config.timeout,
+        llm_base_url=args.llm_base_url,
+        model_id=args.llm_model,
+        emb_base_url=args.emb_base_url,
+        emb_model_id=args.emb_model,
+        api_key=args.llm_api_key,
+        retries=args.retries,
+        backoff_base=args.backoff_base,
+        timeout=args.timeout,
     )
 
 
@@ -268,8 +315,8 @@ def _write_json(path: Path, payload: dict[str, Any]) -> None:
 # -- stage commands -----------------------------------------------------------
 
 
-def cmd_fetch(config: PipelineConfig, store: RunStore, args: argparse.Namespace) -> int:
-    markers_file = Path(config.markers_path)
+def cmd_fetch(args: argparse.Namespace, store: RunStore) -> int:
+    markers_file = Path(args.markers_path)
     try:
         text = markers_file.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
@@ -280,17 +327,17 @@ def cmd_fetch(config: PipelineConfig, store: RunStore, args: argparse.Namespace)
         raise PipelineError(f"markers file {markers_file} is empty")
 
     client = EntrezClient(
-        base_url=config.entrez_base_url,
-        api_key=config.ncbi_api_key,
-        requests_per_second=config.requests_per_second,
-        retries=config.retries,
-        backoff_base=config.backoff_base,
-        timeout=config.timeout,
+        base_url=args.entrez_base_url,
+        api_key=args.ncbi_api_key,
+        requests_per_second=args.requests_per_second,
+        retries=args.retries,
+        backoff_base=args.backoff_base,
+        timeout=args.timeout,
     )
     try:
         hits = []
         for marker in markers:
-            pmids = client.search_pmids(marker, cap=config.cap)
+            pmids = client.search_pmids(marker, cap=args.cap)
             logger.info("marker %s: %d PMIDs", marker, len(pmids))
             hits.append((marker, pmids))
         sources = dedup_merge(hits)
@@ -327,7 +374,7 @@ def _record_stage(
         store.append(target, result if isinstance(result, dict) else encode(result))
 
 
-def cmd_classify(config: PipelineConfig, store: RunStore, args: argparse.Namespace) -> int:
+def cmd_classify(args: argparse.Namespace, store: RunStore) -> int:
     from . import classify as classify_mod
 
     if args.retry_quarantined:
@@ -344,11 +391,11 @@ def cmd_classify(config: PipelineConfig, store: RunStore, args: argparse.Namespa
             store.reopen_stage("classified")
         store.write_aux_atomic("quarantine", map(encode, keep))
 
-    gateway = _make_gateway(config)
+    gateway = _make_gateway(args)
 
     def classified(pending: Iterator[dict[str, Any]]) -> Iterator[Any]:
         records = (decode(AbstractRecord, d) for d in pending)
-        return classify_mod.iter_classified(records, gateway, max_workers=config.llm_concurrency)
+        return classify_mod.iter_classified(records, gateway, max_workers=args.llm_concurrency)
 
     try:
         _record_stage(store, "classified", "classify", store.iter_records("corpus"), classified)
@@ -363,7 +410,7 @@ def cmd_classify(config: PipelineConfig, store: RunStore, args: argparse.Namespa
     return 0
 
 
-def cmd_extract(config: PipelineConfig, store: RunStore, args: argparse.Namespace) -> int:
+def cmd_extract(args: argparse.Namespace, store: RunStore) -> int:
     from . import classify as classify_mod
 
     corpus = {d["pmid"]: d for d in store.iter_records("corpus")}
@@ -375,7 +422,7 @@ def cmd_extract(config: PipelineConfig, store: RunStore, args: argparse.Namespac
         for pmid in include_pmids:
             if pmid not in corpus:
                 logger.warning("pmid %s classified but missing from corpus", pmid)
-        gateway = _make_gateway(config)
+        gateway = _make_gateway(args)
 
         def extract_one(d: dict[str, Any]) -> dict[str, str] | classify_mod.QuarantineEntry:
             record = decode(AbstractRecord, d)
@@ -385,7 +432,7 @@ def cmd_extract(config: PipelineConfig, store: RunStore, args: argparse.Namespac
                 return classify_mod.QuarantineEntry(pmid=record.pmid, stage="extract", reason=f"gateway: {exc}")
 
         includes = (corpus[pmid] for pmid in include_pmids if pmid in corpus)
-        extracted = functools.partial(classify_mod.map_ordered, fn=extract_one, max_workers=config.llm_concurrency)
+        extracted = functools.partial(classify_mod.map_ordered, fn=extract_one, max_workers=args.llm_concurrency)
         try:
             _record_stage(store, "tables_raw", "extract", includes, extracted)
         finally:
@@ -393,7 +440,7 @@ def cmd_extract(config: PipelineConfig, store: RunStore, args: argparse.Namespac
         store.mark_done("tables_raw")
 
     if not store.stage_done("tables_parsed"):
-        store.stage_info("tables_parsed").inputs = _inputs("tables_parsed", config, store)  # with tables_raw's sha256
+        store.stage_info("tables_parsed").inputs = _inputs("tables_parsed", args, store)  # with tables_raw's sha256
 
         def parse_one(raw: dict[str, Any]) -> ProfileTable | classify_mod.QuarantineEntry:
             try:
@@ -411,13 +458,13 @@ def cmd_extract(config: PipelineConfig, store: RunStore, args: argparse.Namespac
     return 0
 
 
-def cmd_normalize(config: PipelineConfig, store: RunStore, args: argparse.Namespace) -> int:
+def cmd_normalize(args: argparse.Namespace, store: RunStore) -> int:
     from . import normalize as normalize_mod  # numpy: loaded only by the stage that searches vectors
 
     recorded = store.stage_info("normalized").inputs["dictionary_path"]  # the digest the gate just took
-    index = normalize_mod.load_index(config.dictionary_path, sha256=recorded)
-    gateway = _make_gateway(config)
-    normalizer = normalize_mod.TermNormalizer(gateway, index, max_distance=config.max_distance)
+    index = normalize_mod.load_index(args.dictionary_path, sha256=recorded)
+    gateway = _make_gateway(args)
+    normalizer = normalize_mod.TermNormalizer(gateway, index, max_distance=args.max_distance)
 
     def tables():
         return (decode(ProfileTable, d) for d in store.iter_records("tables_parsed"))
@@ -432,7 +479,7 @@ def cmd_normalize(config: PipelineConfig, store: RunStore, args: argparse.Namesp
     return 0
 
 
-def cmd_aggregate(config: PipelineConfig, store: RunStore, args: argparse.Namespace) -> int:
+def cmd_aggregate(args: argparse.Namespace, store: RunStore) -> int:
     from . import landscape as landscape_mod
 
     usable, dropped = landscape_mod.usable_records(
@@ -444,7 +491,7 @@ def cmd_aggregate(config: PipelineConfig, store: RunStore, args: argparse.Namesp
             dropped["invalid_count"],
             dropped["unmapped"],
         )
-    aggregates = landscape_mod.aggregate(usable, split_qualifiers=config.split_qualifiers)
+    aggregates = landscape_mod.aggregate(usable, split_qualifiers=args.split_qualifiers)
     # the reports built from the aggregates replaced here go first, so compare must run again before report
     for name in ("comparison_report.csv", "landscape_report.json", "marker_report.csv"):
         (store.run_dir / name).unlink(missing_ok=True)
@@ -455,11 +502,11 @@ def cmd_aggregate(config: PipelineConfig, store: RunStore, args: argparse.Namesp
     return 0
 
 
-def cmd_compare(config: PipelineConfig, store: RunStore, args: argparse.Namespace) -> int:
+def cmd_compare(args: argparse.Namespace, store: RunStore) -> int:
     from . import landscape as landscape_mod
 
     _require_stage(store, "aggregates")
-    reference_path = Path(config.reference_path)
+    reference_path = Path(args.reference_path)
     if not reference_path.exists():
         raise PipelineError(f"reference file not found: {reference_path}")
     references = landscape_mod.load_reference_csv(reference_path)
@@ -481,7 +528,7 @@ def cmd_compare(config: PipelineConfig, store: RunStore, args: argparse.Namespac
     return 0
 
 
-def cmd_report(config: PipelineConfig, store: RunStore, args: argparse.Namespace) -> int:
+def cmd_report(args: argparse.Namespace, store: RunStore) -> int:
     import csv
 
     from . import landscape as landscape_mod
@@ -541,7 +588,7 @@ def _gold_and_pred(
     return golds, preds
 
 
-def cmd_eval_classify(config: PipelineConfig, store: RunStore, args: argparse.Namespace) -> int:
+def cmd_eval_classify(args: argparse.Namespace, store: RunStore) -> int:
     from . import classify as classify_mod
 
     labels = functools.partial(decode, _LabelLine)
@@ -567,7 +614,7 @@ def cmd_eval_classify(config: PipelineConfig, store: RunStore, args: argparse.Na
     return 0
 
 
-def cmd_eval_tables(config: PipelineConfig, store: RunStore, args: argparse.Namespace) -> int:
+def cmd_eval_tables(args: argparse.Namespace, store: RunStore) -> int:
     from . import table_eval
 
     tables = functools.partial(decode, ProfileTable)
@@ -602,36 +649,30 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-    except UsageError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
-    except SystemExit as exc:  # --help
-        return int(exc.code or 0)
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.INFO,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
-    try:
-        config = build_config(vars(args))
-        run_dir = _resolve_run_dir(args.command, config)
+        logging.basicConfig(
+            level=logging.DEBUG if args.verbose else logging.INFO,
+            format="%(levelname)s %(name)s: %(message)s",
+        )
+        run_dir = _resolve_run_dir(args)
         lock = RunLock(run_dir)
         lock.acquire()
         try:
             with RunStore.open_or_create(run_dir) as store:
                 store.recover()
-                if _gate(args.command, config, store) and not getattr(args, "retry_quarantined", False):
+                if _gate(args, store) and not getattr(args, "retry_quarantined", False):
                     print(f"{args.command}: output already done; skipping")
                     return 0
-                return _COMMANDS[args.command](config, store, args)
+                return _COMMANDS[args.command](args, store)
         finally:
             lock.release()
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0)
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    except PipelineError as exc:
+    except (PipelineError, OSError) as exc:  # a flag's ConfigError; a run directory that cannot be made or written
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return 2
-

@@ -158,6 +158,10 @@ class LlmGateway:
             raise EmptyOutputError("completion content was null")
         if not isinstance(text, str):
             raise GatewayProtocolError(f"chat content is not text: {text!r:.200}")
+        try:
+            text.encode("utf-8")  # a lone surrogate escape decodes as JSON but cannot be stored
+        except UnicodeEncodeError as exc:
+            raise GatewayProtocolError(f"chat content is not UTF-8 text: {exc}") from None
         text = text.rstrip()
         if not text:
             raise EmptyOutputError("completion was empty")

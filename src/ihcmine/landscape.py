@@ -242,9 +242,9 @@ def load_reference_csv(path: str | Path) -> ReferenceTable:
     path = Path(path)
     data = path.read_bytes()
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8-sig")  # a leading BOM, as Excel's "CSV UTF-8" writes, is dropped
     except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
+        line = exc.object.count(b"\n", 0, exc.start) + 1  # the bytes after the BOM
         raise ReferenceFileError(f"{path}:{line}: not valid UTF-8") from None
     if "\0" in text:  # Python 3.10's csv module fails on it, later ones read it into a field
         line = text.count("\n", 0, text.index("\0")) + 1

@@ -1,6 +1,7 @@
 """Subcommand wiring: exit codes, stage ordering errors, artifacts, settings."""
 
 import argparse
+import codecs
 import csv
 import hashlib
 import json
@@ -9,15 +10,13 @@ import re
 import subprocess
 import sys
 import time
-from dataclasses import fields
 from pathlib import Path
 from urllib.parse import parse_qs
 
 import pytest
 
-from ihcmine.cli import build_parser, main
+from ihcmine.cli import _STAGES, build_parser, main
 from ihcmine.codec import encode
-from ihcmine.config import PipelineConfig, build_config
 from ihcmine.errors import ConfigError
 from ihcmine.normalize import NormalizedRecord
 from ihcmine.store import RunLock, RunStore
@@ -265,6 +264,23 @@ class TestFullChain:
         (rename,) = [e for e in events if e[0] == "replace" and e[2] == "quarantine.jsonl"]
         assert ("fsync", rename[1]) in events[: events.index(rename)]
 
+    def test_answer_that_is_not_utf_8_text_is_quarantined(self, demo_env, tmp_path):
+        # a lone surrogate escape is valid JSON; appended to classified.jsonl it stopped every rerun
+        run_dir = tmp_path / "run"
+        victim = "8000001"
+        demo_env.llm_state.classify_fn = lambda text: "Include \ud83d" if victim in text else default_classify(text)
+        assert main(demo_env.fetch_args(run_dir)) == 0
+        assert main(demo_env.classify_args(run_dir)) == 0
+        (entry,) = read_jsonl(run_dir / "quarantine.jsonl")
+        assert (entry["pmid"], entry["stage"]) == (victim, "classify")
+        assert entry["reason"].startswith("gateway: chat content is not UTF-8 text")
+        assert stage_info(run_dir, "classified")["count"] == 49
+
+        demo_env.llm_state.classify_fn = default_classify
+        assert main([*demo_env.classify_args(run_dir), "--retry-quarantined"]) == 0
+        assert read_jsonl(run_dir / "quarantine.jsonl") == []
+        assert stage_info(run_dir, "classified")["count"] == 50
+
 
 class TestExtract:
     def test_concurrency_overlaps_extraction_calls_without_changing_output(self, demo_env, tmp_path):
@@ -354,6 +370,16 @@ class TestCompare:
         capsys.readouterr()
         assert main(["compare", "--run-dir", str(run_dir), "--reference", str(reference)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {reference}:3: ")
+
+    def test_reference_with_a_byte_order_mark(self, demo_env, tmp_path):
+        run_dir = tmp_path / "run"
+        for args in demo_env.all_stage_args(run_dir)[:6]:
+            assert main(args) == 0
+        report = (run_dir / "landscape_report.json").read_bytes()
+        reference = tmp_path / "excel_reference.csv"  # Excel's "CSV UTF-8" export
+        reference.write_bytes(codecs.BOM_UTF8 + demo_env.reference_file.read_bytes())
+        assert main(["compare", "--run-dir", str(run_dir), "--reference", str(reference)]) == 0
+        assert (run_dir / "landscape_report.json").read_bytes() == report
 
 
 class TestReport:
@@ -697,6 +723,13 @@ class TestRunDirResolution:
         assert main([*fetch, "--runs-root", str(runs_root), "--cap", "25"]) == 0
         assert len(list(runs_root.iterdir())) == 2
 
+    @pytest.mark.parametrize("below", [("file", "run"), ("file",)], ids=["under-a-file", "a-file"])
+    def test_run_dir_that_cannot_be_a_directory(self, tmp_path, capsys, below):
+        (tmp_path / "file").write_text("", encoding="utf-8")
+        assert main(["aggregate", "--run-dir", str(tmp_path.joinpath(*below))]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno ") and str(tmp_path / "file") in err
+
     def test_commands_after_fetch_need_a_run(self, tmp_path, capsys):
         assert main(["aggregate", "--runs-root", str(tmp_path / "runs")]) == 2
         assert "no run under" in capsys.readouterr().err
@@ -715,21 +748,46 @@ class TestRunDirResolution:
 COMMANDS = ("fetch", "classify", "extract", "normalize", "aggregate", "compare", "report", "eval-classify", "eval-tables")
 
 
-def config_of(argv: list[str]) -> PipelineConfig:
-    return build_config(vars(build_parser().parse_args(argv)), env={})
+def args_of(argv: list[str]) -> argparse.Namespace:
+    return build_parser().parse_args(argv)
+
+
+def dests(command: str) -> set[str]:
+    subcommands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {action.dest for action in subcommands.choices[command]._actions}
 
 
 class TestConfigFile:
-    def test_flags_over_env_over_defaults(self):
-        config = build_config({"llm_model": "from-flag", "cap": 25}, env={"LLM_MODEL": "env", "EMB_MODEL": "emb-env"})
-        assert (config.llm_model, config.emb_model, config.cap) == ("from-flag", "emb-env", 25)
-        assert build_config(env={"LLM_MODEL": ""}).llm_model == PipelineConfig().llm_model
+    def test_flags_over_env_over_defaults(self, monkeypatch):
+        monkeypatch.setenv("LLM_MODEL", "env")
+        monkeypatch.setenv("EMB_MODEL", "emb-env")
+        monkeypatch.setenv("ENTREZ_BASE_URL", "http://127.0.0.1:9")
+        args = args_of(["classify", "--llm-model", "from-flag"])
+        assert (args.llm_model, args.emb_model, args.llm_base_url) == ("from-flag", "emb-env", "http://localhost:8000")
+        assert (args_of(["fetch", "--cap", "25"]).cap, args_of(["fetch"]).entrez_base_url) == (25, "http://127.0.0.1:9")
+        monkeypatch.setenv("LLM_MODEL", "")
+        assert args_of(["classify"]).llm_model == "default"
 
     def test_every_setting_has_a_flag(self):
-        # a field no flag sets could only be set in code: no file of settings reaches it
-        subcommands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-        dests = {action.dest for parser in subcommands.choices.values() for action in parser._actions}
-        assert {f.name for f in fields(PipelineConfig)} <= dests
+        # a stage records the settings it was built from off its producer's parsed flags
+        for stage, spec in _STAGES.items():
+            assert {*spec.settings, *spec.files} <= dests(spec.producer), stage
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_help_shows_no_key_from_the_environment(self, monkeypatch, capsys, command):
+        monkeypatch.setenv("LLM_API_KEY", "llm-secret-key")
+        monkeypatch.setenv("NCBI_API_KEY", "ncbi-secret-key")
+        assert main([command, "--help"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: ihcmine {command}") and "secret" not in out
+
+    @pytest.mark.parametrize("key", ["abc\ndef", "abc\r\nX-Injected: 1"])  # no environment can hold a NUL
+    def test_llm_api_key_in_the_environment_with_control_characters_rejected(self, tmp_path, monkeypatch, capsys, key):
+        monkeypatch.setenv("LLM_API_KEY", key)
+        assert main(["classify", "--run-dir", str(tmp_path / "run"), "--llm-base", "http://127.0.0.1:9"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: llm_api_key must not contain CR, LF or NUL\n"
+        assert not (tmp_path / "run").exists()
 
     def test_at_file_reads_the_flags_it_holds(self, tmp_path):
         args_file = tmp_path / "llm.args"
@@ -738,11 +796,12 @@ class TestConfigFile:
             encoding="utf-8",
         )
         run = ["classify", "--run-dir", str(tmp_path / "run")]
-        from_file = config_of([*run, f"@{args_file}"])
-        assert from_file == config_of([*run, "--llm-base", "http://127.0.0.1:9", "--llm-model", "my model", "--retries", "2"])
+        from_file = args_of([*run, f"@{args_file}"])
+        flags = ["--llm-base", "http://127.0.0.1:9", "--llm-model", "my model", "--retries", "2"]
+        assert from_file == args_of([*run, *flags])
         assert from_file.llm_model == "my model"
-        assert config_of([*run, f"@{args_file}", "--retries", "5"]).retries == 5  # a later flag wins
-        assert config_of([*run, "--llm-key=@secret"]).llm_api_key == "@secret"  # not a file
+        assert args_of([*run, f"@{args_file}", "--retries", "5"]).retries == 5  # a later flag wins
+        assert args_of([*run, "--llm-key=@secret"]).llm_api_key == "@secret"  # not a file
 
     def test_at_file_is_utf_8_under_an_ascii_locale(self, tmp_path):
         args_file = tmp_path / "llm.args"
@@ -784,7 +843,22 @@ class TestConfigFile:
 
     def test_validation_bounds(self):
         with pytest.raises(ConfigError):
-            build_config(flag_values={"cap": 10_000}, env={})
+            args_of(["fetch", "--cap", "10000"])
+
+    @pytest.mark.parametrize(
+        "argv, code, message",
+        [
+            (["classify", "--retries=2.5"], 1, "ihcmine classify: argument --retries: invalid int value: '2.5'"),
+            (["classify", "--concurrency=0"], 2, "error: llm_concurrency must be >= 1, got 0"),
+            (["fetch", "--cap=0"], 2, "error: cap must be in [1, 9999], got 0"),
+        ],
+    )
+    def test_messages_of_refused_values(self, tmp_path, capsys, argv, code, message):
+        command, flag = argv
+        local = "--entrez-base" if command == "fetch" else "--llm-base"  # never a real endpoint
+        assert main([command, "--run-dir", str(tmp_path / "run"), local, "http://127.0.0.1:9", flag]) == code
+        assert capsys.readouterr().err == message + "\n"
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize(
         "flag, value, field",
@@ -828,7 +902,7 @@ class TestConfigFile:
         gold = ["--gold", "g.jsonl"] if command == "eval-tables" else []
         assert main([command, "--run-dir", run_dir, *gold, flag, "1"]) == 1
         assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
-        assert key not in {f.name for f in fields(PipelineConfig)}
+        assert all(key not in dests(c) for c in COMMANDS)
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("key", ["abc\ndef", "abc\r\nX-Injected: 1", "abc\0def"])
@@ -862,8 +936,7 @@ class TestConfigFile:
     def test_non_finite_float_settings_rejected(self, tmp_path, capsys, command, flag, field, value):
         local = ["--entrez-base", "http://127.0.0.1:9", "--retries", "1"] if command == "fetch" else []
         assert main([command, "--run-dir", str(tmp_path / "run"), *local, f"{flag}={value}"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {field} must be") and "Traceback" not in err
+        assert capsys.readouterr().err == f"error: {field} must be a finite number, got {value}\n"
         assert not (tmp_path / "run").exists()
 
 

@@ -168,6 +168,7 @@ class TestEmbed:
         ("embed", {"data": [{"index": 0, "embedding": {"3": 1, "4": 2}}, {"index": 1, "embedding": [0.0, 1.0]}]}),
         ("embed", {"data": [{"index": 0, "embedding": [True, False]}, {"index": 1, "embedding": [0.0, 1.0]}]}),
         ("embed", {"data": [{"index": 0, "embedding": ["1", "2"]}, {"index": 1, "embedding": [0.0, 1.0]}]}),
+        ("chat", {"choices": [{"message": {"content": "Include \ud83d"}}]}),
     ],
     ids=[
         "chat-number",
@@ -183,6 +184,7 @@ class TestEmbed:
         "embed-object",  # float() over its keys read (3.0, 4.0)
         "embed-booleans",  # read (1.0, 0.0)
         "embed-numeric-strings",
+        "chat-lone-surrogate",  # valid JSON, but no UTF-8 file can hold it
     ],
 )
 def test_answer_of_the_wrong_shape_is_a_protocol_error(monkeypatch, call, answer):

@@ -1,5 +1,6 @@
 """Aggregation, marker totals, reference selection, and concordance rules."""
 
+import codecs
 import csv
 from pathlib import Path
 
@@ -224,6 +225,16 @@ class TestLoadReferenceCsv:
         with pytest.raises(ReferenceFileError) as raised:
             load_reference_csv(path)
         assert str(raised.value) == f"{path}:3: {problem}"
+
+    def test_byte_order_mark_dropped(self, tmp_path):
+        path = tmp_path / "reference.csv"  # as Excel's "CSV UTF-8" export writes it
+        path.write_bytes(codecs.BOM_UTF8 + b"marker,tumour,kind,low,high\r\nER,breast carcinoma,range,60,80\r\n")
+        assert load_reference_csv(path).lookup("ER", "breast carcinoma").low == 60
+        bad_line_3 = b"marker,tumour,kind,low,high\r\nPR,melanoma,negative,,\r\n\xffER,naevus,negative,,\r\n"
+        path.write_bytes(codecs.BOM_UTF8 + bad_line_3)  # the bad byte opens line 3
+        with pytest.raises(ReferenceFileError) as raised:
+            load_reference_csv(path)
+        assert str(raised.value) == f"{path}:3: not valid UTF-8"
 
     def test_lookup_is_case_and_space_insensitive(self, tmp_path):
         path = tmp_path / "reference.csv"
