@@ -1,8 +1,9 @@
 """Pipeline orchestration: one subcommand per stage.
 
-Exit codes: 0 success, 1 usage error, 2 stage failure. Each stage reads
-the previous stage's output from the run directory and writes its own; an
-upstream stage that is missing, unfinished or stale fails with its producer.
+Exit codes: 0 success, 1 usage error, 2 stage failure. Each stage reads the
+previous stage's output from the run directory that ``--run-dir`` names and
+writes its own; an upstream stage that is missing, unfinished or stale fails
+with its producer.
 
 Each setting is declared once, on its flag in ``build_parser``: its default,
 its environment variable and its bounds. A flag beats the environment
@@ -24,7 +25,6 @@ import logging
 import math
 import os
 import sys
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, NamedTuple
@@ -90,8 +90,7 @@ def _api_key(text: str) -> str:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--run-dir", dest="run_dir", help="run directory (default: derived under --runs-root)")
-    parser.add_argument("--runs-root", dest="runs_root", default="runs", help="root for auto-created run directories")
+    parser.add_argument("--run-dir", dest="run_dir", required=True, help="run directory")
     parser.add_argument("-v", "--verbose", action="store_true", help="debug logging")
 
 
@@ -150,8 +149,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("normalize", help="map tumour/marker surfaces to dictionary concepts")
     _add_common(p)
     _add_gateway_flags(p)
-    p.add_argument("--dictionary", dest="dictionary_path", help="concept dictionary TSV")
-    max_distance = _checked("max_distance", float, lambda d: True, "")
+    p.add_argument("--dictionary", dest="dictionary_path", required=True, help="concept dictionary TSV")
+    max_distance = _checked("max_distance", float, lambda d: d >= 0, ">= 0")
     p.add_argument("--max-dist", dest="max_distance", type=max_distance, help="flag mappings beyond this distance")
 
     p = sub.add_parser("aggregate", help="sum positives/cohorts per (marker, tumour)")
@@ -163,7 +162,7 @@ def build_parser() -> _Parser:
     reference_help = "reference CSV (marker,tumour,kind,low,high)"
     p.add_argument("--reference", dest="reference_path", default="data/reference.csv", help=reference_help)
 
-    p = sub.add_parser("report", help="write marker totals and comparison report files")
+    p = sub.add_parser("report", help="write the marker totals report")
     _add_common(p)
 
     p = sub.add_parser("eval-classify", help="score predictions against gold Include/Exclude labels")
@@ -199,16 +198,14 @@ _STAGES = {
 }
 
 
-def _file_sha256(name: str, path: str | None) -> str:
-    if path is None:
-        raise PipelineError(f"{name} is not set")
+def _file_sha256(name: str, path: str) -> str:
     try:
         return file_sha256(path)
     except OSError as exc:
         raise PipelineError(f"{name}: cannot read {path}: {exc.strerror}") from None
 
 
-def _inputs(stage: str, args: argparse.Namespace, store: RunStore | None) -> dict[str, str]:
+def _inputs(stage: str, args: argparse.Namespace, store: RunStore) -> dict[str, str]:
     """The inputs ``stage`` would be built from now: settings, file hashes, upstream fingerprint."""
     spec = _STAGES[stage]
     inputs = {name: str(getattr(args, name)) for name in spec.settings}
@@ -220,23 +217,6 @@ def _inputs(stage: str, args: argparse.Namespace, store: RunStore | None) -> dic
     if spec.upstream:
         inputs[spec.upstream] = store.stage_info(spec.upstream).fingerprint()
     return inputs
-
-
-def _resolve_run_dir(args: argparse.Namespace) -> Path:
-    """--run-dir, else under --runs-root: fetch's run with the same corpus inputs, or the newest run."""
-    if args.run_dir:
-        return Path(args.run_dir)
-    root = Path(args.runs_root)
-    runs = sorted(manifest.parent for manifest in root.glob("*/manifest.json"))
-    if args.command != "fetch":
-        if not runs:
-            raise PipelineError(f"no run under {root}; run fetch")
-        return runs[-1]
-    inputs = _inputs("corpus", args, None)
-    for run in reversed(runs):
-        if RunStore.open(run).manifest.stages["corpus"].inputs == inputs:
-            return run
-    return root / f"run-{time.strftime('%Y%m%d-%H%M%S')}-{StageInfo(inputs=inputs).fingerprint()[:6]}"
 
 
 def _changed(store: RunStore, stage: str) -> bool:
@@ -547,7 +527,7 @@ def cmd_report(args: argparse.Namespace, store: RunStore) -> int:
         writer.writerow(["marker", "n_abstracts", "positives", "cohort", "positive_rate_percent"])
         for t in totals:
             writer.writerow([t.marker_name, t.n_abstracts, t.positives, t.total, round_percent(t.rate, 1)])
-    print(f"wrote {out} ({len(totals)} markers) and comparison_report.csv")
+    print(f"wrote {out} ({len(totals)} markers)")
     return 0
 
 
@@ -653,7 +633,7 @@ def main(argv: list[str] | None = None) -> int:
             level=logging.DEBUG if args.verbose else logging.INFO,
             format="%(levelname)s %(name)s: %(message)s",
         )
-        run_dir = _resolve_run_dir(args)
+        run_dir = Path(args.run_dir)
         lock = RunLock(run_dir)
         lock.acquire()
         try:

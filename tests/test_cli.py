@@ -705,23 +705,16 @@ class TestProvenance:
         assert main(demo_env.report_args(run_dir)) == 0
 
 
+COMMANDS = ("fetch", "classify", "extract", "normalize", "aggregate", "compare", "report", "eval-classify", "eval-tables")
+
+
 class TestRunDirResolution:
-    def test_same_config_reuses_directory_new_config_forces_new_one(self, demo_env, tmp_path):
-        runs_root = tmp_path / "runs"
-        fetch = [a for a in demo_env.fetch_args(tmp_path / "ignored") if a != "--run-dir" and a != str(tmp_path / "ignored")]
-        assert main([*fetch, "--runs-root", str(runs_root)]) == 0
-        dirs = sorted(runs_root.iterdir())
-        assert len(dirs) == 1
-
-        # every command but fetch uses the newest run
-        classify = [a for a in demo_env.classify_args(tmp_path / "ignored") if a != "--run-dir" and a != str(tmp_path / "ignored")]
-        assert main([*classify, "--runs-root", str(runs_root)]) == 0
-        assert sorted(runs_root.iterdir()) == dirs
-        assert (dirs[0] / "classified.jsonl").exists()
-
-        # fetch with other corpus inputs creates a new run
-        assert main([*fetch, "--runs-root", str(runs_root), "--cap", "25"]) == 0
-        assert len(list(runs_root.iterdir())) == 2
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_run_dir_is_required(self, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.chdir(tmp_path)
+        assert main([command]) == 1
+        assert "the following arguments are required: --run-dir" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("below", [("file", "run"), ("file",)], ids=["under-a-file", "a-file"])
     def test_run_dir_that_cannot_be_a_directory(self, tmp_path, capsys, below):
@@ -730,22 +723,15 @@ class TestRunDirResolution:
         err = capsys.readouterr().err
         assert err.startswith("error: [Errno ") and str(tmp_path / "file") in err
 
-    def test_commands_after_fetch_need_a_run(self, tmp_path, capsys):
-        assert main(["aggregate", "--runs-root", str(tmp_path / "runs")]) == 2
-        assert "no run under" in capsys.readouterr().err
-
     def test_truncated_manifest_is_a_stage_failure(self, tmp_path, capsys):
-        runs_root = tmp_path / "runs"
-        (runs_root / "run-a").mkdir(parents=True)
-        (runs_root / "run-a" / "manifest.json").write_text('{"run_id": ', encoding="utf-8")
+        run_dir = tmp_path / "run-a"
+        run_dir.mkdir()
+        (run_dir / "manifest.json").write_text('{"run_id": ', encoding="utf-8")
         gold = tmp_path / "gold.jsonl"
         gold.write_text('{"pmid": "1", "label": "Include"}\n', encoding="utf-8")
-        assert main(["eval-classify", "--runs-root", str(runs_root), "--gold", str(gold), "--pred", str(gold)]) == 2
+        assert main(["eval-classify", "--run-dir", str(run_dir), "--gold", str(gold), "--pred", str(gold)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(Path("run-a") / "manifest.json") in err
-
-
-COMMANDS = ("fetch", "classify", "extract", "normalize", "aggregate", "compare", "report", "eval-classify", "eval-tables")
 
 
 def args_of(argv: list[str]) -> argparse.Namespace:
@@ -762,11 +748,12 @@ class TestConfigFile:
         monkeypatch.setenv("LLM_MODEL", "env")
         monkeypatch.setenv("EMB_MODEL", "emb-env")
         monkeypatch.setenv("ENTREZ_BASE_URL", "http://127.0.0.1:9")
-        args = args_of(["classify", "--llm-model", "from-flag"])
+        args = args_of(["classify", "--run-dir", "r", "--llm-model", "from-flag"])
         assert (args.llm_model, args.emb_model, args.llm_base_url) == ("from-flag", "emb-env", "http://localhost:8000")
-        assert (args_of(["fetch", "--cap", "25"]).cap, args_of(["fetch"]).entrez_base_url) == (25, "http://127.0.0.1:9")
+        fetch = ["fetch", "--run-dir", "r"]
+        assert (args_of([*fetch, "--cap", "25"]).cap, args_of(fetch).entrez_base_url) == (25, "http://127.0.0.1:9")
         monkeypatch.setenv("LLM_MODEL", "")
-        assert args_of(["classify"]).llm_model == "default"
+        assert args_of(["classify", "--run-dir", "r"]).llm_model == "default"
 
     def test_every_setting_has_a_flag(self):
         # a stage records the settings it was built from off its producer's parsed flags
@@ -808,7 +795,7 @@ class TestConfigFile:
         args_file.write_text("--llm-model café\n", encoding="utf-8")
         code = "import sys; from ihcmine.cli import build_parser; print(ascii(build_parser().parse_args(sys.argv[1:]).llm_model))"
         env = {**os.environ, "PYTHONPATH": "src", "LC_ALL": "POSIX", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
-        argv = [sys.executable, "-c", code, "classify", f"@{args_file}"]
+        argv = [sys.executable, "-c", code, "classify", "--run-dir", "r", f"@{args_file}"]
         result = subprocess.run(argv, cwd=Path(__file__).parent.parent, env=env, capture_output=True, text=True, timeout=60)
         assert (result.returncode, result.stdout) == (0, ascii("café") + "\n"), result.stderr
 
@@ -833,17 +820,19 @@ class TestConfigFile:
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize(
-        "command, flag", [*((command, "--config") for command in COMMANDS), ("fetch", "--batch-size")]
+        "command, flag",
+        [*((command, flag) for flag in ("--config", "--runs-root") for command in COMMANDS), ("fetch", "--batch-size")],
     )
     def test_deleted_settings_are_not_options(self, tmp_path, capsys, command, flag):
-        gold = ["--gold", "g.jsonl"] if command.startswith("eval-") else []
-        assert main([command, "--run-dir", str(tmp_path / "run"), *gold, flag, "x"]) == 1
+        gold = ["--gold", "g.jsonl"]
+        required = {"normalize": ["--dictionary", "d.tsv"], "eval-classify": gold, "eval-tables": gold}.get(command, [])
+        assert main([command, "--run-dir", str(tmp_path / "run"), *required, flag, "x"]) == 1
         assert f"unrecognized arguments: {flag} x" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     def test_validation_bounds(self):
         with pytest.raises(ConfigError):
-            args_of(["fetch", "--cap", "10000"])
+            args_of(["fetch", "--run-dir", "r", "--cap", "10000"])
 
     @pytest.mark.parametrize(
         "argv, code, message",
@@ -851,6 +840,7 @@ class TestConfigFile:
             (["classify", "--retries=2.5"], 1, "ihcmine classify: argument --retries: invalid int value: '2.5'"),
             (["classify", "--concurrency=0"], 2, "error: llm_concurrency must be >= 1, got 0"),
             (["fetch", "--cap=0"], 2, "error: cap must be in [1, 9999], got 0"),
+            (["normalize", "--max-dist=-1"], 2, "error: max_distance must be >= 0, got -1.0"),
         ],
     )
     def test_messages_of_refused_values(self, tmp_path, capsys, argv, code, message):

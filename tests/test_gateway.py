@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import shutil
+import socket
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +26,7 @@ from ihcmine.gateway import (
     wire_payload,
 )
 
-from mockservers import LlmState, run_llm
+from mockservers import LlmState, ScriptedState, run_llm, run_scripted
 
 
 def record():
@@ -192,6 +193,36 @@ def test_answer_of_the_wrong_shape_is_a_protocol_error(monkeypatch, call, answer
     monkeypatch.setattr(gateway, "_post", lambda url, body: answer)
     with pytest.raises(GatewayProtocolError):
         gateway.chat(chat_request()) if call == "chat" else gateway.embed(["a", "b"])
+
+
+@pytest.mark.parametrize(
+    "answer, error, message",
+    [
+        (
+            b"HTTP/1.1 400 Bad Request\r\nContent-Length: 300\r\n\r\n" + b"e" * 200 + b"f" * 100,
+            GatewayError,
+            "HTTP 400 from {url}: " + "e" * 200,
+        ),
+        (b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhello", GatewayProtocolError, "non-JSON response from {url}"),
+        (None, GatewayError, "request to {url} failed after 2 attempts: ConnectionRefusedError: "),
+    ],
+    ids=["status-not-retryable", "not-json", "connection-refused"],
+)
+def test_failed_request_is_a_gateway_error(answer, error, message):
+    state = ScriptedState([[answer]] if answer else [])
+    with run_scripted(state) as base:
+        if answer is None:  # a port nothing listens on
+            with socket.socket() as free:
+                free.bind(("127.0.0.1", 0))
+                base = f"http://127.0.0.1:{free.getsockname()[1]}"
+        llm = LlmGateway(base, model_id="m", retries=2, backoff_base=0.01)
+        with pytest.raises(error) as raised:
+            llm.chat(chat_request())
+        llm.close()
+    assert type(raised.value) is error
+    assert str(raised.value).startswith(message.format(url=base + "/v1/chat/completions"))
+    assert "f" * 100 not in str(raised.value)
+    assert len(state.requests) == (1 if answer else 0)  # a status that is not retryable is not retried
 
 
 # Any value json.loads can return (NaN and the infinities included), with keys that often

@@ -188,6 +188,37 @@ class TestParseMarkdownTable:
         assert table.marker_columns == ["ER", "ER #2"]
         assert any("duplicate header" in v for v in table.violations)
 
+    @pytest.mark.parametrize(
+        "text, header, violation",
+        [
+            (
+                "| Tumor type | Tumor site | ER |\n| --- | --- |\n| melanoma | skin | 1/2 |\n",
+                ["Tumor type", "Tumor site", "ER"],
+                "separator has 2 cells but header has 3",
+            ),
+            (
+                "| Tumor type |\n| --- |\n| melanoma |\n",
+                ["Tumor type", "Tumor site"],
+                "header is missing the tumour type/site columns; padded",
+            ),
+            (
+                "| Marker | Tumor site | ER |\n| --- | --- | --- |\n| melanoma | skin | 1/2 |\n",
+                ["Marker", "Tumor site", "ER"],
+                "first column 'Marker' does not look like a tumour-type header",
+            ),
+            (
+                "| Tumor type | Cases | ER |\n| --- | --- | --- |\n| melanoma | skin | 1/2 |\n",
+                ["Tumor type", "Cases", "ER"],
+                "second column 'Cases' does not look like a tumour-site header",
+            ),
+        ],
+        ids=["separator-width", "one-column-header", "first-column", "second-column"],
+    )
+    def test_malformed_header_is_a_violation(self, text, header, violation):
+        table = parse_markdown_table(text)
+        assert table.header == header and table.rows[0].tumour_type == "melanoma"
+        assert violation in table.violations
+
     def test_surrounding_prose_ignored(self):
         text = "Here is the table:\n\n| Tumor type | Tumor site | ER |\n|---|---|---|\n| melanoma | skin | NA |\nDone."
         table = parse_markdown_table(text)

@@ -315,6 +315,8 @@ def test_head_at_its_limits_is_read():
         (b"ICY 200 OK\r\n\r\n", "malformed status line"),
         (b"HTTP/1.1 200 OK\r\nContent-Length: -2\r\n\r\nok", "bad Content-Length"),
         (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n", "malformed chunk size line"),
+        (b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n", "connection closed inside the answer's head"),
+        (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n2\r\nokXX0\r\n\r\n", "chunk data not followed by CRLF"),
     ],
 )
 def test_malformed_head_costs_an_attempt(answer, error):
