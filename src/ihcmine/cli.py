@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 usage error, 2 stage failure. Each stage reads the
 previous stage's output from the run directory that ``--run-dir`` names and
-writes its own; an upstream stage that is missing, unfinished or stale fails
-with its producer.
+writes its own; a stage read that is missing, unfinished or stale, or was
+built from such a stage, fails with its producer (``provenance``).
 
 Each setting is declared once, on its flag in ``build_parser``: its default,
 its environment variable and its bounds. A flag beats the environment
@@ -27,13 +27,14 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 from .codec import decode, encode
 from .domain import AbstractRecord, ClassificationLabel, NormalizedRecord, format_percent, round_percent
 from .errors import ConfigError, GatewayError, PipelineError, TableNotFoundError, ValidationError
 from .pubmed import DEFAULT_BASE_URL, MAX_CAP, CorpusStats, EntrezClient, dedup_merge
-from .store import RunLock, RunStore, StageInfo, atomic_file, file_sha256, iter_jsonl
+from .provenance import current_inputs, gate, require_stage
+from .store import RunLock, RunStore, atomic_file, iter_jsonl
 from .tables import ProfileTable, extract_table, parse_markdown_table
 from .transport import MAX_RETRIES, MAX_WAIT_S
 
@@ -177,99 +178,6 @@ def build_parser() -> _Parser:
     p.add_argument("--abstracts", help="corpus JSONL for percent-tolerance context (default: run's corpus.jsonl)")
 
     return parser
-
-
-class _Stage(NamedTuple):  # what a stage's output is built from, besides its upstream's output
-    producer: str  # the command that writes it
-    upstream: str | None
-    settings: tuple[str, ...] = ()  # flag dests, recorded as str(value)
-    files: tuple[str, ...] = ()  # flag dests naming files, recorded by content hash
-    template: str | None = None  # name of a gateway prompt-template constant, recorded by content hash
-    rerun: bool = False  # re-run on changed inputs: whole output, nothing record-wise downstream
-
-
-_STAGES = {
-    "corpus": _Stage("fetch", None, ("cap",), ("markers_path",)),
-    "classified": _Stage("classify", "corpus", ("llm_model",), template="CLASSIFY_TEMPLATE"),
-    "tables_raw": _Stage("extract", "classified", ("llm_model",), template="EXTRACT_TEMPLATE"),
-    "tables_parsed": _Stage("extract", "tables_raw"),
-    "normalized": _Stage("normalize", "tables_parsed", ("emb_model", "max_distance"), ("dictionary_path",), rerun=True),
-    "aggregates": _Stage("aggregate", "normalized", ("split_qualifiers",), rerun=True),
-}
-
-
-def _file_sha256(name: str, path: str) -> str:
-    try:
-        return file_sha256(path)
-    except OSError as exc:
-        raise PipelineError(f"{name}: cannot read {path}: {exc.strerror}") from None
-
-
-def _inputs(stage: str, args: argparse.Namespace, store: RunStore) -> dict[str, str]:
-    """The inputs ``stage`` would be built from now: settings, file hashes, upstream fingerprint."""
-    spec = _STAGES[stage]
-    inputs = {name: str(getattr(args, name)) for name in spec.settings}
-    inputs.update((name, _file_sha256(name, getattr(args, name))) for name in spec.files)
-    if spec.template:
-        from . import gateway
-
-        inputs["prompt_template"] = gateway.template_hash(getattr(gateway, spec.template))
-    if spec.upstream:
-        inputs[spec.upstream] = store.stage_info(spec.upstream).fingerprint()
-    return inputs
-
-
-def _changed(store: RunStore, stage: str) -> bool:
-    """Whether a stage's file is gone or no longer of the size recorded when its producer finished it."""
-    info, path = store.stage_info(stage), store.path(stage)
-    return not path.exists() or (info.bytes is not None and path.stat().st_size != info.bytes)
-
-
-def _require_stage(store: RunStore, stage: str) -> Path:
-    """Path of a stage's output that may be read: done, of its recorded size, built from its upstream's current output."""
-    spec, info, path = _STAGES[stage], store.stage_info(stage), store.path(stage)
-    if not path.exists():
-        raise PipelineError(f"{stage}.jsonl not found; run {spec.producer}")
-    if info.status != "done":
-        raise PipelineError(f"{stage} is not done; run {spec.producer}")
-    if _changed(store, stage):
-        raise PipelineError(f"{stage}.jsonl changed after {spec.producer} finished it")
-    if spec.upstream and info.inputs and info.inputs.get(spec.upstream) != store.stage_info(spec.upstream).fingerprint():
-        raise PipelineError(f"{stage} was built from an earlier {spec.upstream}; run {spec.producer}")
-    return path
-
-
-def _gate(args: argparse.Namespace, store: RunStore) -> bool:
-    """Checks the stages the command writes against their recorded inputs; True when all are done and current.
-
-    A done stage recorded without inputs counts as current. Changed inputs, or a done file that
-    changed since, restart a ``rerun`` stage and are refused for any other, whose records cannot
-    be mixed with records of other inputs.
-    """
-    command = args.command
-    outputs = [stage for stage, spec in _STAGES.items() if spec.producer == command]
-    if outputs and _STAGES[outputs[0]].upstream:
-        _require_stage(store, _STAGES[outputs[0]].upstream)
-    current = bool(outputs)
-    for stage in outputs:
-        info, inputs = store.stage_info(stage), _inputs(stage, args, store)
-        if info.status == "done" and _changed(store, stage):
-            if not _STAGES[stage].rerun:
-                raise PipelineError(f"{stage}.jsonl changed after {command} finished it")
-            logger.info("%s.jsonl changed after %s finished it; re-running", stage, command)
-            info = store.manifest.stages[stage] = StageInfo()
-        if info.inputs is None or info.status == "pending":
-            if info.status != "done":
-                info.inputs, current = inputs, False
-            continue
-        changed = sorted(k for k in info.inputs.keys() | inputs.keys() if info.inputs.get(k) != inputs.get(k))
-        if changed and not _STAGES[stage].rerun:
-            raise PipelineError(f"{stage} was built from other inputs ({', '.join(changed)})")
-        if changed:
-            logger.info("%s: inputs changed (%s); re-running", stage, ", ".join(changed))
-            store.manifest.stages[stage] = StageInfo(inputs=inputs)
-        current = current and not changed and info.status == "done"
-    return current
 
 
 def _make_gateway(args: argparse.Namespace) -> LlmGateway:
@@ -420,7 +328,7 @@ def cmd_extract(args: argparse.Namespace, store: RunStore) -> int:
         store.mark_done("tables_raw")
 
     if not store.stage_done("tables_parsed"):
-        store.stage_info("tables_parsed").inputs = _inputs("tables_parsed", args, store)  # with tables_raw's sha256
+        store.stage_info("tables_parsed").inputs = current_inputs("tables_parsed", args, store)  # tables_raw is done
 
         def parse_one(raw: dict[str, Any]) -> ProfileTable | classify_mod.QuarantineEntry:
             try:
@@ -472,7 +380,7 @@ def cmd_aggregate(args: argparse.Namespace, store: RunStore) -> int:
             dropped["unmapped"],
         )
     aggregates = landscape_mod.aggregate(usable, split_qualifiers=args.split_qualifiers)
-    # the reports built from the aggregates replaced here go first, so compare must run again before report
+    # the reports built from the aggregates replaced here go first: no manifest entry would mark them stale
     for name in ("comparison_report.csv", "landscape_report.json", "marker_report.csv"):
         (store.run_dir / name).unlink(missing_ok=True)
     count = store.write_stage_atomic(
@@ -485,7 +393,7 @@ def cmd_aggregate(args: argparse.Namespace, store: RunStore) -> int:
 def cmd_compare(args: argparse.Namespace, store: RunStore) -> int:
     from . import landscape as landscape_mod
 
-    _require_stage(store, "aggregates")
+    require_stage(store, "aggregates")
     reference_path = Path(args.reference_path)
     if not reference_path.exists():
         raise PipelineError(f"reference file not found: {reference_path}")
@@ -513,9 +421,7 @@ def cmd_report(args: argparse.Namespace, store: RunStore) -> int:
 
     from . import landscape as landscape_mod
 
-    _require_stage(store, "aggregates")  # current aggregates imply a done normalized they were built from
-    if not (store.run_dir / "comparison_report.csv").exists():
-        raise PipelineError("comparison_report.csv not found; run compare")
+    require_stage(store, "aggregates")  # and so the normalized output they were built from
     aggregates = [decode(landscape_mod.MarkerTumourAggregate, d) for d in store.iter_records("aggregates")]
     usable, _ = landscape_mod.usable_records(
         decode(NormalizedRecord, d) for d in store.iter_records("normalized")
@@ -558,7 +464,7 @@ def _gold_and_pred(
     gold_path = Path(args.gold)
     if not gold_path.exists():
         raise PipelineError(f"gold file not found: {gold_path}")
-    pred_path = Path(args.pred) if args.pred else _require_stage(store, stage)
+    pred_path = Path(args.pred) if args.pred else require_stage(store, stage)
     if not pred_path.exists():
         raise PipelineError(f"prediction file not found: {pred_path}")
     golds, preds = _read_by_pmid(gold_path, decode_record), _read_by_pmid(pred_path, decode_record)
@@ -600,7 +506,7 @@ def cmd_eval_tables(args: argparse.Namespace, store: RunStore) -> int:
     tables = functools.partial(decode, ProfileTable)
     golds, preds = _gold_and_pred(args, store, "tables_parsed", tables, "predicted table")
 
-    abstracts_path = Path(args.abstracts) if args.abstracts else _require_stage(store, "corpus")
+    abstracts_path = Path(args.abstracts) if args.abstracts else require_stage(store, "corpus")
     abstracts = _read_by_pmid(abstracts_path, functools.partial(decode, AbstractRecord))
     texts = {pmid: record.abstract_text for pmid, record in abstracts.items()}
 
@@ -639,7 +545,7 @@ def main(argv: list[str] | None = None) -> int:
         try:
             with RunStore.open_or_create(run_dir) as store:
                 store.recover()
-                if _gate(args, store) and not getattr(args, "retry_quarantined", False):
+                if gate(args, store) and not getattr(args, "retry_quarantined", False):
                     print(f"{args.command}: output already done; skipping")
                     return 0
                 return _COMMANDS[args.command](args, store)

@@ -41,7 +41,8 @@ import numpy as np
 from .domain import NormalizedRecord
 from .errors import DictionaryLoadError, GatewayError, ValidationError
 from .gateway import EmbeddingVector, LlmGateway
-from .store import atomic_file, file_sha256
+from .provenance import file_sha256
+from .store import atomic_file
 from .tables import ProfileTable, split_marker_column
 
 logger = logging.getLogger(__name__)

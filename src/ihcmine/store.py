@@ -6,22 +6,18 @@ file (a whole-output stage, a quarantine rewrite, the manifest, a report, a dict
 cache entry) is written by ``atomic_file``: it holds its old bytes or its new ones,
 beside at most a ``.partial`` file. ``RunStore.recover`` removes both leftovers, once
 per command, before any stage file is read. A stage is marked done once its file is synced; its
-manifest entry then records the file's line count, size and sha256, from one pass over the bytes,
-and the stage rejects further appends. The entry also records the stage's inputs: its own settings,
-the content hashes of its input files and its upstream stage's fingerprint, which covers that
-stage's inputs and output sha256. The CLI checks them before it reuses, re-runs or reads a stage.
+manifest entry (``provenance.StageInfo``) then records the file's line count, size and sha256,
+from one pass over the bytes, and the stage rejects further appends.
 
 ``iter_jsonl`` is the one JSONL reader, for stage files and for the
-evaluation commands' gold and prediction files alike, and ``file_digest``
-the one file hasher. ``RunLock`` lets one subcommand at a time use a run
-directory.
+evaluation commands' gold and prediction files alike. ``RunLock`` lets one
+subcommand at a time use a run directory.
 """
 
 from __future__ import annotations
 
 import contextlib
 import fcntl
-import hashlib
 import json
 import logging
 import os
@@ -33,10 +29,10 @@ from typing import IO, Any, Iterable, Iterator
 
 from .codec import decode, encode
 from .errors import StageStateError, StoreError, ValidationError
+from .provenance import STAGES, StageInfo, file_digest
 
 logger = logging.getLogger(__name__)
 
-STAGES = ("corpus", "classified", "tables_raw", "tables_parsed", "normalized", "aggregates")
 AUX_FILES = ("quarantine",)
 
 _MANIFEST_NAME = "manifest.json"
@@ -47,23 +43,6 @@ os.umask(_UMASK)
 
 def _utc_now() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime())
-
-
-@dataclass
-class StageInfo:
-    status: str = "pending"  # pending | running | done
-    count: int | None = None  # count, bytes and sha256: the stage file's lines, size and digest once done
-    bytes: int | None = None
-    sha256: str | None = None
-    started_at: str | None = None
-    finished_at: str | None = None
-    note: str | None = None
-    inputs: dict[str, str] | None = None  # None: recorded before stages kept their inputs
-
-    def fingerprint(self) -> str:
-        """sha256 of the inputs and, once recorded, the output's sha256; a downstream stage records it as its upstream."""
-        key = self.inputs if self.sha256 is None else [self.inputs, self.sha256]
-        return hashlib.sha256(json.dumps(key, sort_keys=True).encode("utf-8")).hexdigest()
 
 
 @dataclass
@@ -108,24 +87,6 @@ def atomic_file(path: str | Path, mode: str = "w") -> Iterator[IO]:
         os.fsync(directory)
     finally:
         os.close(directory)
-
-
-def file_digest(path: str | Path) -> tuple[int, int, str]:
-    """(newline count, size, hex sha256) of a file's bytes, read in 1 MiB blocks into one reused buffer."""
-    digest, lines, total = hashlib.sha256(), 0, 0
-    buffer = bytearray(1 << 20)
-    view = memoryview(buffer)
-    with open(path, "rb", buffering=0) as handle:
-        while size := handle.readinto(buffer):
-            digest.update(view[:size])
-            lines += buffer.count(b"\n", 0, size)
-            total += size
-    return lines, total, digest.hexdigest()
-
-
-def file_sha256(path: str | Path) -> str:
-    """The hex sha256 of a file's bytes."""
-    return file_digest(path)[2]
 
 
 def _line_start(handle: IO[bytes], end: int) -> int:

@@ -15,10 +15,11 @@ from urllib.parse import parse_qs
 
 import pytest
 
-from ihcmine.cli import _STAGES, build_parser, main
+from ihcmine.cli import build_parser, main
 from ihcmine.codec import encode
 from ihcmine.errors import ConfigError
 from ihcmine.normalize import NormalizedRecord
+from ihcmine.provenance import STAGES
 from ihcmine.store import RunLock, RunStore
 
 from mockservers import default_classify
@@ -47,12 +48,12 @@ class TestExitCodes:
         assert main(demo_env.normalize_args(run_dir)) == 2
         assert "tables_parsed.jsonl not found; run extract" in capsys.readouterr().err
 
-    def test_report_requires_compare(self, demo_env, tmp_path, capsys):
+    def test_report_does_not_need_compare(self, demo_env, tmp_path):
         run_dir = tmp_path / "run"
         for args in demo_env.all_stage_args(run_dir)[:5]:
             assert main(args) == 0
-        assert main(demo_env.report_args(run_dir)) == 2
-        assert "comparison_report.csv not found; run compare" in capsys.readouterr().err
+        assert main(demo_env.report_args(run_dir)) == 0  # it reads aggregates and normalized, no report
+        assert (run_dir / "marker_report.csv").exists() and not (run_dir / "comparison_report.csv").exists()
 
 
 class TestFetch:
@@ -535,7 +536,7 @@ class TestProvenance:
         with (run_dir / "comparison_report.csv").open() as handle:
             assert "ESR1" in {row["marker"] for row in csv.DictReader(handle)}
 
-    def test_report_after_a_new_aggregate_needs_compare(self, demo_env, tmp_path, capsys):
+    def test_reports_go_when_aggregate_runs_again(self, demo_env, tmp_path):
         run_dir = tmp_path / "run"
         finish_run(demo_env, run_dir)
         other = tmp_path / "other.tsv"
@@ -545,14 +546,26 @@ class TestProvenance:
         assert main(demo_env.aggregate_args(run_dir)) == 0
         reports = ("comparison_report.csv", "landscape_report.json", "marker_report.csv")
         assert not any((run_dir / name).exists() for name in reports)  # each was built from the old aggregates
-        capsys.readouterr()
-        assert main(demo_env.report_args(run_dir)) == 2
-        assert "comparison_report.csv not found; run compare" in capsys.readouterr().err
+        assert main(demo_env.report_args(run_dir)) == 0  # before compare
+        assert not (run_dir / "comparison_report.csv").exists()
         assert main(demo_env.compare_args(run_dir)) == 0
-        assert main(demo_env.report_args(run_dir)) == 0
         for name in ("comparison_report.csv", "marker_report.csv"):
             with (run_dir / name).open() as handle:
                 assert "ESR1" in {row["marker"] for row in csv.DictReader(handle)}, name
+
+    def test_normalize_writing_the_same_bytes_leaves_what_follows_current(self, demo_env, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        finish_run(demo_env, run_dir)
+        before = (run_dir / "normalized.jsonl").read_bytes()
+        capsys.readouterr()
+        assert main([*demo_env.normalize_args(run_dir), "--max-dist", "1e9"]) == 0  # flags no mapping
+        assert "skipping" not in capsys.readouterr().out
+        assert stage_info(run_dir, "normalized")["inputs"]["max_distance"] == "1000000000.0"
+        assert (run_dir / "normalized.jsonl").read_bytes() == before
+        assert main(demo_env.aggregate_args(run_dir)) == 0
+        assert "aggregate: output already done; skipping" in capsys.readouterr().out
+        assert main(demo_env.compare_args(run_dir)) == 0
+        assert main(demo_env.report_args(run_dir)) == 0
 
     def test_normalize_reruns_on_another_max_distance(self, demo_env, tmp_path, capsys):
         run_dir = tmp_path / "run"
@@ -566,9 +579,9 @@ class TestProvenance:
         assert after["inputs"]["dictionary_path"] == before["inputs"]["dictionary_path"]
 
     def test_normalize_on_a_warm_cache_hashes_the_dictionary_once(self, demo_env, tmp_path, monkeypatch):
-        import ihcmine.cli
         import ihcmine.normalize
-        from ihcmine.store import file_sha256
+        import ihcmine.provenance
+        from ihcmine.provenance import file_sha256
 
         run_dir = tmp_path / "run"
         finish_run(demo_env, run_dir)  # its normalize wrote the dictionary's cache entry
@@ -578,18 +591,18 @@ class TestProvenance:
             hashed.append(path)
             return file_sha256(path)
 
-        monkeypatch.setattr(ihcmine.cli, "file_sha256", counted)
+        monkeypatch.setattr(ihcmine.provenance, "file_sha256", counted)
         monkeypatch.setattr(ihcmine.normalize, "file_sha256", counted)
         assert main([*demo_env.normalize_args(run_dir), "--max-dist", "1e-4"]) == 0
         assert hashed == [str(demo_env.dictionary_file)]
 
     def test_dictionary_changed_after_the_gate_hashed_it_is_a_stage_failure(self, demo_env, tmp_path, monkeypatch, capsys):
-        import ihcmine.cli
+        import ihcmine.provenance
 
         run_dir = tmp_path / "run"
         for args in demo_env.all_stage_args(run_dir)[:3]:
             assert main(args) == 0
-        monkeypatch.setattr(ihcmine.cli, "file_sha256", lambda path: "0" * 64)  # the digest of other bytes
+        monkeypatch.setattr(ihcmine.provenance, "file_sha256", lambda path: "0" * 64)  # the digest of other bytes
         assert main(demo_env.normalize_args(run_dir)) == 2
         assert capsys.readouterr().err == f"error: {demo_env.dictionary_file}: changed while normalize ran\n"
         assert stage_info(run_dir, "normalized")["status"] != "done"
@@ -655,6 +668,25 @@ class TestProvenance:
         assert "error: classified.jsonl changed after classify finished it" in capsys.readouterr().err
         assert stage_info(run_dir, "tables_raw")["status"] == "pending"
 
+    @pytest.mark.parametrize(
+        "done, cut, producer, pending",
+        [(2, "corpus", "fetch", "tables_raw"), (3, "classified", "classify", "normalized")],
+        ids=["extract-after-corpus-cut", "normalize-after-classified-cut"],
+    )
+    def test_a_read_checks_every_stage_up_to_corpus(self, demo_env, tmp_path, capsys, done, cut, producer, pending):
+        run_dir = tmp_path / "run"
+        commands = demo_env.all_stage_args(run_dir)
+        for args in commands[:done]:
+            assert main(args) == 0
+        lines = (run_dir / f"{cut}.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+        (run_dir / f"{cut}.jsonl").write_text("".join(lines[:10]), encoding="utf-8")
+        requests = len(demo_env.llm_state.requests)
+        capsys.readouterr()
+        assert main(commands[done]) == 2
+        assert capsys.readouterr().err == f"error: {cut}.jsonl changed after {producer} finished it\n"
+        assert len(demo_env.llm_state.requests) == requests
+        assert stage_info(run_dir, pending)["status"] == "pending"
+
     def test_classify_refuses_its_own_file_cut_after_it_finished(self, demo_env, tmp_path, capsys):
         run_dir = tmp_path / "run"
         assert main(demo_env.fetch_args(run_dir)) == 0
@@ -703,6 +735,27 @@ class TestProvenance:
             assert "already done; skipping" in capsys.readouterr().out, args[0]
         assert main(demo_env.compare_args(run_dir)) == 0
         assert main(demo_env.report_args(run_dir)) == 0
+
+    def test_manifest_written_before_early_cutoff_resumes(self, demo_env, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        finish_run(demo_env, run_dir)
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        stages = manifest["stages"]
+        for name, spec in STAGES.items():
+            if spec.upstream:  # recorded then as the sha256 of the upstream's inputs and output
+                upstream = [stages[spec.upstream]["inputs"], stages[spec.upstream]["sha256"]]
+                stages[name]["inputs"][spec.upstream] = hashlib.sha256(
+                    json.dumps(upstream, sort_keys=True).encode("utf-8")
+                ).hexdigest()
+        (run_dir / "manifest.json").write_text(json.dumps(manifest))
+        requests = len(demo_env.llm_state.requests)
+        capsys.readouterr()
+        for args in demo_env.all_stage_args(run_dir)[:5]:
+            assert main(args) == 0
+            assert "already done; skipping" in capsys.readouterr().out, args[0]
+        assert main(demo_env.compare_args(run_dir)) == 0
+        assert main(demo_env.report_args(run_dir)) == 0
+        assert len(demo_env.llm_state.requests) == requests
 
 
 COMMANDS = ("fetch", "classify", "extract", "normalize", "aggregate", "compare", "report", "eval-classify", "eval-tables")
@@ -757,7 +810,7 @@ class TestConfigFile:
 
     def test_every_setting_has_a_flag(self):
         # a stage records the settings it was built from off its producer's parsed flags
-        for stage, spec in _STAGES.items():
+        for stage, spec in STAGES.items():
             assert {*spec.settings, *spec.files} <= dests(spec.producer), stage
 
     @pytest.mark.parametrize("command", COMMANDS)

@@ -142,7 +142,7 @@ class TestGoldenFormat:
                     "note": "skipped_no_abstract=0",
                     "inputs": {"cap": "9999", "markers_path": "ab12"},
                 },
-                **{name: pending for name in STAGES[1:]},
+                **{name: pending for name in list(STAGES)[1:]},
             },
             "created_at": "T",
         }

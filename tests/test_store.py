@@ -16,7 +16,8 @@ import pytest
 
 from ihcmine import store as store_mod
 from ihcmine.errors import StageStateError, StoreError
-from ihcmine.store import RunLock, RunStore, StageInfo, atomic_file, file_digest, file_sha256
+from ihcmine.provenance import StageInfo, file_digest, file_sha256
+from ihcmine.store import RunLock, RunStore, atomic_file
 
 
 @pytest.fixture
@@ -325,15 +326,24 @@ class TestManifest:
         assert again.manifest.stages["corpus"] == first.manifest.stages["corpus"]
 
     def test_fingerprint_covers_the_output_sha256_once_recorded(self, store):
+        def json_sha256(value):
+            return hashlib.sha256(json.dumps(value, sort_keys=True).encode("utf-8")).hexdigest()
+
         inputs = {"cap": "5", "markers_path": "ab12"}
-        inputs_only = hashlib.sha256(json.dumps(inputs, sort_keys=True).encode("utf-8")).hexdigest()
-        assert StageInfo(inputs=inputs).fingerprint() == inputs_only  # as manifests without sha256 recorded it
-        assert StageInfo(status="done", count=1, inputs=inputs).fingerprint() == inputs_only
+        assert StageInfo(inputs=inputs).fingerprint() == json_sha256(inputs)  # not done yet
+        assert StageInfo(status="done", count=1, inputs=inputs).fingerprint() == json_sha256(inputs)  # no sha256 recorded
         store.stage_info("corpus").inputs = inputs
         store.write_stage_atomic("corpus", [{"pmid": "1"}])
-        done = store.stage_info("corpus").fingerprint()
-        assert done != inputs_only
-        assert StageInfo(inputs=inputs, sha256=hashlib.sha256(b'{"pmid": "2"}\n').hexdigest()).fingerprint() != done
+        done = store.stage_info("corpus")
+        assert done.fingerprint() == done.sha256 == hashlib.sha256(b'{"pmid": "1"}\n').hexdigest()
+        same_bytes = StageInfo(status="done", sha256=done.sha256, inputs={"cap": "6", "markers_path": "cd34"})
+        assert same_bytes.fingerprint() == done.fingerprint()  # early cutoff: other inputs, the same output
+
+        # a downstream stage's record matches the fingerprint, or the sha256 of inputs and output recorded before early cutoff
+        before_cutoff = json_sha256([inputs, done.sha256])
+        assert done.matches(done.fingerprint()) and done.matches(before_cutoff)
+        assert not done.matches(json_sha256(inputs)) and not done.matches(None)
+        assert not same_bytes.matches(before_cutoff)
 
     def test_open_missing_manifest(self, tmp_path):
         with pytest.raises(StoreError):
