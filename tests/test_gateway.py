@@ -345,3 +345,40 @@ class TestPromptTemplates:
         assert template_hash(EXTRACT_TEMPLATE) == recorded
         sent = gateway.template_text(EXTRACT_TEMPLATE).encode("utf-8")
         assert hashlib.sha256(sent).hexdigest() == recorded
+
+
+def test_request_bodies_are_pinned(monkeypatch):
+    """The bytes sent for one classify, one extract and one embeddings call, as the transport sees them.
+
+    The benchmark simulator keys its injected faults on a hash of each body, so any change of
+    serialization, prompt rendering or token budget shows here first.
+    """
+    from ihcmine.tables import extract_table
+    from ihcmine.transport import HttpTransport
+
+    sent = []
+    answers = {
+        "/v1/chat/completions": {"choices": [{"message": {"content": "Include"}}]},
+        "/v1/embeddings": {"data": [{"index": 0, "embedding": [1.0]}, {"index": 1, "embedding": [0.5]}]},
+    }
+
+    def request(self, method, url, body=None, headers=None):
+        sent.append(body)
+        return 200, json.dumps(answers[url[url.index("/v1/"):]]).encode("utf-8")
+
+    monkeypatch.setattr(HttpTransport, "request", request)
+    pinned = AbstractRecord(
+        pmid="42",
+        title="Ki-67 ≥ 14% in “luminal” breast tumours",
+        abstract_text="ER was positive in 5/10 cases of breast carcinoma (breast); PR in 3/10 — see Table 1.",
+        source_markers={"ER"},
+    )
+    llm = LlmGateway("http://127.0.0.1:9", model_id="pinned-model", emb_model_id="pinned-embedder")
+    assert [c.label.value for c in iter_classified([pinned], llm, max_workers=1)] == ["Include"]
+    assert extract_table(pinned, llm) == "Include"
+    assert len(llm.embed(["ER", "breast carcinoma"])) == 2
+    assert [hashlib.sha256(body).hexdigest() for body in sent] == [
+        "301e44c4f45a7ba5ef73fa1805ba65b8a73f7912c9b090fd36b52305ec41b307",
+        "25a007e015de7749fece4dd48a054c9559594d458ba0751f3d5cf203216ae2fb",
+        "af267abce06e28022139fcc3930032354f2a4508d159add74e964e75e39d6b92",
+    ]
