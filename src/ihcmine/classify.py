@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, TypeVa
 
 from .domain import AbstractRecord, ClassificationLabel
 from .errors import GatewayError, UnparseableLabelError, ValidationError
-from .gateway import CLASSIFY_TEMPLATE, LlmGateway, render_prompt, template_hash
+from .gateway import LlmGateway, template_hash
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -86,11 +86,11 @@ def iter_classified(
     max_workers: int = 4,
 ) -> Iterator[ClassifiedAbstract | QuarantineEntry]:
     """Classify records, yielding results in input order as they complete."""
-    prompt_digest = template_hash(CLASSIFY_TEMPLATE)
+    prompt_digest = template_hash("classify")
 
     def one(record: AbstractRecord) -> ClassifiedAbstract | QuarantineEntry:
         try:
-            raw = gateway.chat(render_prompt(CLASSIFY_TEMPLATE, record, gateway.model_id))
+            raw = gateway.chat("classify", record)
         except GatewayError as exc:
             return QuarantineEntry(pmid=record.pmid, stage="classify", reason=f"gateway: {exc}")
         try:

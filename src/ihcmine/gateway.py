@@ -19,21 +19,10 @@ from .domain import AbstractRecord
 from .errors import EmptyOutputError, GatewayError, GatewayProtocolError, ValidationError
 from .transport import RETRYABLE_STATUS, HttpTransport, TransportError
 
-CLASSIFY_TEMPLATE = "classify_v1.txt"
-EXTRACT_TEMPLATE = "extract_v1.txt"
-MAX_NEW_TOKENS = {CLASSIFY_TEMPLATE: 4, EXTRACT_TEMPLATE: 1024}  # a one-word label; a whole table
+PROMPTS = {"classify": ("classify_v1.txt", 4), "extract": ("extract_v1.txt", 1024)}  # template file, token budget
 SYSTEM_PROMPT = "You are a careful biomedical text mining assistant."
 
 _PROMPT_DIR = Path(__file__).parent / "prompts"
-
-
-@dataclass(frozen=True)
-class ChatRequest:
-    model_id: str
-    system_prompt: str
-    user_prompt: str
-    max_new_tokens: int
-    temperature: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -60,41 +49,13 @@ def _load_template(path: Path) -> tuple[str, str]:
     return data.decode("utf-8"), hashlib.sha256(data).hexdigest()
 
 
-def template_text(name: str) -> str:
-    return _load_template(_PROMPT_DIR / name)[0]
+def template_hash(prompt: str) -> str:
+    """The sha256 of the template file of ``prompt``, a key of ``PROMPTS``."""
+    return _load_template(_PROMPT_DIR / PROMPTS[prompt][0])[1]
 
 
-def template_hash(name: str) -> str:
-    return _load_template(_PROMPT_DIR / name)[1]
-
-
-def _render(template: str, record: AbstractRecord) -> str:
-    return template.replace("{{TITLE}}", record.title).replace("{{ABSTRACT}}", record.abstract_text)
-
-
-def render_prompt(template: str, record: AbstractRecord, model_id: str = "default") -> ChatRequest:
-    """The chat request for ``record`` under prompt ``template``, a key of ``MAX_NEW_TOKENS``."""
-    if not record.abstract_text:
-        raise ValidationError(f"record {record.pmid} has no abstract text")
-    return ChatRequest(
-        model_id=model_id,
-        system_prompt=SYSTEM_PROMPT,
-        user_prompt=_render(template_text(template), record),
-        max_new_tokens=MAX_NEW_TOKENS[template],
-    )
-
-
-def wire_payload(request: ChatRequest) -> bytes:
+def _body(payload: dict) -> bytes:
     """Canonical request body; identical requests serialize identically."""
-    payload = {
-        "model": request.model_id,
-        "messages": [
-            {"role": "system", "content": request.system_prompt},
-            {"role": "user", "content": request.user_prompt},
-        ],
-        "max_tokens": request.max_new_tokens,
-        "temperature": request.temperature,
-    }
     return json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
 
 
@@ -145,11 +106,19 @@ class LlmGateway:
         except ValueError as exc:
             raise GatewayProtocolError(f"non-JSON response from {url}") from exc
 
-    def chat(self, request: ChatRequest) -> str:
-        """Returns the first completion's text, trimmed of trailing whitespace only."""
-        if not request.user_prompt:
-            raise ValidationError("empty user prompt")
-        data = self._post(self.llm_base_url + "/v1/chat/completions", wire_payload(request))
+    def chat(self, prompt: str, record: AbstractRecord) -> str:
+        """The first completion's text for ``record`` under ``prompt`` (a key of ``PROMPTS``), trimmed at the end.
+
+        The request carries this gateway's model, temperature 0 and the prompt's token budget.
+        """
+        if not record.abstract_text:
+            raise ValidationError(f"record {record.pmid} has no abstract text")
+        template, max_tokens = PROMPTS[prompt]
+        user = _load_template(_PROMPT_DIR / template)[0]
+        user = user.replace("{{TITLE}}", record.title).replace("{{ABSTRACT}}", record.abstract_text)
+        messages = [{"role": "system", "content": SYSTEM_PROMPT}, {"role": "user", "content": user}]
+        payload = {"model": self.model_id, "messages": messages, "max_tokens": max_tokens, "temperature": 0.0}
+        data = self._post(self.llm_base_url + "/v1/chat/completions", _body(payload))
         try:
             text = data["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:
@@ -174,8 +143,7 @@ class LlmGateway:
         if any(not t for t in texts):
             raise ValidationError("embed() inputs must be non-empty strings")
         payload = {"model": self.emb_model_id, "input": list(texts)}
-        body = json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
-        data = self._post(self.emb_base_url + "/v1/embeddings", body)
+        data = self._post(self.emb_base_url + "/v1/embeddings", _body(payload))
         try:
             items = sorted(data["data"], key=lambda item: item["index"])
             indices = [item["index"] for item in items]

@@ -28,14 +28,14 @@ class Stage(NamedTuple):  # what a stage's output is built from, besides its ups
     upstream: str | None
     settings: tuple[str, ...] = ()  # flag dests, recorded as str(value)
     files: tuple[str, ...] = ()  # flag dests naming files, recorded by content hash
-    template: str | None = None  # name of a gateway prompt-template constant, recorded by content hash
+    template: bool = False  # the producer's prompt template, recorded by content hash
     rerun: bool = False  # re-run on changed inputs: whole output, nothing record-wise downstream
 
 
 STAGES = {
     "corpus": Stage("fetch", None, ("cap",), ("markers_path",)),
-    "classified": Stage("classify", "corpus", ("llm_model",), template="CLASSIFY_TEMPLATE"),
-    "tables_raw": Stage("extract", "classified", ("llm_model",), template="EXTRACT_TEMPLATE"),
+    "classified": Stage("classify", "corpus", ("llm_model",), template=True),
+    "tables_raw": Stage("extract", "classified", ("llm_model",), template=True),
     "tables_parsed": Stage("extract", "tables_raw"),
     "normalized": Stage("normalize", "tables_parsed", ("emb_model", "max_distance"), ("dictionary_path",), rerun=True),
     "aggregates": Stage("aggregate", "normalized", ("split_qualifiers",), rerun=True),
@@ -97,9 +97,9 @@ def current_inputs(stage: str, args: argparse.Namespace, store: RunStore) -> dic
     inputs = {name: str(getattr(args, name)) for name in spec.settings}
     inputs.update((name, _file_sha256(name, getattr(args, name))) for name in spec.files)
     if spec.template:
-        from . import gateway
+        from .gateway import template_hash
 
-        inputs["prompt_template"] = gateway.template_hash(getattr(gateway, spec.template))
+        inputs["prompt_template"] = template_hash(spec.producer)
     if spec.upstream:  # a recorded upstream value that still matches is kept, in either form
         upstream, recorded = store.stage_info(spec.upstream), (store.stage_info(stage).inputs or {}).get(spec.upstream)
         inputs[spec.upstream] = recorded if upstream.matches(recorded) else upstream.fingerprint()

@@ -258,9 +258,11 @@ class RunStore:
             raise StoreError(f"write to {self.path(stage)} failed: {exc}") from exc
 
     def mark_done(self, stage: str, note: str | None = None) -> None:
-        """Syncs the stage file, creating it when no record was written, then records the stage done."""
+        """Syncs the stage file (created when no record was written) and any quarantine, then records the stage done."""
         with self._handles.pop(stage, None) or self.path(stage).open("ab") as handle:  # appends are flushed
             os.fsync(handle.fileno())
+        with contextlib.suppress(FileNotFoundError), self.path("quarantine").open("rb") as handle:
+            os.fsync(handle.fileno())  # a done stage's quarantined PMIDs must outlive a crash too
         self._finish(stage, note)
 
     def _finish(self, stage: str, note: str | None) -> None:

@@ -20,6 +20,7 @@ from typing import Any, Sequence
 
 from .domain import CellValue
 from .errors import ValidationError
+from .landscape import _norm
 from .tables import ProfileTable, split_marker_column
 
 WRONG_F1_THRESHOLD = Fraction(1, 4)
@@ -45,10 +46,6 @@ class TableScore:
     f1: Fraction
     exact: bool
     verdict: Verdict
-
-
-def _norm(text: str) -> str:
-    return " ".join(text.lower().split())
 
 
 def _levenshtein(a: str, b: str) -> int:

@@ -222,6 +222,4 @@ def render_markdown(table: ProfileTable) -> str:
 
 def extract_table(record: "AbstractRecord", gateway: "LlmGateway") -> str:
     """One extraction call; returns the completion verbatim for auditing."""
-    from .gateway import EXTRACT_TEMPLATE, render_prompt
-
-    return gateway.chat(render_prompt(EXTRACT_TEMPLATE, record, gateway.model_id))
+    return gateway.chat("extract", record)

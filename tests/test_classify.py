@@ -26,7 +26,7 @@ EXCLUDE = ClassificationLabel.EXCLUDE
 
 
 class StubGateway:
-    """Returns a canned completion per pmid (matched from the prompt text)."""
+    """Returns a canned classify completion per pmid."""
 
     model_id = "stub-model"
 
@@ -34,20 +34,18 @@ class StubGateway:
         self.outputs = outputs
         self.fail_for = set(fail_for)
 
-    def chat(self, request):
-        for pmid, output in self.outputs.items():
-            if f"pmid:{pmid}" in request.user_prompt:
-                if pmid in self.fail_for:
-                    raise GatewayError("injected outage")
-                return output
-        raise AssertionError("prompt did not mention a known pmid")
+    def chat(self, prompt, record):
+        assert prompt == "classify"
+        if record.pmid in self.fail_for:
+            raise GatewayError("injected outage")
+        return self.outputs[record.pmid]
 
 
 def record(pmid):
     return AbstractRecord(
         pmid=pmid,
         title=f"Study {pmid}",
-        abstract_text=f"Abstract body pmid:{pmid} with counts 5/10.",
+        abstract_text="Abstract body with counts 5/10.",
         source_markers={"ER"},
     )
 

@@ -14,17 +14,7 @@ from ihcmine import gateway
 from ihcmine.classify import iter_classified
 from ihcmine.domain import AbstractRecord
 from ihcmine.errors import EmptyOutputError, GatewayError, GatewayProtocolError, ValidationError
-from ihcmine.gateway import (
-    CLASSIFY_TEMPLATE,
-    EXTRACT_TEMPLATE,
-    MAX_NEW_TOKENS,
-    ChatRequest,
-    EmbeddingVector,
-    LlmGateway,
-    render_prompt,
-    template_hash,
-    wire_payload,
-)
+from ihcmine.gateway import PROMPTS, EmbeddingVector, LlmGateway, template_hash
 
 from mockservers import LlmState, ScriptedState, run_llm, run_scripted
 
@@ -38,10 +28,27 @@ def record():
     )
 
 
-def chat_request(text="hello", max_new_tokens=4):
-    return ChatRequest(
-        model_id="m", system_prompt="sys", user_prompt=text, max_new_tokens=max_new_tokens
-    )
+def no_counts():
+    """A record the mock server labels Exclude: its text holds no X/Y count."""
+    return AbstractRecord(pmid="7", title="t", abstract_text="ER staining was described.", source_markers={"ER"})
+
+
+def capturing_gateway(model_id="m"):
+    """A gateway whose chat bodies are appended to the list returned with it; nothing goes over the wire."""
+    llm = LlmGateway("http://127.0.0.1:9", model_id=model_id)
+    sent = []
+    llm._post = lambda url, body: sent.append(body) or {"choices": [{"message": {"content": "Include"}}]}
+    return llm, sent
+
+
+def sent_body(prompt, rec, model_id="m"):
+    llm, sent = capturing_gateway(model_id)
+    llm.chat(prompt, rec)
+    return json.loads(sent[0])
+
+
+def sent_prompt(prompt, rec):
+    return sent_body(prompt, rec)["messages"][1]["content"]
 
 
 @pytest.fixture
@@ -56,19 +63,13 @@ class TestChat:
         state, url = llm
         state.classify_fn = lambda content: "Include"
         gateway = LlmGateway(url, model_id="m", backoff_base=0.01)
-        request = ChatRequest(
-            model_id="m",
-            system_prompt="sys",
-            user_prompt="Answer with exactly one word: Include or Exclude.",
-            max_new_tokens=4,
-        )
-        assert gateway.chat(request) == "Include"
+        assert gateway.chat("classify", no_counts()) == "Include"
 
     def test_retry_after_two_500s(self, llm):
         state, url = llm
         state.fail_next = 2
         gateway = LlmGateway(url, model_id="m", retries=3, backoff_base=0.01)
-        assert gateway.chat(chat_request("Answer with exactly one word: x")) == "Exclude"
+        assert gateway.chat("classify", no_counts()) == "Exclude"
         assert len(state.requests) == 3
 
     def test_failure_after_retries_exhausted(self, llm):
@@ -76,20 +77,20 @@ class TestChat:
         state.fail_next = 10
         gateway = LlmGateway(url, model_id="m", retries=3, backoff_base=0.01)
         with pytest.raises(GatewayError):
-            gateway.chat(chat_request())
+            gateway.chat("classify", record())
 
     def test_empty_completion_raises(self, llm):
         state, url = llm
         state.empty_next = 1
         gateway = LlmGateway(url, model_id="m", backoff_base=0.01)
         with pytest.raises(EmptyOutputError):
-            gateway.chat(chat_request("Answer with exactly one word: x"))
+            gateway.chat("classify", no_counts())
 
     def test_max_new_tokens_serialized_exactly(self, llm):
         state, url = llm
         gateway = LlmGateway(url, model_id="m", backoff_base=0.01)
-        gateway.chat(chat_request("Answer with exactly one word: x", max_new_tokens=4))
-        assert state.requests[-1]["body"]["max_tokens"] == 4
+        gateway.chat("classify", record())
+        assert state.requests[-1]["body"]["max_tokens"] == PROMPTS["classify"][1] == 4
 
     def test_bounded_concurrency(self, llm):
         """In-flight calls are bounded by the caller's pool, here classify's max_workers."""
@@ -107,15 +108,19 @@ class TestChat:
 
 class TestWirePayload:
     def test_identical_requests_identical_bytes(self):
-        a = wire_payload(chat_request("same text"))
-        b = wire_payload(chat_request("same text"))
-        assert a == b
+        llm, sent = capturing_gateway()
+        llm.chat("classify", record())
+        llm.chat("classify", record())
+        assert sent[0] == sent[1]
 
     def test_payload_shape(self):
-        body = json.loads(wire_payload(chat_request("hi", max_new_tokens=1024)))
-        assert body["max_tokens"] == 1024
-        assert body["temperature"] == 0.0
-        assert [m["role"] for m in body["messages"]] == ["system", "user"]
+        for prompt, max_tokens in [("classify", 4), ("extract", 1024)]:
+            body = sent_body(prompt, record(), model_id="gemma-2-ft")
+            assert body["model"] == "gemma-2-ft"
+            assert body["max_tokens"] == max_tokens
+            assert body["temperature"] == 0.0
+            assert [m["role"] for m in body["messages"]] == ["system", "user"]
+            assert body["messages"][0]["content"] == gateway.SYSTEM_PROMPT
 
 
 class TestEmbed:
@@ -192,7 +197,7 @@ def test_answer_of_the_wrong_shape_is_a_protocol_error(monkeypatch, call, answer
     gateway = LlmGateway("http://127.0.0.1:9", model_id="m")
     monkeypatch.setattr(gateway, "_post", lambda url, body: answer)
     with pytest.raises(GatewayProtocolError):
-        gateway.chat(chat_request()) if call == "chat" else gateway.embed(["a", "b"])
+        gateway.chat("classify", record()) if call == "chat" else gateway.embed(["a", "b"])
 
 
 @pytest.mark.parametrize(
@@ -217,7 +222,7 @@ def test_failed_request_is_a_gateway_error(answer, error, message):
                 base = f"http://127.0.0.1:{free.getsockname()[1]}"
         llm = LlmGateway(base, model_id="m", retries=2, backoff_base=0.01)
         with pytest.raises(error) as raised:
-            llm.chat(chat_request())
+            llm.chat("classify", record())
         llm.close()
     assert type(raised.value) is error
     assert str(raised.value).startswith(message.format(url=base + "/v1/chat/completions"))
@@ -262,7 +267,7 @@ def test_any_json_answer_is_a_result_or_a_gateway_error(answer, call):
     llm = LlmGateway("http://127.0.0.1:9", model_id="m")
     llm._post = lambda url, body: answer  # nothing is sent
     try:
-        result = llm.chat(chat_request()) if call == "chat" else llm.embed(["a", "b"])
+        result = llm.chat("classify", record()) if call == "chat" else llm.embed(["a", "b"])
     except GatewayError:  # GatewayProtocolError and EmptyOutputError among them; nothing else may escape
         return
     if call == "chat":
@@ -302,49 +307,49 @@ class TestEmbeddingVector:
 
 class TestPromptTemplates:
     def test_classification_prompt_contains_labels_and_rules(self):
-        request = render_prompt(CLASSIFY_TEMPLATE, record(), model_id="m")
-        assert "Include" in request.user_prompt and "Exclude" in request.user_prompt
-        assert "Case reports" in request.user_prompt and "are included" in request.user_prompt
-        assert "Review articles or meta-analyses" in request.user_prompt
-        assert "exact number of patients" in request.user_prompt
-        assert request.max_new_tokens == MAX_NEW_TOKENS[CLASSIFY_TEMPLATE] == 4
-        assert request.temperature == 0.0
+        user_prompt = sent_prompt("classify", record())
+        assert "Include" in user_prompt and "Exclude" in user_prompt
+        assert "Case reports" in user_prompt and "are included" in user_prompt
+        assert "Review articles or meta-analyses" in user_prompt
+        assert "exact number of patients" in user_prompt
 
     def test_classification_prompt_embeds_title_and_abstract(self):
-        request = render_prompt(CLASSIFY_TEMPLATE, record(), model_id="m")
-        assert "ER in breast tumours" in request.user_prompt
-        assert "5/10 cases" in request.user_prompt
+        user_prompt = sent_prompt("classify", record())
+        assert "ER in breast tumours" in user_prompt
+        assert "5/10 cases" in user_prompt
 
     def test_extraction_prompt_contains_conventions(self):
-        request = render_prompt(EXTRACT_TEMPLATE, record(), model_id="m")
-        assert "X/Y" in request.user_prompt
-        assert "NA" in request.user_prompt
-        assert "/1 for case reports" in request.user_prompt
-        assert request.max_new_tokens == MAX_NEW_TOKENS[EXTRACT_TEMPLATE] == 1024
+        user_prompt = sent_prompt("extract", record())
+        assert "X/Y" in user_prompt
+        assert "NA" in user_prompt
+        assert "/1 for case reports" in user_prompt
 
     def test_empty_abstract_rejected(self):
         bad = AbstractRecord(pmid="1", title="t", abstract_text="", source_markers={"ER"})
+        llm = LlmGateway("http://127.0.0.1:9", model_id="m")
+        llm._post = lambda url, body: pytest.fail("a request was sent")
         with pytest.raises(ValidationError):
-            render_prompt(CLASSIFY_TEMPLATE, bad)
+            llm.chat("classify", bad)
 
     def test_template_hashes_stable(self):
-        assert template_hash("classify_v1.txt") == template_hash("classify_v1.txt")
-        assert template_hash("classify_v1.txt") != template_hash("extract_v1.txt")
+        assert template_hash("classify") == template_hash("classify")
+        assert template_hash("classify") != template_hash("extract")
 
     def test_template_read_once_so_text_matches_recorded_hash(self, tmp_path, monkeypatch):
         prompts = tmp_path / "prompts"
         shutil.copytree(gateway._PROMPT_DIR, prompts)
         monkeypatch.setattr(gateway, "_PROMPT_DIR", prompts)
-        recorded = template_hash(EXTRACT_TEMPLATE)
-        first = render_prompt(EXTRACT_TEMPLATE, record()).user_prompt
+        # rendered with its own placeholders, the text sent is the template as read
+        placeholders = AbstractRecord(pmid="1", title="{{TITLE}}", abstract_text="{{ABSTRACT}}", source_markers={"ER"})
+        recorded = template_hash("extract")
+        first = sent_prompt("extract", placeholders)
 
-        template = prompts / EXTRACT_TEMPLATE
+        template = prompts / PROMPTS["extract"][0]
         template.write_text(template.read_text(encoding="utf-8") + "Edited mid-run.\n", encoding="utf-8")
-        again = render_prompt(EXTRACT_TEMPLATE, record()).user_prompt
+        again = sent_prompt("extract", placeholders)
         assert again == first and "Edited mid-run" not in again
-        assert template_hash(EXTRACT_TEMPLATE) == recorded
-        sent = gateway.template_text(EXTRACT_TEMPLATE).encode("utf-8")
-        assert hashlib.sha256(sent).hexdigest() == recorded
+        assert template_hash("extract") == recorded
+        assert hashlib.sha256(again.encode("utf-8")).hexdigest() == recorded
 
 
 def test_request_bodies_are_pinned(monkeypatch):

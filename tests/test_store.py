@@ -62,6 +62,25 @@ class TestAppend:
         assert (info.count, info.bytes, info.sha256) == (5, len(data), hashlib.sha256(data).hexdigest())
         assert store.stage_done("classified")
 
+    @pytest.mark.parametrize("writer", ["this-process", "an-earlier-process"])
+    def test_mark_done_syncs_the_quarantine_before_the_manifest(self, tmp_path, monkeypatch, writer):
+        """Else a crash can leave the stage recorded done while its quarantined PMIDs are in no file."""
+        run_dir = tmp_path / "run"
+        with RunStore.create(run_dir) as store:
+            store.start_stage("classified")
+            store.append("quarantine", {"pmid": "2", "stage": "classify", "reason": "r"})
+        synced = []  # the inode behind each synced descriptor, in order
+        real_fsync = os.fsync
+        monkeypatch.setattr(os, "fsync", lambda fd: synced.append(os.fstat(fd).st_ino) or real_fsync(fd))
+        with RunStore.open(run_dir) as store:
+            if writer == "this-process":
+                store.append("quarantine", {"pmid": "3", "stage": "classify", "reason": "r"})
+            store.append("classified", {"pmid": "1", "label": "Include"})
+            store.mark_done("classified")
+        quarantine, manifest = (os.stat(run_dir / name).st_ino for name in ("quarantine.jsonl", "manifest.json"))
+        assert quarantine in synced and manifest in synced
+        assert synced.index(quarantine) < synced.index(manifest)
+
     def test_reopen_clears_the_output_record(self, store):
         store.start_stage("classified")
         store.append("classified", {"pmid": "1"})

@@ -9,8 +9,9 @@ from http.server import BaseHTTPRequestHandler
 
 import pytest
 
+from ihcmine.domain import AbstractRecord
 from ihcmine.errors import ValidationError
-from ihcmine.gateway import ChatRequest, LlmGateway
+from ihcmine.gateway import LlmGateway
 from ihcmine.pubmed import EntrezClient, RateLimiter
 from ihcmine.transport import (
     MAX_HEADERS,
@@ -25,10 +26,9 @@ from ihcmine.transport import (
 from mockservers import EntrezState, LlmState, ScriptedState, run_entrez, run_llm, run_scripted, run_server
 
 
-def chat_request(i=0):
-    return ChatRequest(
-        model_id="m", system_prompt="sys", user_prompt=f"Answer with exactly one word: {i}", max_new_tokens=4
-    )
+def record(i=0):
+    """A record the mock server labels Exclude: its text holds no X/Y count."""
+    return AbstractRecord(pmid=str(i + 1), title="t", abstract_text=f"abstract {i}", source_markers={"ER"})
 
 
 class TestConnectionReuse:
@@ -37,7 +37,7 @@ class TestConnectionReuse:
         with run_llm(state) as url:
             gateway = LlmGateway(url, model_id="m", backoff_base=0.01)
             for i in range(5):
-                gateway.chat(chat_request(i))
+                gateway.chat("classify", record(i))
             gateway.embed(["a", "b"])
             gateway.close()
         assert len(state.requests) == 6
@@ -58,7 +58,7 @@ class TestConnectionReuse:
         state = LlmState(keep_alive=True, drop_idle=True)
         with run_llm(state) as url:
             gateway = LlmGateway(url, model_id="m", retries=1, backoff_base=0.01)
-            answers = [gateway.chat(chat_request(i)) for i in range(3)]
+            answers = [gateway.chat("classify", record(i)) for i in range(3)]
             gateway.close()
         assert answers == ["Exclude"] * 3
         assert len(state.requests) == 3
@@ -71,7 +71,7 @@ class TestRetryAfter:
         with run_llm(state) as url:
             gateway = LlmGateway(url, model_id="m", retries=2, backoff_base=0.01)
             start = time.monotonic()
-            assert gateway.chat(chat_request()) == "Exclude"
+            assert gateway.chat("classify", record()) == "Exclude"
             elapsed = time.monotonic() - start
         assert len(state.requests) == 2
         assert 1.0 <= elapsed < 1.9
@@ -82,7 +82,7 @@ class TestRetryAfter:
         with run_llm(state) as url:
             gateway = LlmGateway(url, model_id="m", retries=2, backoff_base=0.01)
             start = time.monotonic()
-            assert gateway.chat(chat_request()) == "Exclude"
+            assert gateway.chat("classify", record()) == "Exclude"
             elapsed = time.monotonic() - start
         assert len(state.requests) == 2
         assert 0.9 <= elapsed < 2.5
@@ -376,7 +376,7 @@ def test_api_key_with_a_newline_is_a_validation_error():
     with run_scripted(ScriptedState([[OK]])) as url:
         gateway = LlmGateway(url, model_id="m", api_key="abc\ndef")
         with pytest.raises(ValidationError, match="Authorization"):
-            gateway.chat(chat_request())
+            gateway.chat("classify", record())
         gateway.close()
 
 
