@@ -5,9 +5,11 @@ against precomputed squared row norms scores a batch of queries, and every
 row within a rounding bound of a query's k-th best score is re-ranked with
 the per-row distance, so results equal a linear scan's bit for bit. Ties
 break by ascending CUI then name so results are deterministic even with
-duplicated vectors. Dictionary format: one UTF-8 entry per line,
-``cui<TAB>name<TAB>kind<TAB>v1,v2,...``; an optional fifth column (a
-semantic type) is accepted and ignored.
+duplicated vectors. An index is built from the table ``load_index`` parses
+or maps, and is searched from one thread, the normalize stage's: each
+search reuses the index's score buffers. Dictionary format: one UTF-8
+entry per line, ``cui<TAB>name<TAB>kind<TAB>v1,v2,...``; an optional fifth
+column (a semantic type) is accepted and ignored.
 
 The first load of a dictionary parses its text and keeps the result as one
 cache entry per resolved path, ``$XDG_CACHE_HOME/ihcmine/dictionary-<key>.bin``
@@ -31,7 +33,6 @@ import mmap
 import os
 import re
 import struct
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
@@ -61,7 +62,6 @@ def _check_cui(cui: str) -> None:
 class Concept:
     cui: str
     name: str
-    vector: EmbeddingVector | None = None
 
     def __post_init__(self) -> None:
         _check_cui(self.cui)
@@ -119,28 +119,17 @@ class _Concepts(Sequence):
 
 
 class ConceptIndex:
-    """Immutable after load; safe for concurrent readers.
+    """Exact search over a dictionary table, from one thread: each search reuses the index's score buffers.
 
-    Row i of the float64 matrix is concept i's vector. ``arrays`` is the
-    (matrix, squared row norms, tie rank) of ``concepts``; by default they are
-    computed from each concept's ``vector``.
+    Row i of the table's float64 matrix is the vector of ``concepts[i]``.
     """
 
-    def __init__(self, concepts: Sequence[Concept], arrays: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None):
-        if not concepts:
-            raise DictionaryLoadError("empty dictionary")
-        if arrays is None:
-            concepts = list(concepts)
-            dims = {c.vector.dim for c in concepts}
-            if len(dims) > 1:
-                raise DictionaryLoadError(f"mixed vector dimensions in dictionary: {sorted(dims)}")
-            matrix = np.array([c.vector.values for c in concepts], dtype=np.float64)
-            arrays = matrix, _sq_norms(matrix), _tie_rank([(c.cui, c.name) for c in concepts])
-        self.concepts = concepts
-        self._matrix, self._sq_norms, self._rank = arrays
+    def __init__(self, table: _Table):
+        self.concepts = _Concepts(table)
+        self._matrix, self._sq_norms, self._rank = table.matrix, table.sq_norms, table.rank
         self.dim = self._matrix.shape[1]
         self._max_sq_norm = self._sq_norms.max()
-        self._scratch = threading.local()
+        self._scores, self._work, self._mask = np.empty(0), np.empty(0), np.empty(0, dtype=bool)
 
     def __len__(self) -> int:
         return len(self.concepts)
@@ -150,25 +139,22 @@ class ConceptIndex:
         return self.nearest_many([query], k)[0]
 
     def _buffers(self, rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """This thread's scores, scratch and cut mask for ``rows`` queries.
+        """The scores, scratch and cut mask for ``rows`` queries.
 
         They grow to the largest batch seen and are reused, so a search
         allocates (and page-faults in) no len(queries) x len(self) array.
         """
-        scratch = self._scratch
         size = rows * len(self)
-        if getattr(scratch, "size", 0) < size:
-            scratch.size = size
-            scratch.scores, scratch.work = np.empty(size), np.empty(size)
-            scratch.mask = np.empty(size, dtype=bool)
+        if self._scores.size < size:
+            self._scores, self._work, self._mask = np.empty(size), np.empty(size), np.empty(size, dtype=bool)
         shape = (rows, len(self))
-        return scratch.scores[:size].reshape(shape), scratch.work[:size].reshape(shape), scratch.mask[:size].reshape(shape)
+        return self._scores[:size].reshape(shape), self._work[:size].reshape(shape), self._mask[:size].reshape(shape)
 
     def nearest_many(self, queries: Sequence[EmbeddingVector], k: int) -> list[list[tuple[Concept, float]]]:
         """``nearest`` for each query, all scored with one matrix product.
 
-        The caller bounds the batch: each calling thread keeps two
-        len(queries) x len(self) float64 buffers for the index's life.
+        The caller bounds the batch: the index keeps two len(queries) x len(self)
+        float64 buffers, for the largest batch yet, for its life.
         """
         if k < 1:
             raise ValidationError(f"k must be >= 1, got {k}")
@@ -264,7 +250,7 @@ def load_index(path: str | Path, *, sha256: str | None = None) -> ConceptIndex:
         table = _Table.of(keys, matrix)
         if entry is not None:
             _publish(entry, digest.hexdigest(), table)
-    index = ConceptIndex(_Concepts(table), (table.matrix, table.sq_norms, table.rank))
+    index = ConceptIndex(table)
     logger.info("loaded %d dictionary entries (dim=%d) from %s", len(index), index.dim, path)
     return index
 

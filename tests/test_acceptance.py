@@ -19,20 +19,19 @@ from fractions import Fraction
 from pathlib import Path
 from urllib.parse import parse_qs
 
-import numpy as np
 import pytest
 
 from ihcmine.classify import evaluate
 from ihcmine.domain import ClassificationLabel, format_percent, round_percent
 from ihcmine.gateway import EmbeddingVector
 from ihcmine.landscape import ConcordanceCategory, compare, load_reference_csv, summary_report
-from ihcmine.normalize import Concept, ConceptIndex
 from ihcmine.table_eval import Verdict, evaluate_set, score
 from ihcmine.tables import parse_cell, parse_markdown_table, render_markdown
 
 from test_cli import read_jsonl
 from test_domain import checked_rate
 from test_landscape import load_concordance_fixture
+from test_normalize import index_of, scan
 from test_tables import random_table
 
 REPO = Path(__file__).resolve().parent.parent
@@ -170,36 +169,20 @@ def test_c4_round_trip_and_cell_parse_robustness():
 def test_c5_nearest_neighbor_matches_linear_scan():
     rng = random.Random(31415)
     dim = 8
-    concepts = [
-        Concept(
-            cui=f"C{i:07d}",
-            name=f"name {i}",
-            vector=EmbeddingVector.of([rng.random() for _ in range(dim)]),
-        )
-        for i in range(1000)
-    ]
-    index = ConceptIndex(concepts)
+    rows = [(f"C{i:07d}", f"name {i}", [rng.random() for _ in range(dim)]) for i in range(1000)]
+    index = index_of(rows)
     for _ in range(100):
         query = EmbeddingVector.of([rng.random() for _ in range(dim)])
-        q = np.asarray(query.values, dtype=np.float64)
-        oracle = sorted(
-            (float(np.sqrt(((np.asarray(c.vector.values, dtype=np.float64) - q) ** 2).sum())), c.cui, c.name)
-            for c in concepts
-        )[:5]
         hits = index.nearest(query, 5)
-        assert [(d, c.cui, c.name) for c, d in hits] == oracle
+        assert [(d, c.cui, c.name) for c, d in hits] == scan(rows, query, 5)
 
-    probe = concepts[371]
-    top, distance = index.nearest(probe.vector, 1)[0]
-    assert top.cui == probe.cui and distance == 0.0
+    probe_cui, _, probe_vector = rows[371]
+    top, distance = index.nearest(EmbeddingVector.of(probe_vector), 1)[0]
+    assert top.cui == probe_cui and distance == 0.0
 
-    duplicated = ConceptIndex(
-        [
-            Concept(cui="C0000042", name="beta", vector=concepts[0].vector),
-            Concept(cui="C0000007", name="alpha", vector=concepts[0].vector),
-        ]
-    )
-    ordered = duplicated.nearest(concepts[0].vector, 2)
+    first = rows[0][2]
+    duplicated = index_of([("C0000042", "beta", first), ("C0000007", "alpha", first)])
+    ordered = duplicated.nearest(EmbeddingVector.of(first), 2)
     assert [c.cui for c, _ in ordered] == ["C0000007", "C0000042"]
     ok("C5", "1000x100 exact scan agreement, distance-0 self match, deterministic tie-break")
 

