@@ -129,22 +129,21 @@ def aggregate(
 
     Inputs must carry CUIs and valid counts (missing cells and flagged
     records are excluded upstream). Qualifiers collapse into the base
-    marker unless split_qualifiers is set.
+    marker unless split_qualifiers is set. A CUI is named by the smallest,
+    in code-point order, of the names its records matched in its role, so
+    the names do not depend on the order of the records.
     """
     sums: dict[tuple, dict[str, Any]] = {}
+    marker_names: dict[str, str] = {}
+    tumour_names: dict[str, str] = {}
     for record in records:
         qualifier = record.qualifier if split_qualifiers else None
         key = (record.marker_cui, record.tumour_type_cui, qualifier)
-        entry = sums.setdefault(
-            key,
-            {
-                "marker_name": record.marker_name or record.base_marker,
-                "tumour_name": record.tumour_type_name or record.tumour_type,
-                "positives": 0,
-                "total": 0,
-                "pmids": set(),
-            },
-        )
+        marker = record.marker_name or record.base_marker
+        tumour = record.tumour_type_name or record.tumour_type
+        marker_names[record.marker_cui] = min(marker_names.get(record.marker_cui, marker), marker)
+        tumour_names[record.tumour_type_cui] = min(tumour_names.get(record.tumour_type_cui, tumour), tumour)
+        entry = sums.setdefault(key, {"positives": 0, "total": 0, "pmids": set()})
         entry["positives"] += record.positives
         entry["total"] += record.total
         entry["pmids"].add(record.pmid)
@@ -155,9 +154,9 @@ def aggregate(
         out.append(
             MarkerTumourAggregate(
                 marker_cui=marker_cui,
-                marker_name=entry["marker_name"],
+                marker_name=marker_names[marker_cui],
                 tumour_cui=tumour_cui,
-                tumour_name=entry["tumour_name"],
+                tumour_name=tumour_names[tumour_cui],
                 n_abstracts=len(entry["pmids"]),
                 positives=entry["positives"],
                 total=entry["total"],

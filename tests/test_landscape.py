@@ -99,6 +99,52 @@ class TestAggregate:
         assert sum(x.positives for x in a) == sum(min(p, t) for p, t in counts)
         assert sum(x.total for x in a) == sum(t for _, t in counts)
 
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from("123"),  # pmid
+                st.integers(0, 2),  # marker CUI
+                st.sampled_from(["ER", "ESR1", "er", "ÉR"]),  # the name the marker surface matched
+                st.integers(0, 2),  # tumour CUI
+                st.sampled_from(["melanoma", "malignant melanoma", "Melanoma", "mélanome"]),
+                st.sampled_from([None, "nuclear", "cytoplasmic"]),
+                st.integers(0, 9),
+            ),
+            min_size=1,
+            max_size=20,
+        ),
+        st.booleans(),
+        st.randoms(),
+    )
+    def test_names_independent_of_record_order(self, rows, split_qualifiers, rng):
+        """A CUI matched under several names is named the same whatever the order of its records."""
+        records = [
+            NormalizedRecord(
+                pmid=pmid,
+                tumour_type=tumour_name,
+                tumour_type_cui=f"C000000{tumour}",
+                tumour_type_name=tumour_name,
+                tumour_site=None,
+                tumour_site_cui=None,
+                tumour_site_name=None,
+                marker=marker_name if qualifier is None else f"{marker_name} ({qualifier})",
+                base_marker=marker_name,
+                marker_cui=f"C100000{marker}",
+                marker_name=marker_name,
+                qualifier=qualifier,
+                positives=positives,
+                total=9,
+            )
+            for pmid, marker, marker_name, tumour, tumour_name, qualifier, positives in rows
+        ]
+        shuffled = records[:]
+        rng.shuffle(shuffled)
+        expected = aggregate(records, split_qualifiers=split_qualifiers)
+        assert aggregate(shuffled, split_qualifiers=split_qualifiers) == expected
+        for agg in expected:
+            assert agg.marker_name == min(r.marker_name for r in records if r.marker_cui == agg.marker_cui)
+            assert agg.tumour_name == min(r.tumour_type_name for r in records if r.tumour_type_cui == agg.tumour_cui)
+
     def test_serialization_round_trip(self):
         (agg,) = aggregate([norm_record("1", "ER", "melanoma", 5, 10)])
         assert decode(MarkerTumourAggregate, encode(agg)) == agg
