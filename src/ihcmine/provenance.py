@@ -13,7 +13,7 @@ import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, NamedTuple
+from typing import TYPE_CHECKING, Any, Iterator, NamedTuple
 
 from .errors import PipelineError
 
@@ -66,22 +66,31 @@ class StageInfo:
         return recorded in (self.fingerprint(), _json_sha256([self.inputs, self.sha256]))
 
 
-def file_digest(path: str | Path) -> tuple[int, int, str]:
-    """(newline count, size, hex sha256) of a file's bytes, read in 1 MiB blocks into one reused buffer."""
-    digest, lines, total = hashlib.sha256(), 0, 0
+def _blocks(path: str | Path) -> Iterator[memoryview]:
+    """A file's bytes, read in 1 MiB blocks into one reused buffer: each block is a prefix of it (``block.obj``), valid until the next."""
     buffer = bytearray(1 << 20)
     view = memoryview(buffer)
     with open(path, "rb", buffering=0) as handle:
         while size := handle.readinto(buffer):
-            digest.update(view[:size])
-            lines += buffer.count(b"\n", 0, size)
-            total += size
+            yield view[:size]
+
+
+def file_digest(path: str | Path) -> tuple[int, int, str]:
+    """(newline count, size, hex sha256) of a file's bytes."""
+    digest, lines, total = hashlib.sha256(), 0, 0
+    for block in _blocks(path):
+        digest.update(block)
+        lines += block.obj.count(b"\n", 0, len(block))
+        total += len(block)
     return lines, total, digest.hexdigest()
 
 
 def file_sha256(path: str | Path) -> str:
     """The hex sha256 of a file's bytes."""
-    return file_digest(path)[2]
+    digest = hashlib.sha256()
+    for block in _blocks(path):
+        digest.update(block)
+    return digest.hexdigest()
 
 
 def _file_sha256(name: str, path: str) -> str:
