@@ -230,12 +230,8 @@ class TestLoadIndex:
 
 
 def linear_scan(index, query, k):
-    """The exact top k as a scan of every concept computes it: (distance, cui, name), ascending."""
-    q = np.asarray(query.values, dtype=np.float64)
-    scored = sorted(
-        (float(np.sqrt(((index._matrix[i] - q) ** 2).sum())), c.cui, c.name) for i, c in enumerate(index.concepts)
-    )
-    return scored[:k]
+    """``scan`` over a built index's concepts and matrix rows."""
+    return scan([(c.cui, c.name, index._matrix[i]) for i, c in enumerate(index.concepts)], query, k)
 
 
 def rewritten(damage):
